@@ -24,12 +24,6 @@ fail the gate. Entries are keyed on ``(name, threads)`` — parsed
 from the ``/threads:N`` suffix — so threaded benchmark families
 only ever compare like against like.
 
-The intra-run parallelism floor (``pdes_speedup_gate``) additionally
-requires ``BM_WorkloadSimulation/threads:4`` to run at least 2x the
-``threads:1`` throughput of the same recording. It only applies on
-hosts with >= 4 CPUs (recorded in the JSON context); single-core
-recorders report the ratio and skip the verdict.
-
 Recording refuses binaries built without optimization: the benchmark
 embeds ``cxlsim_build_type`` in its JSON context and anything other
 than Release/RelWithDebInfo aborts unless ``--allow-debug`` is given
@@ -38,15 +32,11 @@ than Release/RelWithDebInfo aborts unless ``--allow-debug`` is given
 ``--suite`` additionally times the figure suite end to end through
 ``melody sweep`` and records the wall-clock numbers as ``run_type:
 "suite"`` entries in the same JSON; ``compare()`` ignores those, so
-they are a recorded metric, not a gated one. Four runs: serial
-cold-cache (which also seeds a cost DB with per-point timings),
-parallel cold-cache with FIFO dispatch and no cost model (the
-pre-scheduler behaviour), parallel cold-cache with LPT dispatch fed
-by the seeded cost DB, and parallel warm-cache. All four must emit
-byte-identical figure output. The LPT-vs-FIFO ratio is the
-straggler-scheduling win; like the pdes gate it is only meaningful
-on hosts with enough CPUs to actually run points concurrently, so
-single-core recorders report the ratio without a verdict.
+they are a recorded metric, not a gated one. Three runs: serial
+cold-cache, parallel cold-cache and parallel warm-cache. All three
+must emit byte-identical figure output. Parallel numbers from a
+single-CPU host say nothing about parallelism; the JSON context's
+``num_cpus`` tells which host recorded them.
 """
 
 import argparse
@@ -68,14 +58,6 @@ DEFAULT_MELODY = os.path.join(REPO_ROOT, "build", "tools", "melody")
 
 #: Build types whose numbers are comparable across runs.
 OPTIMIZED_BUILD_TYPES = ("release", "relwithdebinfo")
-
-
-#: threads:4 must deliver at least this speedup over threads:1
-#: (enforced only on recording hosts with >= PDES_GATE_MIN_CPUS
-#: CPUs: the conservative scheduler cannot beat serial on a
-#: single-core host, where gang threads just time-slice).
-PDES_SPEEDUP_FLOOR = 2.0
-PDES_GATE_MIN_CPUS = 4
 
 
 def throughput(entry):
@@ -120,39 +102,6 @@ def load_results(path):
     return iteration_entries(load_json(path))
 
 
-def pdes_speedup_gate(data):
-    """Enforce the intra-run parallelism floor on capable hosts.
-
-    Returns a list of failure names (empty = pass or skipped).
-    Compares BM_WorkloadSimulation/threads:4 against threads:1
-    from the SAME run, so the verdict reflects that machine, not
-    a cross-host ratio.
-    """
-    entries = iteration_entries(data)
-    t1 = entries.get(("BM_WorkloadSimulation", 1))
-    t4 = entries.get(("BM_WorkloadSimulation", 4))
-    if t1 is None or t4 is None:
-        print("pdes gate: threaded BM_WorkloadSimulation entries "
-              "missing; skipped", file=sys.stderr)
-        return []
-    ncpu = int(data.get("context", {}).get("num_cpus", 0))
-    speedup = (throughput(t4) / throughput(t1)
-               if throughput(t1) > 0 else float("inf"))
-    if ncpu < PDES_GATE_MIN_CPUS:
-        print(f"pdes gate: threads:4 speedup {speedup:.2f}x "
-              f"(floor {PDES_SPEEDUP_FLOOR:.1f}x not applicable: "
-              f"host has {ncpu} CPU(s))", file=sys.stderr)
-        return []
-    if speedup < PDES_SPEEDUP_FLOOR:
-        print(f"pdes gate: threads:4 speedup {speedup:.2f}x is "
-              f"below the {PDES_SPEEDUP_FLOOR:.1f}x floor "
-              f"({ncpu}-CPU host): FAILED", file=sys.stderr)
-        return ["BM_WorkloadSimulation/threads:4 (speedup floor)"]
-    print(f"pdes gate: threads:4 speedup {speedup:.2f}x "
-          f"(floor {PDES_SPEEDUP_FLOOR:.1f}x): ok", file=sys.stderr)
-    return []
-
-
 def run_bench(bench, min_time, extra_args):
     cmd = [bench, "--benchmark_format=json"]
     if min_time is not None:
@@ -182,21 +131,12 @@ def check_build_type(data, allow_debug):
     return False
 
 
-#: LPT cold-suite wall-clock must beat FIFO by this factor — only
-#: meaningful on hosts that can actually run points concurrently
-#: (reported, never enforced, below LPT_GATE_MIN_CPUS CPUs).
-LPT_SPEEDUP_FLOOR = 1.3
-LPT_GATE_MIN_CPUS = 2
-
-
 def run_suite(melody, jobs, cache_dir, figures, extra=()):
     """One timed `melody sweep` run; returns (seconds, stdout)."""
     env = dict(os.environ)
     env["MELODY_SWEEP_CACHE_DIR"] = cache_dir
     env.pop("MELODY_SWEEP_JOBS", None)
     env.pop("MELODY_SWEEP_CACHE", None)
-    env.pop("MELODY_SWEEP_SCHED", None)
-    env.pop("MELODY_SWEEP_COSTDB", None)
     cmd = ([melody, "sweep", "--jobs", str(jobs)] + list(extra) +
            figures)
     print(f"running: {' '.join(cmd)}", file=sys.stderr)
@@ -208,35 +148,25 @@ def run_suite(melody, jobs, cache_dir, figures, extra=()):
 
 
 def suite_entries(melody, jobs, figures):
-    """Time the figure suite four ways; return JSON entries.
+    """Time the figure suite three ways; return JSON entries.
 
-    serial_cold seeds a cost DB with measured per-point times;
-    jobs{N}_cold_fifo is the pre-scheduler dispatch (no cost model),
-    jobs{N}_cold_lpt dispatches longest-predicted-first off the
-    seeded DB, and jobs{N}_warm replays the warm cache. All runs
-    must emit byte-identical figure output — the engine's core
+    serial_cold and jobs{N}_cold start from empty caches;
+    jobs{N}_warm replays the parallel run's cache. All runs must
+    emit byte-identical figure output — the engine's core
     guarantee — so any drift fails loudly here too.
     """
     tmp = tempfile.mkdtemp(prefix="melody-suite-")
-    db = os.path.join(tmp, "costdb.tsv")
     try:
         serial_s, serial_out = run_suite(
-            melody, 1, os.path.join(tmp, "serial"), figures,
-            ["--cost-db", db])
-        fifo_s, fifo_out = run_suite(
-            melody, jobs, os.path.join(tmp, "fifo"), figures,
-            ["--sched", "fifo", "--no-cost-db"])
-        lpt_s, lpt_out = run_suite(
-            melody, jobs, os.path.join(tmp, "lpt"), figures,
-            ["--sched", "lpt", "--cost-db", db])
+            melody, 1, os.path.join(tmp, "serial"), figures)
+        cold_s, cold_out = run_suite(
+            melody, jobs, os.path.join(tmp, "par"), figures)
         warm_s, warm_out = run_suite(
-            melody, jobs, os.path.join(tmp, "lpt"), figures,
-            ["--sched", "lpt", "--cost-db", db])
+            melody, jobs, os.path.join(tmp, "par"), figures)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    if (fifo_out != serial_out or lpt_out != serial_out or
-            warm_out != serial_out):
-        print("suite output mismatch between serial/fifo/lpt/"
+    if cold_out != serial_out or warm_out != serial_out:
+        print("suite output mismatch between serial/parallel/"
               "warm runs — determinism bug, not recording.",
               file=sys.stderr)
         raise SystemExit(1)
@@ -252,31 +182,15 @@ def suite_entries(melody, jobs, figures):
             "wall_seconds": round(seconds, 3),
         }
 
-    entries = [
+    par = serial_s / cold_s if cold_s > 0 else float("inf")
+    print(f"suite wall-clock: serial cold {serial_s:.1f}s, "
+          f"jobs={jobs} cold {cold_s:.1f}s, warm {warm_s:.1f}s "
+          f"({par:.1f}x vs serial cold)", file=sys.stderr)
+    return [
         entry("suite/serial_cold", serial_s, 1),
-        entry(f"suite/jobs{jobs}_cold_fifo", fifo_s, jobs),
-        entry(f"suite/jobs{jobs}_cold_lpt", lpt_s, jobs),
+        entry(f"suite/jobs{jobs}_cold", cold_s, jobs),
         entry(f"suite/jobs{jobs}_warm", warm_s, jobs),
     ]
-    par = serial_s / lpt_s if lpt_s > 0 else float("inf")
-    lpt = fifo_s / lpt_s if lpt_s > 0 else float("inf")
-    print(f"suite wall-clock: serial cold {serial_s:.1f}s, "
-          f"jobs={jobs} cold fifo {fifo_s:.1f}s, "
-          f"cold lpt {lpt_s:.1f}s, warm {warm_s:.1f}s "
-          f"({par:.1f}x vs serial cold)", file=sys.stderr)
-    ncpu = os.cpu_count() or 1
-    if ncpu < LPT_GATE_MIN_CPUS:
-        print(f"lpt gate: lpt-vs-fifo {lpt:.2f}x (floor "
-              f"{LPT_SPEEDUP_FLOOR:.1f}x not applicable: host has "
-              f"{ncpu} CPU(s), stragglers cannot overlap)",
-              file=sys.stderr)
-    else:
-        verdict = ("ok" if lpt >= LPT_SPEEDUP_FLOOR
-                   else "below floor")
-        print(f"lpt gate: lpt-vs-fifo {lpt:.2f}x (floor "
-              f"{LPT_SPEEDUP_FLOOR:.1f}x): {verdict}",
-              file=sys.stderr)
-    return entries
 
 
 def previous_baseline(out_dir, exclude):
@@ -355,8 +269,8 @@ def main():
                          "(numbers will not be comparable)")
     ap.add_argument("--suite", action="store_true",
                     help="also time the figure suite via "
-                         "'melody sweep' (serial cold, fifo cold, "
-                         "lpt cold, warm) and record "
+                         "'melody sweep' (serial cold, parallel "
+                         "cold, parallel warm) and record "
                          "run_type='suite' entries")
     ap.add_argument("--melody", default=DEFAULT_MELODY,
                     help="melody binary for --suite "
@@ -378,7 +292,6 @@ def main():
                 return 2
         regressions = compare(args.compare[0], args.compare[1],
                               args.tolerance)
-        regressions += pdes_speedup_gate(load_json(args.compare[1]))
         if regressions:
             print(f"\n{len(regressions)} regression(s): "
                   f"{', '.join(regressions)}")
@@ -412,20 +325,13 @@ def main():
         f.write("\n")
     print(f"wrote {out_path}", file=sys.stderr)
 
-    gate_failures = pdes_speedup_gate(data)
-
     baseline = args.baseline or previous_baseline(
         args.out_dir, exclude=out_path)
     if baseline is None:
-        if gate_failures:
-            print(f"\npdes gate failure(s): "
-                  f"{', '.join(gate_failures)}")
-            return 1 if args.check else 0
         print("no previous baseline found; recorded only.")
         return 0
 
     regressions = compare(baseline, out_path, args.tolerance)
-    regressions += gate_failures
     if regressions:
         print(f"\n{len(regressions)} regression(s): "
               f"{', '.join(regressions)}")

@@ -7,9 +7,9 @@
 
 namespace cxlsim::cpu {
 
-MemoryHierarchy::PerCore::PerCore(const CpuProfile &p, unsigned i)
+MemoryHierarchy::PerCore::PerCore(const CpuProfile &p)
     : l1(p.l1.sizeBytes, p.l1.ways), l2(p.l2.sizeBytes, p.l2.ways),
-      l1pf(p.l1pf), l2pf(p.l2pf), idx(i)
+      l1pf(p.l1pf), l2pf(p.l2pf)
 {
     scratch.reserve(64);
 }
@@ -24,7 +24,7 @@ MemoryHierarchy::MemoryHierarchy(const CpuProfile &profile,
       l3_(profile.l3.sizeBytes, profile.l3.ways)
 {
     for (unsigned c = 0; c < cores; ++c)
-        percore_.push_back(std::make_unique<PerCore>(profile, c));
+        percore_.push_back(std::make_unique<PerCore>(profile));
 }
 
 void
@@ -42,12 +42,6 @@ MemoryHierarchy::handleEviction(PerCore *pc, unsigned from_level,
 {
     if (!ev.valid || !ev.dirty)
         return;
-    // Dirty merges into the LLC and LLC-victim writebacks touch
-    // shared state; L1->L2 merges stay core-private. The cascade
-    // recurses with from_level+1, so an L2-hit path that victimizes
-    // into the LLC is gated exactly when it needs to be.
-    if (from_level >= 2)
-        syncShared(pc->idx);
     if (from_level == 3) {
         // LLC victim: write back to memory (fire and forget — the
         // write occupies backend bandwidth but nothing waits on it).
@@ -124,8 +118,7 @@ MemoryHierarchy::demandLoad(unsigned core, Addr addr,
         handleEviction(&pc, 1, pc.l1.insert(line, at, home, false), now);
         out = {at, home, false};
     } else {
-        // L2 miss: walk the LLC (first shared touch on this path).
-        syncShared(core);
+        // L2 miss: walk the LLC.
         const LookupResult r3 = l3_.lookup(line, now, &ready, &home);
         if (r3 == LookupResult::kHit) {
             const Tick at =
@@ -213,7 +206,6 @@ MemoryHierarchy::storeRfo(unsigned core, Addr addr, Tick now)
         return ready;
     }
 
-    syncShared(core);
     const LookupResult r3 = l3_.lookup(line, now, &ready, &home);
     if (r3 == LookupResult::kHit) {
         const Tick at = now + cyclesToTicks(profile_.l3.latencyCycles);
@@ -283,7 +275,6 @@ MemoryHierarchy::runL1Prefetcher(PerCore &pc, unsigned stream_id,
             at = ready;
             l1home = home;
         } else {
-            syncShared(pc.idx);
             const LookupResult r3 = l3_.lookup(target, now, &ready,
                                                &home);
             if (r3 == LookupResult::kHit) {
@@ -351,9 +342,6 @@ MemoryHierarchy::runL2Prefetcher(PerCore &pc, Addr line, Tick now)
     if (pc.scratch.empty())
         return;
     const std::vector<Addr> cands = pc.scratch;
-    // Every candidate walks the LLC, so the whole loop is a shared
-    // section.
-    syncShared(pc.idx);
     for (Addr target : cands) {
         if (pc.l2.contains(target))
             continue;

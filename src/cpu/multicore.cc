@@ -6,8 +6,6 @@
 
 #include "sim/invariants.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
-#include "sim/partition.hh"
 
 namespace cxlsim::cpu {
 
@@ -60,15 +58,7 @@ RunResult
 MultiCore::run()
 {
     backend_->resetStats();
-
-    // Engine choice never changes output: the parallel engine
-    // reproduces the serial block order at all shared state (see
-    // runParallel), so this is purely a speed decision.
-    const unsigned simThreads = pdes::simThreads();
-    if (simThreads > 1 && cores_.size() > 1)
-        runParallel(simThreads);
-    else
-        runSerial();
+    runSerial();
 
     RunResult r;
     for (auto &c : cores_) {
@@ -127,42 +117,6 @@ MultiCore::runSerial()
             }
         }
     }
-}
-
-void
-MultiCore::runParallel(unsigned tokens)
-{
-    // One logical process per core. The serial engine's block order
-    // is lexicographic (blockStart, coreIdx); the gate reproduces
-    // that exact total order at every shared-state access (LLC +
-    // backend), so counters, samples and RAS streams are
-    // bit-identical to runSerial(). Private work — L1/L2 hits,
-    // core-side execution — overlaps freely, which is where the
-    // speedup comes from.
-    pdes::FrontierGate gate(static_cast<unsigned>(cores_.size()),
-                            tokens);
-    hier_->setGate(&gate);
-    // Re-install this thread's collector on every gang thread so
-    // invariant hooks fire identically at any thread count.
-    sim::Invariants *inv = sim::currentInvariants();
-    runGang(cores_.size(), [&](std::size_t i) {
-        sim::InvariantScope scope(inv);
-        Core *c = cores_[i].get();
-        const unsigned p = static_cast<unsigned>(i);
-        for (;;) {
-            // Publish the block key BEFORE stepping: peers must
-            // see where this core is before it can touch shared
-            // state at that time.
-            gate.beginBlock(p, c->now());
-            const bool more = c->step();
-            gate.endBlock(p);
-            if (!more)
-                break;
-        }
-        gate.finish(p);
-    });
-    hier_->setGate(nullptr);
-    pdes::StatsRegistry::instance().addGate(gate);
 }
 
 void

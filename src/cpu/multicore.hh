@@ -82,8 +82,7 @@ class MultiCore
     /** Enable 1ms-style sampling on core 0. */
     void enableSampling(Tick interval);
 
-    /** Run every core to completion and report. Bit-identical for
-     *  every pdes::simThreads() value, including 1. */
+    /** Run every core to completion and report. */
     RunResult run();
 
     MemoryHierarchy &hierarchy() { return *hier_; }
@@ -91,16 +90,6 @@ class MultiCore
   private:
     /** Serial engine: indexed min-heap, (now, idx) order. */
     void runSerial();
-
-    /**
-     * Conservative parallel engine (DESIGN.md §11): one gang
-     * thread per core, each publishing its block key to a
-     * FrontierGate; shared LLC/backend touches wait for the
-     * serial-order grant, so the interleaving at the shared state
-     * — and therefore every counter — matches runSerial() exactly.
-     * @param tokens concurrent-execution budget (sim-threads).
-     */
-    void runParallel(unsigned tokens);
 
     /** End-of-run counter-accounting checks (sim::Invariants). */
     void checkInvariants() const;

@@ -56,22 +56,6 @@ struct LinkConfig
     double propagationNs = 25.0;
     /** Direction turnaround penalty, ns (half-duplex only). */
     double turnaroundNs = 20.0;
-
-    /**
-     * Lower bound on the one-way latency of a @p bytes transfer,
-     * ns: serialization at line rate plus propagation, with every
-     * optional penalty (turnaround, queueing, replays) at its
-     * best case of zero. This is the link's contribution to a
-     * conservative-PDES lookahead (DESIGN.md §11): no message can
-     * cross the link faster, so events on the far side within this
-     * window are safe to execute concurrently.
-     */
-    double
-    minTransferNs(unsigned bytes = 64) const
-    {
-        return static_cast<double>(bytes) / gbpsPerDir +
-               propagationNs;
-    }
 };
 
 /** Arrival tick plus transport outcome of one transfer. */

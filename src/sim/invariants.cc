@@ -14,11 +14,11 @@ thread_local Invariants *tlsInvariants = nullptr;
 std::mutex &
 recordMutex()
 {
-    // Intra-run parallelism (sim/partition.hh) installs ONE
-    // collector on every gang thread, so recording must be
-    // serialized. A single process-wide mutex is fine: record()
-    // only runs on actual violations (cold path), and readers
-    // (failed()/violations()) run after the gang has joined.
+    // A collector may be installed on several threads at once, so
+    // recording must be serialized. A single process-wide mutex is
+    // fine: record() only runs on actual violations (cold path),
+    // and readers (failed()/violations()) run after those threads
+    // have joined.
     // lint:allow(det-static-local: cold-path violation collector, mutex-serialized)
     static std::mutex mu;
     return mu;

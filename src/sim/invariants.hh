@@ -31,15 +31,9 @@
  *   cxl/completion-order    serviceEx completion >= arrival
  *   cxl/utilization-bounds  controller utilization in [0, 1]
  *   queue/pf-occupancy      prefetch in-flight queues <= budget
- *   pdes/epoch-monotonic    epoch ends / partition frontiers never
- *                           decrease (sim/pdes, sim/partition)
- *   pdes/lookahead-horizon  cross-partition send targeted below
- *                           now + lookahead (clamped)
- *   pdes/mailbox-conservation  every mailbox message sent was
- *                           delivered by an epoch barrier
  *
- * record() is thread-safe: intra-run parallelism (`--sim-threads`)
- * installs one collector on every gang thread.
+ * record() is thread-safe, so one collector may be shared by
+ * threads that report into it concurrently.
  */
 
 #ifndef CXLSIM_SIM_INVARIANTS_HH

@@ -115,32 +115,6 @@ extractString(const std::string &line, const std::string &key,
     return false;  // unterminated (torn final line)
 }
 
-/**
- * Extract the non-negative integer value of @p key from one JSONL
- * line written by this file's writer. Returns false when the key
- * is absent or not followed by digits.
- */
-bool
-extractUint(const std::string &line, const std::string &key,
-            std::uint64_t *out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    std::size_t i = at + needle.size();
-    if (i >= line.size() || !std::isdigit(
-            static_cast<unsigned char>(line[i])))
-        return false;
-    std::uint64_t v = 0;
-    for (; i < line.size() &&
-           std::isdigit(static_cast<unsigned char>(line[i]));
-         ++i)
-        v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-    *out = v;
-    return true;
-}
-
 }  // namespace
 
 Journal::~Journal()
@@ -234,16 +208,13 @@ Journal::started(const std::string &hash, unsigned attempt)
 
 void
 Journal::finished(const std::string &hash, unsigned attempt,
-                  const std::vector<std::string> &slots,
-                  std::uint64_t elapsedUs)
+                  const std::vector<std::string> &slots)
 {
     stats::JsonWriter j;
     j.beginObject();
     j.field("event", "finished");
     j.field("hash", hash);
     j.field("attempt", attempt);
-    if (elapsedUs > 0)
-        j.field("elapsed_us", elapsedUs);
     j.field("slots_hex", hexEncode(stats::encodeRows(slots)));
     j.endObject();
     append(j.str());
@@ -267,8 +238,7 @@ Journal::failed(const std::string &hash, unsigned attempt,
 bool
 Journal::load(const std::string &path, const std::string &salt,
               std::map<std::string, std::vector<std::string>> *done,
-              std::string *err,
-              std::map<std::string, std::uint64_t> *elapsedUs)
+              std::string *err)
 {
     std::FILE *f = std::fopen(path.c_str(), "rbe");
     if (!f) {
@@ -326,10 +296,6 @@ Journal::load(const std::string &path, const std::string &salt,
             !stats::decodeRows(blob, &slots))
             continue;  // torn record: the point just recomputes
         (*done)[hash] = std::move(slots);
-        std::uint64_t us = 0;
-        if (elapsedUs && extractUint(line, "elapsed_us", &us) &&
-            us > 0)
-            (*elapsedUs)[hash] = us;
     }
     if (!sawHeader) {
         *err = "journal '" + path + "' has no sweep header "

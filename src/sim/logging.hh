@@ -8,6 +8,7 @@
 #ifndef CXLSIM_SIM_LOGGING_HH
 #define CXLSIM_SIM_LOGGING_HH
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -26,6 +27,16 @@ class ConfigError : public std::runtime_error
   public:
     using std::runtime_error::runtime_error;
 };
+
+/**
+ * Parse a user-supplied unsigned option value (CLI flag or
+ * environment variable named @p what). Only plain decimal digits in
+ * [0, @p max] are accepted: strtoul alone would wrap "-1" to
+ * ULONG_MAX and silently truncate values past UINT_MAX.
+ * @throws ConfigError on anything else, including "".
+ */
+unsigned parseUnsigned(const std::string &s, const std::string &what,
+                       unsigned max = UINT_MAX);
 
 /** Abort: an internal simulator invariant was violated (a bug). */
 [[noreturn]] void panicImpl(const char *file, int line,

@@ -26,9 +26,15 @@ thread_local bool t_inParallel = false;
  * Workers claim at most `slots_` participation slots per job so a
  * caller-requested thread cap is honored even when the pool has
  * more workers. Chunks are claimed from the atomic cursor; the
- * caller returns only once every chunk has been fully executed, so
- * the std::function reference stays valid for exactly the time any
- * worker can dereference it.
+ * caller returns only once every chunk has been fully executed AND
+ * every worker that took a slot has left workOn(). Waiting for the
+ * chunks alone is not enough: a worker can copy the job fields,
+ * drop mu_ and be preempted before its first cursor bump while its
+ * peers finish every chunk. If the caller then returned and
+ * published the next job, that worker would claim the new job's
+ * chunks with the old job's fn, n and chunk count, calling a dead
+ * std::function or overshooting doneChunks_ so the new job never
+ * completes.
  */
 class WorkerPool
 {
@@ -71,9 +77,12 @@ class WorkerPool
 
         std::unique_lock<std::mutex> lk(mu_);
         doneCv_.wait(lk, [&] {
-            return doneChunks_.load(std::memory_order_acquire) ==
-                   totalChunks_;
+            return busy_ == 0 &&
+                   doneChunks_.load(std::memory_order_acquire) ==
+                       totalChunks_;
         });
+        // Late wakers find the job fully staffed, never a null fn_.
+        slots_ = 0;
         fn_ = nullptr;
     }
 
@@ -138,13 +147,16 @@ class WorkerPool
                 if (slots_ <= 0)
                     continue;  // job already fully staffed
                 --slots_;
+                ++busy_;
                 fn = fn_;
                 n = n_;
                 grain = grain_;
                 totalChunks = totalChunks_;
             }
-            if (fn)
-                workOn(*fn, n, grain, totalChunks);
+            workOn(*fn, n, grain, totalChunks);
+            std::lock_guard<std::mutex> lk(mu_);
+            if (--busy_ == 0)
+                doneCv_.notify_all();
         }
     }
 
@@ -164,147 +176,13 @@ class WorkerPool
     std::size_t grain_ = 1;
     std::size_t totalChunks_ = 0;
     int slots_ = 0;
+    /** Workers that took a slot and have not yet left workOn(). */
+    int busy_ = 0;
     std::atomic<std::size_t> next_{0};
     std::atomic<std::size_t> doneChunks_{0};
 };
 
-/**
- * Dedicated-thread pool for mutually-blocking task gangs
- * (runGang). Every gang member needs a real thread for the gang's
- * lifetime — members may park mid-body waiting on a peer — so
- * workers are never shared between simultaneously-running gangs;
- * finished workers return to a free list for the next gang.
- */
-class GangPool
-{
-  public:
-    static GangPool &
-    instance()
-    {
-        // Same sanctioned singleton shape as WorkerPool: the pool
-        // owns no simulation state, only threads.
-        // lint:allow(det-static-local: sanctioned pool singleton, no sim state)
-        static GangPool pool;
-        return pool;
-    }
-
-    void
-    run(std::size_t n, const std::function<void(std::size_t)> &fn)
-    {
-        struct Job
-        {
-            const std::function<void(std::size_t)> *fn;
-            std::size_t remaining;
-        } job{&fn, n - 1};
-
-        std::vector<Worker *> members;
-        members.reserve(n - 1);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            for (std::size_t i = 1; i < n; ++i) {
-                Worker *w;
-                if (!free_.empty()) {
-                    w = free_.back();
-                    free_.pop_back();
-                } else {
-                    w = new Worker;
-                    all_.push_back(w);
-                    w->thread = std::thread(
-                        [this, w] { workerLoop(w); });
-                }
-                members.push_back(w);
-            }
-        }
-        for (std::size_t i = 1; i < n; ++i) {
-            Worker *w = members[i - 1];
-            std::lock_guard<std::mutex> lk(w->mu);
-            w->fn = &fn;
-            w->index = i;
-            w->done = &job.remaining;
-            w->cv.notify_one();
-        }
-
-        fn(0);
-
-        std::unique_lock<std::mutex> lk(mu_);
-        doneCv_.wait(lk, [&] { return job.remaining == 0; });
-    }
-
-  private:
-    struct Worker
-    {
-        std::thread thread;
-        std::mutex mu;
-        std::condition_variable cv;
-        const std::function<void(std::size_t)> *fn = nullptr;
-        std::size_t index = 0;
-        std::size_t *done = nullptr;
-        bool stop = false;
-    };
-
-    GangPool() = default;
-
-    ~GangPool()
-    {
-        for (Worker *w : all_) {
-            {
-                std::lock_guard<std::mutex> lk(w->mu);
-                w->stop = true;
-            }
-            w->cv.notify_one();
-        }
-        for (Worker *w : all_) {
-            w->thread.join();
-            delete w;
-        }
-    }
-
-    void
-    workerLoop(Worker *w)
-    {
-        for (;;) {
-            const std::function<void(std::size_t)> *fn;
-            std::size_t index;
-            std::size_t *done;
-            {
-                std::unique_lock<std::mutex> lk(w->mu);
-                w->cv.wait(lk, [&] { return w->stop || w->fn; });
-                if (w->stop)
-                    return;
-                fn = w->fn;
-                index = w->index;
-                done = w->done;
-                w->fn = nullptr;
-            }
-            (*fn)(index);
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                free_.push_back(w);
-                if (--*done == 0)
-                    doneCv_.notify_all();
-            }
-        }
-    }
-
-    std::mutex mu_;
-    std::condition_variable doneCv_;
-    std::vector<Worker *> free_;
-    std::vector<Worker *> all_;
-};
-
 }  // namespace
-
-void
-runGang(std::size_t n, const std::function<void(std::size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (n == 1) {
-        fn(0);
-        return;
-    }
-    GangPool::instance().run(n, fn);
-}
 
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
@@ -324,20 +202,6 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
         return;
     }
     WorkerPool::instance().run(n, fn, threads, grain);
-}
-
-void
-parallelForOrder(const std::vector<std::size_t> &order,
-                 const std::function<void(std::size_t)> &fn,
-                 unsigned threads)
-{
-    // Grain is pinned to 1: a permuted dispatch order exists to
-    // schedule *individually expensive* points, where claiming
-    // several per cursor bump would re-create the static-chunk
-    // straggler problem the permutation is solving.
-    parallelFor(
-        order.size(),
-        [&](std::size_t t) { fn(order[t]); }, threads, 1);
 }
 
 }  // namespace cxlsim

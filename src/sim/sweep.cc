@@ -1,21 +1,16 @@
 #include "sweep.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 
-#include "sim/cost_model.hh"
 #include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
-#include "sim/partition.hh"
 #include "sim/run_cache.hh"
 #include "sim/supervisor.hh"
 #include "stats/rows.hh"
@@ -27,37 +22,40 @@ namespace cxlsim::sweep {
  * stays byte-clean for redirection and the byte-compare harnesses.
  * Redraws are rate-limited to one per 500 ms (plus the final
  * state), per the flag's contract of at most two updates a second.
- * The ETA comes from the cost model's remaining predicted work
- * divided by the job count; with no predictions it reads "--".
- * Timing here is steady_clock (a monotonic duration source) and
- * never feeds simulation — it only decides when to repaint.
+ *
+ * The ETA is the mean wall time of the points finished so far,
+ * divided by the jobs running them side by side, times the points
+ * left. With every job busy, that mean is jobs * elapsed / finished,
+ * so the ETA reduces to elapsed / finished * remaining; before the
+ * first point finishes it reads "--". Timing here is steady_clock (a
+ * monotonic duration source) and never feeds simulation — it only
+ * decides what to print and when to repaint.
  */
-class ProgressMeter
+class Sweep::ProgressMeter
 {
   public:
-    ProgressMeter(std::size_t total, std::size_t done,
-                  double remainingPredUs, unsigned jobs)
-        : total_(total), done_(done),
-          remainingUs_(remainingPredUs), jobs_(jobs ? jobs : 1)
+    /** @p done points are already resolved (cache or journal). */
+    ProgressMeter(std::size_t total, std::size_t done)
+        : total_(total), done_(done), start_(Clock::now()),
+          last_(start_)
     {
-        last_ = Clock::now();
-        draw();
+        draw(start_);
     }
 
-    /** One point resolved; @p predictedUs was its forecast (0 when
-     *  unknown). Called from pool workers — mutex-serialized. */
+    /** One point resolved. Called from pool workers and the
+     *  supervisor thread — mutex-serialized. */
     void
-    tick(double predictedUs)
+    tick()
     {
         std::lock_guard<std::mutex> lk(mu_);
         ++done_;
-        remainingUs_ = std::max(0.0, remainingUs_ - predictedUs);
+        ++finished_;
         const Clock::time_point now = Clock::now();
         if (done_ != total_ &&
             now - last_ < std::chrono::milliseconds(500))
             return;
         last_ = now;
-        draw();
+        draw(now);
     }
 
     /** Terminate the status line so later stderr output starts
@@ -66,7 +64,7 @@ class ProgressMeter
     finish()
     {
         std::lock_guard<std::mutex> lk(mu_);
-        draw();
+        draw(Clock::now());
         std::fputc('\n', stderr);
         std::fflush(stderr);
     }
@@ -75,14 +73,18 @@ class ProgressMeter
     using Clock = std::chrono::steady_clock;
 
     void
-    draw()
+    draw(Clock::time_point now)
     {
         char eta[32];
-        if (done_ < total_ && remainingUs_ > 0.0)
+        if (done_ < total_ && finished_ > 0) {
+            const double elapsedS =
+                std::chrono::duration<double>(now - start_).count();
             std::snprintf(eta, sizeof(eta), "ETA %.0fs",
-                          remainingUs_ / jobs_ / 1e6);
-        else
+                          elapsedS / static_cast<double>(finished_) *
+                              static_cast<double>(total_ - done_));
+        } else {
             std::snprintf(eta, sizeof(eta), "ETA --");
+        }
         // lint:allow(err-stray-stream: opt-in progress meter IS a stderr status line; stdout stays byte-clean)
         std::fprintf(stderr,
                      "\r[melody] sweep: %zu/%zu points, %s   ",
@@ -93,8 +95,9 @@ class ProgressMeter
     std::mutex mu_;
     std::size_t total_;
     std::size_t done_;
-    double remainingUs_;
-    unsigned jobs_;
+    /** Points resolved by this run's workers (not cache hits). */
+    std::size_t finished_ = 0;
+    Clock::time_point start_;
     Clock::time_point last_;
 };
 
@@ -158,16 +161,8 @@ Options
 optionsFromEnv()
 {
     Options o;
-    if (const char *jobs = std::getenv("MELODY_SWEEP_JOBS")) {
-        char *endp = nullptr;
-        const unsigned long v = std::strtoul(jobs, &endp, 10);
-        if (endp == jobs || *endp != '\0')
-            throw ConfigError(
-                "MELODY_SWEEP_JOBS must be a non-negative "
-                "integer, got '" +
-                std::string(jobs) + "'");
-        o.jobs = static_cast<unsigned>(v);
-    }
+    if (const char *jobs = std::getenv("MELODY_SWEEP_JOBS"))
+        o.jobs = parseUnsigned(jobs, "MELODY_SWEEP_JOBS");
     if (const char *cache = std::getenv("MELODY_SWEEP_CACHE"))
         o.cache = !(std::strcmp(cache, "0") == 0 ||
                     std::strcmp(cache, "off") == 0);
@@ -180,26 +175,6 @@ optionsFromEnv()
             std::getenv("MELODY_SWEEP_CHECK_INVARIANTS"))
         o.checkInvariants = !(std::strcmp(inv, "0") == 0 ||
                               std::strcmp(inv, "off") == 0);
-    if (const char *sched = std::getenv("MELODY_SWEEP_SCHED")) {
-        if (std::strcmp(sched, "fifo") == 0)
-            o.sched = Sched::kFifo;
-        else if (std::strcmp(sched, "lpt") == 0)
-            o.sched = Sched::kLpt;
-        else
-            throw ConfigError(
-                "MELODY_SWEEP_SCHED must be 'fifo' or 'lpt', "
-                "got '" +
-                std::string(sched) + "'");
-    }
-    // "0"/"off" disables the cost DB entirely; any other value is
-    // an explicit DB path (empty keeps the default placement).
-    if (const char *db = std::getenv("MELODY_SWEEP_COSTDB")) {
-        if (std::strcmp(db, "0") == 0 ||
-            std::strcmp(db, "off") == 0)
-            o.costDb = false;
-        else
-            o.costDbPath = db;
-    }
     return o;
 }
 
@@ -234,30 +209,6 @@ struct Sweep::Gather
 {
     std::vector<SlotRef> inputs;
     GatherFn fn;
-};
-
-struct Sweep::SchedCtx
-{
-    /**
-     * Dispatch permutation over the *pending* vector (positions,
-     * not point ids): workers claim pending[order[t]] for ticket t.
-     * Identity = FIFO; lptOrder() output = longest-predicted-first.
-     * Purely a scheduling hint — results land by point index and
-     * render in declaration order regardless.
-     */
-    std::vector<std::size_t> order;
-    /** Salted point hash per pending position (cost-DB key);
-     *  empty when no cost model is active. */
-    std::vector<std::string> hashes;
-    /** Prediction per pending position (µs; 0 = unknown); empty
-     *  when no cost model is active. */
-    std::vector<double> predictedUs;
-    /** Cost model to record observations into; may be null. */
-    CostModel *cm = nullptr;
-    /** --progress meter; null when disabled. */
-    ProgressMeter *progress = nullptr;
-    /** Total PDES gang-thread budget; 0 = no escalation. */
-    unsigned gangBudget = 0;
 };
 
 Sweep::Sweep(std::string name, Options opts)
@@ -377,39 +328,17 @@ Sweep::compute(Report *report)
     };
     const bool isolate = opts_.isolate || opts_.resume;
 
-    // Cost model: strictly a dispatch hint (see cost_model.hh).
-    // Default location is inside the cache directory; an explicit
-    // path also works with the cache off (byte-equality harnesses
-    // seed adversarial DBs that way). Every load failure mode
-    // degrades to zero predictions, i.e. FIFO dispatch.
-    std::unique_ptr<CostModel> cm;
-    if (opts_.costDb) {
-        std::string cmPath = opts_.costDbPath;
-        if (cmPath.empty() && opts_.cache)
-            cmPath = opts_.cacheDir + "/" + kCostDbFileName;
-        if (!cmPath.empty()) {
-            cm = std::make_unique<CostModel>(cmPath, salt);
-            cm->load();
-        }
-    }
-
     // Phase 0: load journaled completions (resume mode). A salt or
-    // format mismatch is a user-facing configuration error. The
-    // journaled per-point wall-clocks seed the cost model so a
-    // crashed run's measurements still reach the DB.
+    // format mismatch is a user-facing configuration error.
     std::map<std::string, std::vector<std::string>> journaled;
     if (opts_.resume) {
         if (opts_.journalPath.empty())
             throw ConfigError(
                 "sweep resume requires a journal path");
         std::string err;
-        std::map<std::string, std::uint64_t> journalElapsed;
         if (!Journal::load(opts_.journalPath, salt, &journaled,
-                           &err, cm ? &journalElapsed : nullptr))
+                           &err))
             throw ConfigError(err);
-        if (cm)
-            for (const auto &[hash, us] : journalElapsed)
-                cm->record(hash, static_cast<double>(us));
     }
 
     // Phase 1: satisfy points from the journal, then the cache,
@@ -435,57 +364,24 @@ Sweep::compute(Report *report)
         pending.push_back(i);
     }
 
-    // Scheduling context: hashes + predictions per pending
-    // position, the dispatch permutation, and the progress meter.
-    SchedCtx sched;
-    sched.cm = cm.get();
-    sched.gangBudget = opts_.gangBudget;
-    sched.order.resize(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i)
-        sched.order[i] = i;
-    double remainingPredUs = 0.0;
-    if (cm) {
-        sched.hashes.reserve(pending.size());
-        sched.predictedUs.reserve(pending.size());
-        for (const std::size_t idx : pending) {
-            sched.hashes.push_back(hashOf(points_[idx].key));
-            sched.predictedUs.push_back(
-                cm->predictUs(sched.hashes.back()));
-            remainingPredUs += sched.predictedUs.back();
-        }
-        if (opts_.sched == Sched::kLpt)
-            sched.order = lptOrder(sched.predictedUs);
-    }
-
     std::unique_ptr<ProgressMeter> progress;
-    if (opts_.progress) {
-        unsigned jobsEff = opts_.jobs
-                               ? opts_.jobs
-                               : std::thread::hardware_concurrency();
-        jobsEff = std::max(
-            1u, std::min<unsigned>(
-                    jobsEff,
-                    static_cast<unsigned>(std::max<std::size_t>(
-                        pending.size(), 1))));
+    if (opts_.progress)
         progress = std::make_unique<ProgressMeter>(
-            points_.size(), points_.size() - pending.size(),
-            remainingPredUs, jobsEff);
-        sched.progress = progress.get();
-    }
+            points_.size(), points_.size() - pending.size());
 
     // Phase 2: compute the misses — supervised subprocesses under
     // isolation, otherwise the in-process worker pool.
     if (isolate)
-        computeIsolated(pending, salt, hashOf, &sched, report);
+        computeIsolated(pending, salt, hashOf, progress.get(),
+                        report);
     else
-        computeInProcess(pending, &sched, report);
+        computeInProcess(pending, progress.get(), report);
     if (progress)
         progress->finish();
 
     // Phase 3: persist fresh results (isolated successes were
     // stored the moment each worker reported back, so a later
-    // crash cannot lose them). The cost model persists alongside:
-    // a save failure is silent by contract — a hint, not data.
+    // crash cannot lose them).
     if (cache_) {
         if (!isolate)
             for (const std::size_t idx : pending)
@@ -496,85 +392,39 @@ Sweep::compute(Report *report)
         report->corruptEntries = cache_->stats().corrupt;
         report->cacheDegraded = cache_->degraded();
     }
-    if (cm)
-        cm->save();
 }
 
 void
 Sweep::computeInProcess(const std::vector<std::size_t> &pending,
-                        SchedCtx *sched, Report *report)
+                        ProgressMeter *progress, Report *report)
 {
-    // Fan out over the worker pool, dispatching in sched->order
-    // (LPT when the cost model has predictions, FIFO otherwise).
-    // Each closure writes only into its own pre-sized slot storage,
-    // so scheduling order cannot affect the rendered bytes. A
+    // Fan out over the worker pool in declaration order. Each
+    // closure writes only into its own pre-sized slot storage, so
+    // which worker runs a point cannot affect the rendered bytes. A
     // throwing closure is captured and re-thrown from the lowest
     // point index so the failure is deterministic too.
-    const unsigned jobsEff = std::max(
-        1u, std::min<unsigned>(
-                opts_.jobs ? opts_.jobs
-                           : std::thread::hardware_concurrency(),
-                static_cast<unsigned>(std::max<std::size_t>(
-                    pending.size(), 1))));
-    // Gang escalation (--sim-threads auto): as remaining work drops
-    // below the job count, hand the idle jobs' cores to the
-    // stragglers' PDES gangs. The width is read once per simulation
-    // run and every width is bit-identical, so adjusting the global
-    // mid-sweep is output-safe; purely a speed decision.
-    std::atomic<std::size_t> remaining{pending.size()};
-    const unsigned prevWidth =
-        sched->gangBudget > 0 ? pdes::simThreads() : 0;
     std::vector<std::exception_ptr> errors(pending.size());
     std::vector<sim::Invariants> invs(
         opts_.checkInvariants ? pending.size() : 0);
-    parallelForOrder(
-        sched->order,
+    parallelFor(
+        pending.size(),
         [&](std::size_t i) {
             Point &p = points_[pending[i]];
-            if (sched->gangBudget > 0) {
-                const std::size_t rem = std::max<std::size_t>(
-                    remaining.load(std::memory_order_relaxed), 1);
-                const unsigned active =
-                    static_cast<unsigned>(std::min<std::size_t>(
-                        jobsEff, rem));
-                pdes::setSimThreads(std::max(
-                    1u, sched->gangBudget / std::max(active, 1u)));
-            }
-            const auto t0 = std::chrono::steady_clock::now();
             std::vector<Emit> slots(p.nSlots);
             try {
                 sim::InvariantScope scope(
                     opts_.checkInvariants ? &invs[i] : nullptr);
                 p.fn(slots.data());
+                p.slots.reserve(p.nSlots);
+                for (auto &s : slots)
+                    p.slots.push_back(s.take());
             } catch (...) {
                 errors[i] = std::current_exception();
-                remaining.fetch_sub(1, std::memory_order_relaxed);
-                if (sched->progress)
-                    sched->progress->tick(
-                        sched->predictedUs.empty()
-                            ? 0.0
-                            : sched->predictedUs[i]);
-                return;
             }
-            if (sched->cm) {
-                const double us =
-                    std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-                sched->cm->record(sched->hashes[i], us);
-            }
-            p.slots.reserve(p.nSlots);
-            for (auto &s : slots)
-                p.slots.push_back(s.take());
-            remaining.fetch_sub(1, std::memory_order_relaxed);
-            if (sched->progress)
-                sched->progress->tick(sched->predictedUs.empty()
-                                          ? 0.0
-                                          : sched->predictedUs[i]);
+            if (progress)
+                progress->tick();
         },
         opts_.jobs);
-    if (sched->gangBudget > 0)
-        pdes::setSimThreads(prevWidth);
     for (const auto &err : errors)
         if (err)
             std::rethrow_exception(err);
@@ -590,28 +440,18 @@ Sweep::computeIsolated(
     const std::vector<std::size_t> &pending,
     const std::string &salt,
     const std::function<std::string(const std::string &)> &hashOf,
-    SchedCtx *sched, Report *report)
+    ProgressMeter *progress, Report *report)
 {
     Journal journal;
     if (!opts_.journalPath.empty()) {
         journal.open(opts_.journalPath, opts_.resume);
         journal.begin(name_, salt, opts_.resume);
     }
-    for (const std::size_t idx : pending)
-        journal.queued(hashOf(points_[idx].key), idx,
-                       points_[idx].key);
-
-    // Hand the tasks to the supervisor in dispatch order (LPT when
-    // the cost model predicts, FIFO otherwise); task.index keeps
-    // the original point id, so journaling, storage and render
-    // order are untouched by the permutation. posOf maps a point id
-    // back to its pending position for prediction lookups.
     std::vector<SupervisorTask> tasks;
     tasks.reserve(pending.size());
-    std::map<std::size_t, std::size_t> posOf;
-    for (const std::size_t pos : sched->order) {
-        const std::size_t idx = pending[pos];
-        posOf[idx] = pos;
+    for (const std::size_t idx : pending) {
+        journal.queued(hashOf(points_[idx].key), idx,
+                       points_[idx].key);
         tasks.push_back({idx, points_[idx].key,
                          points_[idx].nSlots, &points_[idx].fn});
     }
@@ -621,7 +461,6 @@ Sweep::computeIsolated(
     cfg.maxAttempts = opts_.maxAttempts;
     cfg.timeoutMs = opts_.timeoutMs;
     cfg.checkInvariants = opts_.checkInvariants;
-    cfg.gangBudget = sched->gangBudget;
 
     // Workers complete in nondeterministic order; buffer the
     // per-point diagnostics and flatten by point index so the
@@ -629,23 +468,8 @@ Sweep::computeIsolated(
     std::map<std::size_t, std::vector<sim::InvariantViolation>>
         diags;
 
-    // Per-point attempt start times (steady_clock): the elapsed
-    // wall-clock of each *successful* attempt feeds the cost model
-    // and the journal. Callbacks run on the single supervisor
-    // thread, so no locking is needed here.
-    std::map<std::size_t, std::chrono::steady_clock::time_point>
-        startAt;
-    const auto predictionOf = [&](std::size_t idx) {
-        if (sched->predictedUs.empty())
-            return 0.0;
-        const auto it = posOf.find(idx);
-        return it == posOf.end() ? 0.0
-                                 : sched->predictedUs[it->second];
-    };
-
     SupervisorCallbacks cb;
     cb.onStart = [&](std::size_t idx, unsigned attempt) {
-        startAt[idx] = std::chrono::steady_clock::now();
         journal.started(hashOf(points_[idx].key), attempt);
     };
     cb.onSuccess = [&](std::size_t idx, unsigned attempt,
@@ -656,21 +480,11 @@ Sweep::computeIsolated(
         p.slots = std::move(slots);
         if (cache_)
             cache_->store(p.key, p.slots);
-        double elapsedUs = 0.0;
-        const auto t0 = startAt.find(idx);
-        if (t0 != startAt.end())
-            elapsedUs =
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - t0->second)
-                    .count();
-        if (sched->cm && elapsedUs > 0.0)
-            sched->cm->record(hashOf(p.key), elapsedUs);
-        journal.finished(hashOf(p.key), attempt, p.slots,
-                         static_cast<std::uint64_t>(elapsedUs));
+        journal.finished(hashOf(p.key), attempt, p.slots);
         if (!violations.empty())
             diags[idx] = std::move(violations);
-        if (sched->progress)
-            sched->progress->tick(predictionOf(idx));
+        if (progress)
+            progress->tick();
     };
     cb.onFailure = [&](std::size_t idx, unsigned attempt,
                        const std::string &cause, bool final) {
@@ -681,8 +495,8 @@ Sweep::computeIsolated(
             p.failed = true;
             p.attempts = attempt;
             p.cause = cause;
-            if (sched->progress)
-                sched->progress->tick(predictionOf(idx));
+            if (progress)
+                progress->tick();
         }
     };
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "cpu/cache.hh"
@@ -392,6 +393,33 @@ TEST(Hierarchy, DirtyEvictionsReachBackendAsWritebacks)
     for (Addr a = 0; a < (1 << 20); a += kCacheLineBytes)
         now = h.storeRfo(0, a, now) + 10;
     EXPECT_GT(be->stats().writes, 100u);
+}
+
+TEST(Hierarchy, SharedL3ServesAnotherCoresFill)
+{
+    // L1/L2 are private, the LLC is shared: a line core 0 fetched
+    // reaches core 1 from L3 without a second backend read.
+    melody::Platform lp("EMR2S", "Local");
+    auto be = lp.makeBackend(109);
+    MemoryHierarchy h(lp.cpu(), 2, be.get(), false);
+    const auto first = h.demandLoad(0, 1 << 22, 0, 0);
+    ASSERT_EQ(first.tag, StallTag::kDram);
+    const std::uint64_t reads = be->stats().reads;
+    const auto other = h.demandLoad(1, 1 << 22, 0, first.readyAt + 1);
+    EXPECT_FALSE(other.immediate);
+    EXPECT_EQ(other.tag, StallTag::kL3);
+    EXPECT_EQ(be->stats().reads, reads);
+}
+
+TEST(Hierarchy, PreloadWarmsOwnL2AndSharedL3)
+{
+    melody::Platform lp("EMR2S", "Local");
+    auto be = lp.makeBackend(113);
+    MemoryHierarchy h(lp.cpu(), 2, be.get(), false);
+    h.preload(0, 1 << 20);
+    EXPECT_EQ(h.demandLoad(0, 1 << 20, 0, 0).tag, StallTag::kL2);
+    EXPECT_EQ(h.demandLoad(1, 1 << 20, 0, 0).tag, StallTag::kL3);
+    EXPECT_EQ(be->stats().reads, 0u);
 }
 
 TEST(MultiCore, SymmetricCoresFinishTogether)

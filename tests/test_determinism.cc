@@ -10,12 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/platform.hh"
 #include "core/slowdown.hh"
 #include "ras/fault_plan.hh"
+#include "sim/invariants.hh"
 #include "sim/parallel.hh"
 #include "workloads/suite.hh"
 
@@ -195,6 +201,23 @@ TEST(Determinism, ParallelForCoversEveryIndexOnce)
     }
 }
 
+TEST(Determinism, BackToBackJobsNeverReuseAStaleWorker)
+{
+    // Many tiny jobs from one thread, as a point's inner loops issue
+    // them under `sweep --jobs 1`. A worker preempted between taking
+    // a slot and its first cursor bump must not spill into the next
+    // job with the previous job's index range (which once overshot
+    // the chunk count and hung the caller).
+    for (int job = 0; job < 20000; ++job) {
+        const std::size_t n = job % 2 ? 3 : 5;
+        std::vector<int> hits(n, 0);
+        parallelFor(
+            n, [&](std::size_t i) { ++hits.at(i); }, 4);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(hits[i], 1) << "job " << job << " index " << i;
+    }
+}
+
 TEST(Determinism, NestedParallelForFallsBackToSerial)
 {
     std::vector<int> outer(16, 0);
@@ -235,4 +258,167 @@ TEST(Determinism, CounterScaleMatchesHandDivision)
     EXPECT_EQ(d.p9, c.p9 / 2.0);
     // Integral prefetch populations are totals, never scaled.
     EXPECT_EQ(d.l2pfIssued, c.l2pfIssued);
+}
+
+// ---------------------------------------------------------------
+// The serial MultiCore engine is the only execution path for one
+// run, so its own repeatability is the base every byte-equality
+// test above stands on.
+// ---------------------------------------------------------------
+
+TEST(Determinism, SerialEngineRepeatsBitForBit)
+{
+    // A 10-core run repeated in one process must carry no state
+    // (scheduler heap, shared LLC, backend queues) between runs.
+    workloads::WorkloadProfile w = workloads::byName("603.bwaves_s");
+    w.blocksPerCore = 300;
+    const melody::Platform plat("EMR2S", "CXL-A");
+    const cpu::RunResult first =
+        melody::runWorkload(w, plat, /*seed=*/5);
+    for (int rep = 1; rep < 3; ++rep)
+        expectSameResult(first,
+                         melody::runWorkload(w, plat, /*seed=*/5),
+                         "rep " + std::to_string(rep));
+}
+
+TEST(Determinism, WorkloadSeedReachesTheRun)
+{
+    // Guards the equality tests against a fingerprint that could
+    // never differ: another address-stream seed must change the
+    // result.
+    workloads::WorkloadProfile w = workloads::byName("605.mcf_s");
+    w.blocksPerCore = 800;
+    workloads::WorkloadProfile other = w;
+    other.seed = w.seed + 1;
+    const melody::Platform plat("EMR2S", "CXL-A");
+    const cpu::RunResult a = melody::runWorkload(w, plat, /*seed=*/1);
+    const cpu::RunResult b =
+        melody::runWorkload(other, plat, /*seed=*/1);
+    EXPECT_TRUE(a.wallTicks != b.wallTicks ||
+                a.counters.cycles != b.counters.cycles ||
+                a.backendStats.reads != b.backendStats.reads);
+}
+
+TEST(Determinism, SerialRunsRecordNoInvariantViolations)
+{
+    const melody::Platform plat("EMR2S", "CXL-A");
+    sim::Invariants inv;
+    {
+        sim::InvariantScope scope(&inv);
+        for (const auto &w : smallSuite())
+            (void)melody::runWorkload(w, plat, /*seed=*/1);
+    }
+    EXPECT_FALSE(inv.failed());
+    for (const auto &v : inv.violations())
+        ADD_FAILURE() << v.invariant << " at " << v.where << ": "
+                      << v.values;
+}
+
+TEST(Determinism, FaultedSerialRunsRecordNoInvariantViolations)
+{
+    // Retries, poison and failover reorder backend completions;
+    // the counter and event-queue invariants must still hold.
+    melody::Platform plat("EMR2S", "CXL-B");
+    plat.setFaultPlan(ras::parseFaultPlan(
+        "crc=3e-4,ce=2e-4,ue=5e-5,scrub=50us,failover"));
+    sim::Invariants inv;
+    ras::RasStats injected;
+    {
+        sim::InvariantScope scope(&inv);
+        for (const auto &w : smallSuite())
+            injected +=
+                melody::runWorkload(w, plat, /*seed=*/3).rasTotal();
+    }
+    EXPECT_GT(injected.injected(), 0u);
+    EXPECT_FALSE(inv.failed());
+    for (const auto &v : inv.violations())
+        ADD_FAILURE() << v.invariant << " at " << v.where << ": "
+                      << v.values;
+}
+
+// ---------------------------------------------------------------
+// parallelFor edge cases: it is the one dispatch path for sweep
+// points and suite runs.
+// ---------------------------------------------------------------
+
+TEST(ParallelFor, EmptyRangeNeverCallsBody)
+{
+    int calls = 0;
+    for (unsigned threads : {0u, 1u, 4u})
+        parallelFor(
+            0, [&](std::size_t) { ++calls; }, threads);
+    EXPECT_EQ(calls, 0);
+}
+
+TEST(ParallelFor, SingleThreadRunsInlineInIndexOrder)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool onCaller = true;
+    parallelFor(
+        9,
+        [&](std::size_t i) {
+            order.push_back(i);
+            onCaller =
+                onCaller && std::this_thread::get_id() == caller;
+        },
+        1);
+    EXPECT_TRUE(onCaller);
+    EXPECT_EQ(order,
+              (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+}
+
+TEST(ParallelFor, ZeroGrainClaimsOneIndexAtATime)
+{
+    std::vector<int> hits(33, 0);
+    parallelFor(
+        hits.size(), [&](std::size_t i) { ++hits[i]; }, 4,
+        /*grain=*/0);
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i], 1) << "index " << i;
+}
+
+TEST(ParallelFor, ThreadCapHoldsAfterThePoolGrew)
+{
+    // Grow the pool to 8 workers, then ask for 2: the job's slot
+    // count, not the pool size, bounds the concurrency.
+    parallelFor(
+        64, [](std::size_t) {}, 8);
+    std::atomic<int> active{0};
+    std::atomic<int> peak{0};
+    parallelFor(
+        24,
+        [&](std::size_t) {
+            const int now = ++active;
+            int seen = peak.load();
+            while (now > seen &&
+                   !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            --active;
+        },
+        2);
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), 2);
+}
+
+TEST(ParallelFor, ConcurrentCallersBothComplete)
+{
+    // Two threads publishing jobs at once (a supervisor thread next
+    // to a caller's own loop) serialize on the one pool; neither
+    // loses or duplicates an index.
+    std::vector<int> a(500, 0), b(500, 0);
+    auto fill = [](std::vector<int> *v) {
+        for (int rep = 0; rep < 20; ++rep)
+            parallelFor(
+                v->size(), [v](std::size_t i) { ++(*v)[i]; }, 4);
+    };
+    std::thread ta(fill, &a);
+    std::thread tb(fill, &b);
+    ta.join();
+    tb.join();
+    EXPECT_TRUE(std::all_of(a.begin(), a.end(),
+                            [](int h) { return h == 20; }));
+    EXPECT_TRUE(std::all_of(b.begin(), b.end(),
+                            [](int h) { return h == 20; }));
 }

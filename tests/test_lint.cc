@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,17 +96,6 @@ TEST(LintDeterminism, UnorderedIterFiresInSweepEnginePaths)
               (Expected{{"det-unordered-iter", 15}}));
 }
 
-TEST(LintDeterminism, UnorderedIterFiresInCostModelPaths)
-{
-    // The cost model orders sweep dispatch; an unordered iteration
-    // there would scramble the LPT tiebreak across libstdc++
-    // versions even though rendered bytes stay safe.
-    const auto diags = lintSource(
-        "src/sim/cost_model.cc", fixture("det_unordered_iter.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"det-unordered-iter", 15}}));
-}
-
 TEST(LintDeterminism, UnorderedIterQuietOutsideOutputPaths)
 {
     // The same loop in the memory model is order-insensitive
@@ -122,42 +113,18 @@ TEST(LintDeterminism, StaticLocalFiresOnMutableOnly)
               (Expected{{"det-static-local", 8}}));
 }
 
-TEST(LintDeterminism, UnorderedIterFiresInPdesPaths)
+TEST(LintDeterminism, UnorderedIterFiresInFigurePaths)
 {
-    // The PDES core's drain order IS the determinism contract, so
-    // pdes/partition sources are output paths for this rule.
-    const auto pdesDiags = lintSource(
-        "src/sim/pdes.cc", fixture("det_unordered_iter.cc"));
-    EXPECT_EQ(ruleLines(pdesDiags),
+    // Spa breakdowns and the figure builders under bench/ format
+    // the printed rows, so both are output paths for this rule.
+    const auto spaDiags = lintSource(
+        "src/spa/fixture.cc", fixture("det_unordered_iter.cc"));
+    EXPECT_EQ(ruleLines(spaDiags),
               (Expected{{"det-unordered-iter", 15}}));
-    const auto partDiags = lintSource(
-        "src/sim/partition.cc", fixture("det_unordered_iter.cc"));
-    EXPECT_EQ(ruleLines(partDiags),
+    const auto benchDiags = lintSource(
+        "bench/fixture.cc", fixture("det_unordered_iter.cc"));
+    EXPECT_EQ(ruleLines(benchDiags),
               (Expected{{"det-unordered-iter", 15}}));
-}
-
-TEST(LintDeterminism, PdesSharedMutationFiresInHandlerLambdas)
-{
-    // Cross-partition schedule()/mutating calls inside lambda
-    // bodies fire; `self`-local scheduling, const accessors, and
-    // setup-scope calls outside lambdas stay quiet.
-    const auto diags =
-        lintSource("src/sim/fixture.cc",
-                   fixture("det_pdes_shared_mutation.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"det-pdes-shared-mutation", 18},
-                        {"det-pdes-shared-mutation", 19},
-                        {"det-pdes-shared-mutation", 21}}));
-}
-
-TEST(LintDeterminism, PdesSharedMutationAppliesOnAnyPath)
-{
-    // Partition handles can leak into tests and tools; the handler
-    // contract follows the type, not the directory.
-    const auto diags =
-        lintSource("tests/fixture.cc",
-                   fixture("det_pdes_shared_mutation.cc"));
-    EXPECT_EQ(diags.size(), 3u);
 }
 
 TEST(LintDeterminism, UnorderedIterFiresInServePaths)
@@ -194,16 +161,6 @@ TEST(LintServe, EintrRetryFiresInSupervisorPaths)
     EXPECT_EQ(diags.size(), 4u);
 }
 
-TEST(LintServe, EintrRetryFiresInCostModelPaths)
-{
-    // The cost DB is written under the shared cache flock by both
-    // the sweep engine and forked serve workers, so its IO follows
-    // the same retry discipline as the daemon's.
-    const auto diags = lintSource("src/sim/cost_model.cc",
-                                  fixture("srv_eintr_retry.cc"));
-    EXPECT_EQ(diags.size(), 4u);
-}
-
 TEST(LintServe, EintrRetryFiresInIoFaultPaths)
 {
     // The host-I/O fault injector (DESIGN.md §15) sits inside the
@@ -231,6 +188,82 @@ TEST(LintServe, EintrRetryQuietOutsideDaemonPaths)
                                   fixture("srv_eintr_retry.cc"));
     EXPECT_TRUE(diags.empty());
 }
+
+// ---------------------------------------------------------------
+// Path scopes, pinned file by file: which real files each
+// determinism/EINTR rule covers (true) and which it leaves alone.
+// ---------------------------------------------------------------
+
+struct ScopeCase
+{
+    const char *path;
+    bool scoped;
+};
+
+/** Printed as the path, so test listings stay stable. */
+void
+PrintTo(const ScopeCase &c, std::ostream *os)
+{
+    *os << c.path << (c.scoped ? " (scoped)" : " (unscoped)");
+}
+
+/** Test-name suffix from the path: "src/sim/sweep.cc" ->
+ *  "src_sim_sweep_cc". */
+std::string
+scopeCaseName(const testing::TestParamInfo<ScopeCase> &info)
+{
+    std::string name = info.param.path;
+    for (char &c : name)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return name;
+}
+
+class UnorderedIterScope : public testing::TestWithParam<ScopeCase>
+{};
+
+TEST_P(UnorderedIterScope, FiresOnlyInOutputPaths)
+{
+    const auto diags = lintSource(GetParam().path,
+                                  fixture("det_unordered_iter.cc"));
+    if (GetParam().scoped)
+        EXPECT_EQ(ruleLines(diags),
+                  (Expected{{"det-unordered-iter", 15}}));
+    else
+        EXPECT_TRUE(diags.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RealFiles, UnorderedIterScope,
+    testing::Values(ScopeCase{"tools/melody_cli.cc", true},
+                    ScopeCase{"bench/figures.cc", true},
+                    ScopeCase{"bench/perf_microbench.cc", true},
+                    ScopeCase{"src/serve/session.cc", true},
+                    ScopeCase{"src/sim/parallel.cc", false},
+                    ScopeCase{"src/sim/journal.cc", false},
+                    ScopeCase{"src/sim/interrupt.cc", false},
+                    ScopeCase{"src/cpu/multicore.cc", false}),
+    scopeCaseName);
+
+class EintrRetryScope : public testing::TestWithParam<ScopeCase>
+{};
+
+TEST_P(EintrRetryScope, FiresOnlyInLongLivedProcessPaths)
+{
+    const auto diags = lintSource(GetParam().path,
+                                  fixture("srv_eintr_retry.cc"));
+    EXPECT_EQ(diags.size(), GetParam().scoped ? 4u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RealFiles, EintrRetryScope,
+    testing::Values(ScopeCase{"src/serve/server.cc", true},
+                    ScopeCase{"src/serve/client.cc", true},
+                    ScopeCase{"src/sim/sweep.cc", false},
+                    ScopeCase{"src/sim/journal.cc", false},
+                    ScopeCase{"src/sim/run_cache.cc", false},
+                    ScopeCase{"src/sim/parallel.cc", false}),
+    scopeCaseName);
 
 // ---------------------------------------------------------------
 // Family 2: RAS-status hygiene.

@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -305,4 +307,26 @@ TEST(Rng, ForkProducesIndependentStream)
     for (int i = 0; i < 100; ++i)
         same += b.next() == c.next();
     EXPECT_LT(same, 2);
+}
+
+TEST(ParseUnsigned, AcceptsDigitsRejectsSignsOverflowAndGarbage)
+{
+    EXPECT_EQ(parseUnsigned("0", "n"), 0u);
+    EXPECT_EQ(parseUnsigned("007", "n"), 7u);
+    EXPECT_EQ(parseUnsigned("4294967295", "n"), 4294967295u);
+    EXPECT_EQ(parseUnsigned("9", "n", 9), 9u);
+    EXPECT_THROW(parseUnsigned("10", "n", 9), ConfigError);
+    for (const char *bad :
+         {"", "-1", "-0", "+1", " 1", "1 ", "1x", "0x10",
+          "4294967296", "18446744073709551615",
+          "99999999999999999999999"})
+        EXPECT_THROW(parseUnsigned(bad, "n"), ConfigError)
+            << "'" << bad << "'";
+    try {
+        parseUnsigned("-1", "--jobs");
+        FAIL() << "no ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("--jobs"),
+                  std::string::npos);
+    }
 }

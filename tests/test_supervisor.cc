@@ -475,6 +475,31 @@ TEST(Journal, RecordsLifecycleAndLoadsBack)
         << err;
     EXPECT_EQ(done.size(), 4u);
 
+    // Older journals carry an "elapsed_us" field in each finished
+    // record; they must still resume. Re-append one completion in
+    // that shape under a new hash and expect it to load with the
+    // same slots.
+    const std::size_t at = text.find("{\"event\":\"finished\"");
+    ASSERT_NE(at, std::string::npos);
+    std::string legacy = text.substr(at, text.find('\n', at) - at);
+    const std::size_t hashAt = legacy.find("\"hash\":\"") + 8;
+    const std::string hash =
+        legacy.substr(hashAt, legacy.find('"', hashAt) - hashAt);
+    legacy.replace(hashAt, hash.size(), "legacy-elapsed");
+    legacy.insert(legacy.find("\"slots_hex\""),
+                  "\"elapsed_us\":48213,");
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::app);
+        f << legacy << "\n";
+    }
+    done.clear();
+    ASSERT_TRUE(sweep::Journal::load(path, "journal-test-salt",
+                                     &done, &err))
+        << err;
+    EXPECT_EQ(done.size(), 5u);
+    ASSERT_EQ(done.count("legacy-elapsed"), 1u);
+    EXPECT_EQ(done["legacy-elapsed"], done[hash]);
+
     // A different salt refuses the whole journal.
     done.clear();
     EXPECT_FALSE(
@@ -792,4 +817,15 @@ TEST(SweepEnv, IsolateAndInvariantSwitchesParse)
 
     unsetenv("MELODY_SWEEP_ISOLATE");
     unsetenv("MELODY_SWEEP_CHECK_INVARIANTS");
+
+    setenv("MELODY_SWEEP_JOBS", "4294967295", 1);
+    EXPECT_EQ(sweep::optionsFromEnv().jobs, 4294967295u);
+    // A sign, a value past UINT_MAX and an empty string are
+    // configuration errors, never a wrapped or truncated count.
+    for (const char *bad : {"-1", "4294967296", ""}) {
+        setenv("MELODY_SWEEP_JOBS", bad, 1);
+        EXPECT_THROW(sweep::optionsFromEnv(), ConfigError)
+            << "MELODY_SWEEP_JOBS='" << bad << "'";
+    }
+    unsetenv("MELODY_SWEEP_JOBS");
 }

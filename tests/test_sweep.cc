@@ -8,18 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
+#include <regex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/figures.hh"
 #include "sim/logging.hh"
 #include "sim/sweep.hh"
-#include "stats/rows.hh"
 
 using namespace cxlsim;
 
@@ -208,208 +209,114 @@ INSTANTIATE_TEST_SUITE_P(CheapFigures, FigureDeterminism,
                          testing::Values("fig01", "fig16",
                                          "usecase"));
 
+/** Every job count renders the synthetic sweep's serial bytes,
+ *  in process and under --isolate. 0 means one job per core. */
+class SweepJobs : public testing::TestWithParam<unsigned>
+{};
+
+TEST_P(SweepJobs, BytesMatchSerial)
+{
+    sweep::Options serial = noCache();
+    serial.jobs = 1;
+    const std::string ref = renderSynthetic(serial);
+    ASSERT_FALSE(ref.empty());
+
+    sweep::Options inproc = noCache();
+    inproc.jobs = GetParam();
+    EXPECT_EQ(ref, renderSynthetic(inproc));
+
+    sweep::Options iso = noCache();
+    iso.jobs = GetParam();
+    iso.isolate = true;
+    iso.checkInvariants = false;
+    sweep::Sweep::Report rep;
+    EXPECT_EQ(ref, renderSynthetic(iso, &rep));
+    EXPECT_TRUE(rep.clean());
+}
+
+INSTANTIATE_TEST_SUITE_P(JobCounts, SweepJobs,
+                         testing::Values(0u, 2u, 3u, 16u));
+
 // ---------------------------------------------------------------
-// Scheduler determinism (DESIGN.md §14): the dispatch policy and
-// the cost DB feeding it are pure performance hints — no policy,
-// job count, or DB state (missing, corrupt, shuffled, lying) may
-// change a rendered byte.
+// --progress: a stderr-only status line. The sweep's bytes and
+// stdout must be the same with it on.
 // ---------------------------------------------------------------
 
-namespace {
-
-/** The salted point hash shared by cache, journal and cost DB. */
-std::string
-pointHash(const std::string &scopedKey, const std::string &salt)
+TEST(SweepProgress, CountsEveryPointOnStderrOnly)
 {
-    return stats::hex64(
-        stats::fnv1a64(scopedKey, stats::fnv1a64(salt)));
+    sweep::Options quiet = noCache();
+    quiet.jobs = 4;
+    const std::string ref = renderSynthetic(quiet);
+
+    sweep::Options loud = quiet;
+    loud.progress = true;
+    sweep::Sweep::Report rep;
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const std::string out = renderSynthetic(loud, &rep);
+    const std::string err = testing::internal::GetCapturedStderr();
+    const std::string stdoutText =
+        testing::internal::GetCapturedStdout();
+
+    EXPECT_EQ(out, ref);
+    EXPECT_EQ(stdoutText, "");
+    const std::string total = std::to_string(rep.points);
+    EXPECT_EQ(err.rfind("\r[melody] sweep: 0/" + total +
+                            " points, ETA --",
+                        0),
+              0u)
+        << err;
+    EXPECT_NE(err.find(total + "/" + total + " points, ETA --"),
+              std::string::npos)
+        << err;
+    ASSERT_FALSE(err.empty());
+    EXPECT_EQ(err.back(), '\n');
 }
 
-void
-writeFileAt(const std::string &path, const std::string &content)
+TEST(SweepProgress, CachedPointsStartDone)
 {
-    std::filesystem::create_directories(
-        std::filesystem::path(path).parent_path());
-    std::ofstream f(path, std::ios::binary);
-    f << content;
+    const std::string dir = freshDir("sweep-progress-warm");
+    renderSynthetic(cacheAt(dir));
+
+    sweep::Options warm = cacheAt(dir);
+    warm.progress = true;
+    sweep::Sweep::Report rep;
+    testing::internal::CaptureStderr();
+    renderSynthetic(warm, &rep);
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    ASSERT_EQ(rep.cacheHits, rep.points);
+    const std::string total = std::to_string(rep.points);
+    EXPECT_EQ(err.rfind("\r[melody] sweep: " + total + "/" + total +
+                            " points, ETA --",
+                        0),
+              0u)
+        << err;
 }
 
-}  // namespace
-
-TEST(SweepSched, DispatchOrderNeverChangesSyntheticBytes)
+TEST(SweepProgress, EtaAppearsOncePointsFinish)
 {
-    const std::string dir = freshDir("sweep-sched");
-    const std::string db = dir + "/db.tsv";
+    // Four 300 ms points on one job: the meter repaints at most
+    // every 500 ms, so a mid-sweep line is drawn after the second
+    // point at the latest, with an ETA measured from finished
+    // points. The last line has nothing left to estimate.
+    sweep::Options o = noCache();
+    o.jobs = 1;
+    o.progress = true;
+    sweep::Sweep s("test-progress", o);
+    for (int i = 0; i < 4; ++i)
+        s.point("slow|" + std::to_string(i), [i](sweep::Emit &e) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            e.printf("slow %d\n", i);
+        });
+    testing::internal::CaptureStderr();
+    const std::string out = s.renderToString();
+    const std::string err = testing::internal::GetCapturedStderr();
 
-    // Reference: FIFO with no cost model at all.
-    sweep::Options ref = noCache();
-    ref.sched = sweep::Sched::kFifo;
-    ref.costDb = false;
-    ref.jobs = 4;
-    const std::string want = renderSynthetic(ref);
-    ASSERT_FALSE(want.empty());
-
-    // Recording run: cold LPT (no predictions yet — behaves FIFO)
-    // that persists a real cost DB for the runs below.
-    sweep::Options rec = noCache();
-    rec.costDbPath = db;
-    rec.jobs = 4;
-    EXPECT_EQ(renderSynthetic(rec), want);
-    ASSERT_TRUE(std::filesystem::exists(db));
-
-    for (const unsigned jobs : {1u, 4u, 8u}) {
-        for (const sweep::Sched sched :
-             {sweep::Sched::kFifo, sweep::Sched::kLpt}) {
-            sweep::Options o = noCache();
-            o.costDbPath = db;
-            o.sched = sched;
-            o.jobs = jobs;
-            EXPECT_EQ(renderSynthetic(o), want)
-                << "jobs=" << jobs << " sched="
-                << (sched == sweep::Sched::kLpt ? "lpt" : "fifo");
-        }
-    }
-
-    // Shuffled predictions: an arbitrary permutation of costs.
-    std::string shuffled = "melody-costdb 1 melody-sweep-v1\n";
-    for (int i = 0; i < 20; ++i)
-        shuffled +=
-            pointHash("synthetic|row|" + std::to_string(i),
-                      "melody-sweep-v1") +
-            " " + std::to_string(((i * 7) % 20 + 1) * 50.0) + "\n";
-    writeFileAt(db, shuffled);
-    sweep::Options shuf = noCache();
-    shuf.costDbPath = db;
-    shuf.jobs = 4;
-    EXPECT_EQ(renderSynthetic(shuf), want);
-
-    // Corrupt DB: recovery means byte-identical output, no throw.
-    writeFileAt(db, "complete garbage\x01\x02\nnope\n");
-    sweep::Options bad = noCache();
-    bad.costDbPath = db;
-    bad.jobs = 4;
-    EXPECT_EQ(renderSynthetic(bad), want);
-
-    // Missing DB path.
-    sweep::Options missing = noCache();
-    missing.costDbPath = dir + "/never-created.tsv";
-    missing.jobs = 4;
-    EXPECT_EQ(renderSynthetic(missing), want);
-}
-
-TEST(SweepSched, IsolatedRunsMatchForEverySchedule)
-{
-    const std::string dir = freshDir("sweep-sched-iso");
-    const std::string db = dir + "/db.tsv";
-
-    sweep::Options ref = noCache();
-    ref.costDb = false;
-    ref.jobs = 4;
-    const std::string want = renderSynthetic(ref);
-
-    // Isolated recording run, then isolated LPT off the DB, then
-    // isolated FIFO: all byte-identical to the in-process render.
-    for (int pass = 0; pass < 3; ++pass) {
-        sweep::Options o = noCache();
-        o.isolate = true;
-        o.costDbPath = db;
-        o.sched = pass == 2 ? sweep::Sched::kFifo
-                            : sweep::Sched::kLpt;
-        o.jobs = 4;
-        EXPECT_EQ(renderSynthetic(o), want) << "pass " << pass;
-    }
-}
-
-TEST(SweepSched, LptDispatchesLongestPredictedFirst)
-{
-    const std::string dir = freshDir("sweep-lpt-order");
-    const std::string db = dir + "/db.tsv";
-    const std::string salt = "lpt-salt";
-
-    // Predicted cost grows with declaration index, so LPT must
-    // dispatch in exactly reversed declaration order (jobs=1 makes
-    // dispatch order observable as execution order).
-    std::string content = "melody-costdb 1 " + salt + "\n";
-    for (int i = 0; i < 6; ++i)
-        content += pointHash("order|p|" + std::to_string(i), salt) +
-                   " " + std::to_string((i + 1) * 100) + ".0\n";
-    writeFileAt(db, content);
-
-    const auto runWith = [&](sweep::Sched sched,
-                             const std::string &dbPath) {
-        auto order = std::make_shared<std::vector<int>>();
-        auto mu = std::make_shared<std::mutex>();
-        sweep::Options o;
-        o.cache = false;
-        o.salt = salt;
-        o.costDbPath = dbPath;
-        o.sched = sched;
-        o.jobs = 1;
-        sweep::Sweep s("order-sweep", o);
-        s.scope("order");
-        for (int i = 0; i < 6; ++i)
-            s.point("p|" + std::to_string(i),
-                    [=](sweep::Emit &e) {
-                        std::lock_guard<std::mutex> lk(*mu);
-                        order->push_back(i);
-                        e.printf("%d\n", i);
-                    });
-        s.renderToString();
-        return *order;
-    };
-
-    EXPECT_EQ(runWith(sweep::Sched::kLpt, db),
-              (std::vector<int>{5, 4, 3, 2, 1, 0}));
-    // FIFO ignores the same DB; an absent DB degrades LPT to FIFO.
-    EXPECT_EQ(runWith(sweep::Sched::kFifo, db),
-              (std::vector<int>{0, 1, 2, 3, 4, 5}));
-    EXPECT_EQ(runWith(sweep::Sched::kLpt, dir + "/absent.tsv"),
-              (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(SweepSched, RealFiguresByteIdenticalAcrossSchedules)
-{
-    // The acceptance matrix on real figures: one three-figure
-    // sweep (the cheap spot-check set), FIFO vs LPT vs corrupt DB,
-    // in-process and isolated.
-    const std::string dir = freshDir("sweep-sched-figs");
-    const std::string db = dir + "/db.tsv";
-    const char *names[] = {"fig01", "fig16", "usecase"};
-
-    const auto render = [&](sweep::Sched sched,
-                            const std::string &dbPath,
-                            bool isolate, unsigned jobs) {
-        sweep::Options o = noCache();
-        o.sched = sched;
-        if (dbPath.empty())
-            o.costDb = false;
-        else
-            o.costDbPath = dbPath;
-        o.isolate = isolate;
-        o.jobs = jobs;
-        sweep::Sweep s("sched-figs", o);
-        for (const char *n : names) {
-            const figs::Figure *f = figs::find(n);
-            if (f == nullptr)
-                ADD_FAILURE() << "missing figure " << n;
-            else {
-                s.scope(f->binary);
-                f->build(s);
-            }
-        }
-        return s.renderToString();
-    };
-
-    const std::string want =
-        render(sweep::Sched::kFifo, "", false, 4);
-    ASSERT_FALSE(want.empty());
-    // Record, then LPT off the recording, at several job counts.
-    EXPECT_EQ(render(sweep::Sched::kLpt, db, false, 4), want);
-    EXPECT_EQ(render(sweep::Sched::kLpt, db, false, 1), want);
-    EXPECT_EQ(render(sweep::Sched::kLpt, db, false, 8), want);
-    EXPECT_EQ(render(sweep::Sched::kLpt, db, true, 4), want);
-    // Corrupt the DB in place: still byte-identical, still no
-    // throw — degrade means FIFO, not failure.
-    writeFileAt(db, "not a cost db\n");
-    EXPECT_EQ(render(sweep::Sched::kLpt, db, false, 4), want);
+    EXPECT_EQ(out, "slow 0\nslow 1\nslow 2\nslow 3\n");
+    EXPECT_TRUE(std::regex_search(
+        err, std::regex("[123]/4 points, ETA [0-9]+s")))
+        << err;
+    EXPECT_NE(err.find("4/4 points, ETA --"), std::string::npos)
+        << err;
 }

@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +48,6 @@
 #include "core/slowdown.hh"
 #include "ras/fault_plan.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
-#include "sim/partition.hh"
 #include "sim/run_cache.hh"
 #include "sim/sweep.hh"
 #include "spa/advisor.hh"
@@ -76,9 +75,7 @@ usage()
         "  melody sweep [--jobs N] [--no-cache] [--cache-dir D]\n"
         "               [--isolate] [--resume] [--retries N]\n"
         "               [--timeout-ms N] [--journal F]\n"
-        "               [--check-invariants] [--pdes-stats]\n"
-        "               [--sched fifo|lpt] [--cost-db F]\n"
-        "               [--no-cost-db] [--progress]\n"
+        "               [--check-invariants] [--progress]\n"
         "               <figure...>|all\n"
         "  melody sweep --list\n"
         "  melody cache stats|clear [--cache-dir D]\n"
@@ -102,40 +99,9 @@ usage()
         "global: --io-faults SPEC  deterministic host-I/O fault\n"
         "        injection (e.g. \"seed=7 write:enospc@0.01\";\n"
         "        MELODY_IO_FAULTS equivalent; DESIGN.md §15)\n"
-        "global: --sim-threads N|auto  worker threads inside each\n"
-        "        simulation (conservative PDES; output is\n"
-        "        bit-identical for every N). Composes with sweep\n"
-        "        --jobs: when --jobs is not given, jobs defaults\n"
-        "        to hardware/N so the combined budget stays at\n"
-        "        the machine size. 'auto' keeps full point\n"
-        "        fan-out and escalates the last stragglers to\n"
-        "        multi-threaded PDES as the queue drains.\n"
-        "sweep scheduling: points dispatch longest-predicted-\n"
-        "        first off the cost DB (<cache-dir>/costdb.tsv;\n"
-        "        --sched fifo restores declaration order, output\n"
-        "        bytes identical either way). --progress draws a\n"
-        "        done/ETA status line on stderr.\n");
+        "sweep --progress draws a done/ETA status line on\n"
+        "        stderr; stdout bytes are unchanged.\n");
     return 2;
-}
-
-/** Value of the global --sim-threads flag; 0 = not given. */
-unsigned g_simThreadsArg = 0;
-/** --sim-threads auto: single-run commands use the whole machine;
- *  sweeps get a gang-thread budget so straggler points escalate to
- *  multi-threaded PDES as the point queue drains (DESIGN.md §14). */
-bool g_simThreadsAuto = false;
-
-/** Strict numeric argument parsing: reject trailing garbage. */
-unsigned
-parseUnsignedArg(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s || *end != '\0')
-        throw ConfigError(std::string(what) +
-                          " must be a non-negative integer, got '" +
-                          s + "'");
-    return static_cast<unsigned>(v);
 }
 
 int
@@ -249,8 +215,6 @@ int
 cmdSweepFigures(const std::vector<std::string> &args)
 {
     sweep::Options opts = sweep::optionsFromEnv();
-    bool jobsGiven = std::getenv("MELODY_SWEEP_JOBS") != nullptr;
-    bool pdesStats = false;
     std::vector<const figs::Figure *> picked;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
@@ -262,10 +226,7 @@ cmdSweepFigures(const std::vector<std::string> &args)
         } else if (a == "--jobs") {
             if (i + 1 == args.size())
                 throw ConfigError("--jobs needs a value");
-            opts.jobs = parseUnsignedArg(args[++i].c_str(), "--jobs");
-            jobsGiven = true;
-        } else if (a == "--pdes-stats") {
-            pdesStats = true;
+            opts.jobs = parseUnsigned(args[++i].c_str(), "--jobs");
         } else if (a == "--no-cache") {
             opts.cache = false;
         } else if (a == "--cache-dir") {
@@ -279,38 +240,21 @@ cmdSweepFigures(const std::vector<std::string> &args)
         } else if (a == "--retries") {
             if (i + 1 == args.size())
                 throw ConfigError("--retries needs a value");
-            opts.maxAttempts =
-                parseUnsignedArg(args[++i].c_str(), "--retries") +
-                1;
+            opts.maxAttempts = parseUnsigned(args[++i].c_str(),
+                                             "--retries",
+                                             UINT_MAX - 1) +
+                               1;
         } else if (a == "--timeout-ms") {
             if (i + 1 == args.size())
                 throw ConfigError("--timeout-ms needs a value");
-            opts.timeoutMs = parseUnsignedArg(args[++i].c_str(),
-                                              "--timeout-ms");
+            opts.timeoutMs = parseUnsigned(args[++i].c_str(),
+                                           "--timeout-ms");
         } else if (a == "--journal") {
             if (i + 1 == args.size())
                 throw ConfigError("--journal needs a value");
             opts.journalPath = args[++i];
         } else if (a == "--check-invariants") {
             opts.checkInvariants = true;
-        } else if (a == "--sched") {
-            if (i + 1 == args.size())
-                throw ConfigError("--sched needs a value");
-            const std::string &v = args[++i];
-            if (v == "fifo")
-                opts.sched = sweep::Sched::kFifo;
-            else if (v == "lpt")
-                opts.sched = sweep::Sched::kLpt;
-            else
-                throw ConfigError(
-                    "--sched must be 'fifo' or 'lpt', got '" + v +
-                    "'");
-        } else if (a == "--cost-db") {
-            if (i + 1 == args.size())
-                throw ConfigError("--cost-db needs a value");
-            opts.costDbPath = args[++i];
-        } else if (a == "--no-cost-db") {
-            opts.costDb = false;
         } else if (a == "--progress") {
             opts.progress = true;
         } else if (a == "all") {
@@ -318,6 +262,8 @@ cmdSweepFigures(const std::vector<std::string> &args)
                 picked.push_back(&f);
         } else {
             const auto *f = figs::find(a);
+            if (!f && a.rfind("--", 0) == 0)
+                throw ConfigError("unknown sweep option '" + a + "'");
             if (!f)
                 throw ConfigError("unknown figure '" + a +
                                   "' (melody sweep --list)");
@@ -331,24 +277,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
     // so a killed run can always be picked back up.
     if ((opts.isolate || opts.resume) && opts.journalPath.empty())
         opts.journalPath = "results/sweep-journal.jsonl";
-
-    // Combined thread budget: with --sim-threads N and no explicit
-    // --jobs, split the machine between point fan-out and intra-run
-    // gangs instead of oversubscribing N-fold.
-    if (g_simThreadsArg > 1 && !jobsGiven) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        opts.jobs = std::max(1u, hw / g_simThreadsArg);
-    }
-    // --sim-threads auto: full point fan-out while the queue is
-    // deep, with the whole machine as a gang budget so the last
-    // stragglers escalate to multi-threaded PDES (bit-identical at
-    // every width — a speed decision only).
-    if (g_simThreadsAuto)
-        opts.gangBudget =
-            std::max(1u, std::thread::hardware_concurrency());
-    if (pdesStats)
-        pdes::StatsRegistry::instance().clear();
 
     // Graceful ^C/SIGTERM for crash-isolated runs: the supervisor
     // stops dispatching, reaps in-flight workers, journals every
@@ -366,11 +294,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
         f->build(s);
     }
     const sweep::Sweep::Report rep = s.run(stdout);
-    // Utilization/imbalance report on stderr: stdout carries only
-    // figure bytes, which must stay identical across sim-threads.
-    if (pdesStats)
-        std::fprintf(stderr, "%s\n",
-                     pdes::StatsRegistry::instance().json().c_str());
     std::fprintf(stderr,
                  "melody sweep: %zu figure(s), %zu point(s), "
                  "%zu cache hit(s), %zu store(s), %zu corrupt\n",
@@ -537,30 +460,30 @@ cmdServe(const std::vector<std::string> &args)
             cfg.socketPath = args[++i];
         } else if (a == "--tcp-port" && hasVal) {
             cfg.tcpPort = static_cast<int>(
-                parseUnsignedArg(args[++i].c_str(), "--tcp-port"));
+                parseUnsigned(args[++i].c_str(), "--tcp-port"));
         } else if (a == "--workers" && hasVal) {
             cfg.workers =
-                parseUnsignedArg(args[++i].c_str(), "--workers");
+                parseUnsigned(args[++i].c_str(), "--workers");
         } else if (a == "--queue-depth" && hasVal) {
-            cfg.queueDepth = parseUnsignedArg(args[++i].c_str(),
-                                              "--queue-depth");
+            cfg.queueDepth = parseUnsigned(args[++i].c_str(),
+                                           "--queue-depth");
         } else if (a == "--timeout-ms" && hasVal) {
-            cfg.timeoutMs = parseUnsignedArg(args[++i].c_str(),
-                                             "--timeout-ms");
+            cfg.timeoutMs = parseUnsigned(args[++i].c_str(),
+                                          "--timeout-ms");
         } else if (a == "--retry-after-ms" && hasVal) {
-            cfg.retryAfterMs = parseUnsignedArg(
+            cfg.retryAfterMs = parseUnsigned(
                 args[++i].c_str(), "--retry-after-ms");
         } else if (a == "--drain-timeout-ms" && hasVal) {
-            cfg.drainTimeoutMs = parseUnsignedArg(
+            cfg.drainTimeoutMs = parseUnsigned(
                 args[++i].c_str(), "--drain-timeout-ms");
         } else if (a == "--max-sessions" && hasVal) {
-            cfg.maxSessions = parseUnsignedArg(args[++i].c_str(),
-                                               "--max-sessions");
+            cfg.maxSessions = parseUnsigned(args[++i].c_str(),
+                                            "--max-sessions");
         } else if (a == "--journal" && hasVal) {
             cfg.journalPath = args[++i];
         } else if (a == "--request-jobs" && hasVal) {
-            requestJobs = parseUnsignedArg(args[++i].c_str(),
-                                           "--request-jobs");
+            requestJobs = parseUnsigned(args[++i].c_str(),
+                                        "--request-jobs");
         } else if (a == "--quiet") {
             cfg.logToStderr = false;
         } else {
@@ -590,8 +513,8 @@ cmdRequest(const std::vector<std::string> &args)
         if (a == "--socket" && hasVal) {
             socketPath = args[++i];
         } else if (a == "--timeout-ms" && hasVal) {
-            timeoutMs = parseUnsignedArg(args[++i].c_str(),
-                                         "--timeout-ms");
+            timeoutMs = parseUnsigned(args[++i].c_str(),
+                                      "--timeout-ms");
         } else if (!payload.empty()) {
             throw ConfigError("request takes one operation, got '" +
                               a + "' too");
@@ -792,15 +715,15 @@ dispatch(int argc, char **argv)
         return cmdSweep(argv[2]);
     if (cmd == "period" && argc >= 4)
         return cmdPeriod(argv[2], argv[3],
-                         argc > 4 ? parseUnsignedArg(argv[4],
-                                                     "periods")
+                         argc > 4 ? parseUnsigned(argv[4],
+                                                  "periods")
                                   : 16);
     if (cmd == "advise" && argc == 4)
         return cmdAdvise(argv[2], argv[3]);
     if (cmd == "batch" && argc >= 4)
         return cmdBatch(argv[2], argv[3],
-                        argc > 4 ? parseUnsignedArg(argv[4],
-                                                    "stride")
+                        argc > 4 ? parseUnsigned(argv[4],
+                                                 "stride")
                                  : 1);
     if (cmd == "ras" && (argc == 5 || argc == 6))
         return cmdRas(argv[2], argv[3], argv[4],
@@ -814,36 +737,18 @@ int
 main(int argc, char **argv)
 {
     try {
-        // --sim-threads is global (any subcommand that simulates
-        // honours it), so strip it before dispatch.
+        // --io-faults is global (any subcommand honours it), so
+        // strip it before dispatch.
         std::vector<char *> args;
         for (int i = 0; i < argc; ++i) {
             if (std::strcmp(argv[i], "--io-faults") == 0) {
-                // Global like --sim-threads: any subcommand's host
-                // I/O can be made to fail deterministically
-                // (DESIGN.md §15). Equivalent to MELODY_IO_FAULTS,
-                // which forked daemons also inherit.
+                // Any subcommand's host I/O can be made to fail
+                // deterministically (DESIGN.md §15). Equivalent to
+                // MELODY_IO_FAULTS, which forked daemons also
+                // inherit.
                 if (i + 1 == argc)
                     throw ConfigError("--io-faults needs a value");
                 sim::iofault::install(argv[++i]);
-                continue;
-            }
-            if (std::strcmp(argv[i], "--sim-threads") == 0) {
-                if (i + 1 == argc)
-                    throw ConfigError("--sim-threads needs a value");
-                ++i;
-                if (std::strcmp(argv[i], "auto") == 0) {
-                    // Whole machine for single-run commands; the
-                    // sweep engine swaps this for a per-point gang
-                    // budget (opts.gangBudget) so escalation only
-                    // happens once the point queue drains.
-                    g_simThreadsAuto = true;
-                    pdes::setSimThreads(0);
-                    continue;
-                }
-                g_simThreadsArg = parseUnsignedArg(
-                    argv[i], "--sim-threads");
-                pdes::setSimThreads(g_simThreadsArg);
                 continue;
             }
             args.push_back(argv[i]);
