@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/protocol.hh"
 #include "sim/sweep.hh"
 
 namespace figs {
@@ -67,15 +66,6 @@ void buildAblationEmulation(cxlsim::sweep::Sweep &);
 void buildPoolingInterference(cxlsim::sweep::Sweep &);
 void buildPredictionAccuracy(cxlsim::sweep::Sweep &);
 void buildTieringPolicies(cxlsim::sweep::Sweep &);
-
-/**
- * Runner for `melody serve` (bench/serve_runner.cc): executes one
- * registered figure per request, scoped like `melody sweep` so
- * responses are byte-identical to offline runs and share the run
- * cache. @p jobs overrides the per-request point fan-out
- * (0 keeps the MELODY_SWEEP_JOBS / hardware default).
- */
-cxlsim::serve::Runner makeServeRunner(unsigned jobs = 0);
 
 /**
  * Test-only figure exercising the supervised sweep runner: its

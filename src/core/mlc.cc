@@ -1,7 +1,9 @@
 #include "mlc.hh"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
+#include <utility>
 
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -69,16 +71,20 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
     stats::StreamingStats latAll;
     std::uint64_t bytes = 0;
 
-    // Advance the earliest slot until the window closes.
+    // Advance the earliest slot until the window closes. The heap
+    // orders by (nextIssue, index), so ties go to the lowest index,
+    // exactly as a linear scan for the minimum would pick them.
+    using Pending = std::pair<Tick, std::size_t>;
+    std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
+        pending;
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        pending.emplace(slots[i].nextIssue, i);
     while (true) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < slots.size(); ++i)
-            if (slots[i].nextIssue < slots[best].nextIssue)
-                best = i;
-        Slot &s = slots[best];
-        const Tick issue = s.nextIssue;
+        const auto [issue, best] = pending.top();
         if (issue >= end)
             break;
+        pending.pop();
+        Slot &s = slots[best];
 
         bool isWrite = false;
         Addr addr;
@@ -114,6 +120,7 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
         s.nextIssue = done + delay;
         if (s.chase)
             s.nextIssue = done + nsToTicks(2.0);  // tiny compute
+        pending.emplace(s.nextIssue, best);
     }
 
     MlcPoint p;

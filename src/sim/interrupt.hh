@@ -1,11 +1,10 @@
 /**
  * @file
- * Graceful-interrupt plumbing shared by the supervised sweep
- * runner (`melody sweep --isolate`) and the serve daemon
- * (`melody serve`).
+ * Graceful-interrupt plumbing for the supervised sweep runner
+ * (`melody sweep --isolate`).
  *
- * Both are single-threaded poll loops managing forked worker
- * subprocesses; both must turn SIGINT/SIGTERM into an orderly
+ * The supervisor is a single-threaded poll loop managing forked
+ * worker subprocesses; it must turn SIGINT/SIGTERM into an orderly
  * wind-down (stop starting new work, reap what is in flight,
  * flush journals, report) instead of dying mid-write. The
  * classic shape is used here:
@@ -13,19 +12,19 @@
  *  - a volatile sig_atomic_t flag the handler sets, polled from
  *    the main loop (interruptRequested());
  *  - a self-pipe the handler writes one byte to, so a poll()
- *    blocked on worker pipes or sockets wakes immediately even
- *    through the EINTR-retrying wrappers (interruptWakeFd() goes
- *    into the poll set; drain it once the flag is observed, or a
- *    level-triggered POLLIN busy-spins the loop).
+ *    blocked on worker pipes wakes immediately even through the
+ *    EINTR-retrying wrappers (interruptWakeFd() goes into the poll
+ *    set; drain it once the flag is observed, or a level-triggered
+ *    POLLIN busy-spins the loop).
  *
  * The handlers are async-signal-safe (flag store + write(2)) and
  * idempotent to install. Deliveries are counted so loops can
  * escalate: the first signal requests a graceful wind-down, a
  * second one (interruptCount() >= 2) means the user is done
  * waiting and in-flight work should be killed. Forked workers must
- * restore SIG_DFL (see supervisor.cc / server.cc) so a Ctrl-C
- * against the process group kills them cleanly rather than
- * running the parent's handler against an inherited pipe.
+ * restore SIG_DFL (see supervisor.cc) so a Ctrl-C against the
+ * process group kills them cleanly rather than running the
+ * parent's handler against an inherited pipe.
  */
 
 #ifndef CXLSIM_SIM_INTERRUPT_HH
@@ -63,7 +62,7 @@ void drainInterruptWake();
 
 /**
  * Reset the flag and restore SIG_DFL for SIGINT/SIGTERM (the
- * self-pipe stays open for reinstallation). Test/daemon-exit
+ * self-pipe stays open for reinstallation). Test/run-exit
  * hygiene so a later real signal behaves normally again.
  */
 void resetInterruptHandlers();

@@ -53,8 +53,8 @@ std::vector<std::string> g_log;
 std::uint64_t g_logDropped = 0;
 
 constexpr const char *kOpNames[] = {
-    "open", "read",  "write", "flush", "close",
-    "rename", "pipe", "fork", "accept", "poll",
+    "open",   "read", "write", "flush", "close",
+    "rename", "pipe", "fork",  "poll",
 };
 static_assert(sizeof(kOpNames) / sizeof(kOpNames[0]) ==
               static_cast<unsigned>(Op::kOpCount));
@@ -70,8 +70,7 @@ constexpr FaultName kFaults[] = {
     {"enospc", ENOSPC},       {"emfile", EMFILE},
     {"enfile", ENFILE},       {"eio", EIO},
     {"eagain", EAGAIN},       {"enomem", ENOMEM},
-    {"epipe", EPIPE},         {"econnaborted", ECONNABORTED},
-    {"eintr", EINTR},
+    {"epipe", EPIPE},         {"eintr", EINTR},
 };
 
 /** SplitMix64: the per-call fault decision is a pure function of
@@ -214,7 +213,7 @@ clearCountersAndLog()
 }
 
 /** Arm from the environment at process start, so tests, bench
- *  binaries and forked daemons pick injection up without CLI
+ *  binaries and forked workers pick injection up without CLI
  *  plumbing. A malformed value warns instead of aborting every
  *  binary on the machine. */
 const bool g_envArmed = [] {

@@ -6,10 +6,9 @@
  * contains *crashes*; this layer injects the failures the host OS
  * itself serves up — ENOSPC on write, EMFILE on open, short reads,
  * flaky flushes, fork/pipe exhaustion — so every degradation path
- * (cache read-only fallback, journal loss diagnostics, cost-DB →
- * FIFO, supervisor retries, serve load shedding) can be exercised
- * deterministically in tests and CI instead of waiting for a full
- * disk in production.
+ * (cache read-only fallback, journal loss diagnostics, supervisor
+ * retries) can be exercised deterministically in tests and CI
+ * instead of waiting for a full disk in production.
  *
  * A FaultPlan-style spec selects what to inject:
  *
@@ -20,12 +19,12 @@
  * items; `seed=<n>` seeds the decision stream, every other item is
  * `<op>:<fault>@<trigger>`:
  *
- *   op      open read write flush close rename pipe fork accept
- *           poll  — each names the blessed wrapper family it fires
+ *   op      open read write flush close rename pipe fork poll
+ *           — each names the blessed wrapper family it fires
  *           in (FILE* helpers below, retry wrappers in
  *           sim/retry_io.hh), not one libc symbol.
  *   fault   an errno name (enospc, emfile, enfile, eio, eagain,
- *           enomem, epipe, econnaborted, eintr) or `short`
+ *           enomem, epipe, eintr) or `short`
  *           (read/write only: truncate instead of failing).
  *   trigger @p      independently with probability p per call
  *           @#N     exactly the Nth call of that op (1-based)
@@ -73,8 +72,7 @@ enum class Op : unsigned
     kRename,  // xrename
     kPipe,    // retryPipe2
     kFork,    // retryFork
-    kAccept,  // retryAccept4
-    kPoll,    // retryPoll, retryPollDeadline (eintr only)
+    kPoll,    // retryPollDeadline (eintr only)
     kOpCount
 };
 

@@ -1,27 +1,25 @@
 /**
  * @file
  * Blessed EINTR-retrying wrappers for the handful of blocking
- * POSIX calls the supervised runner (src/sim/supervisor.cc) and
- * the serve daemon (src/serve/) are built on.
+ * POSIX calls the supervised runner (src/sim/supervisor.cc) is
+ * built on.
  *
- * Both of those are long-lived processes with signal handlers
- * installed (graceful-interrupt for sweeps, drain for the daemon),
- * so *every* read/write/poll/accept/waitpid can return EINTR at
- * any moment. A missed retry is the classic rare-flake bug: the
- * call usually restarts fine under SA_RESTART, until the one
- * syscall the kernel never restarts (poll) or the one handler
- * installed without the flag turns a clean drain into a torn
- * payload. The melody-lint rule `srv-eintr-retry` therefore bans
+ * The supervisor is a long-lived process with graceful-interrupt
+ * signal handlers installed, so *every* read/write/poll/waitpid
+ * can return EINTR at any moment. A missed retry is the classic
+ * rare-flake bug: the call usually restarts fine under SA_RESTART,
+ * until the one syscall the kernel never restarts (poll) or the
+ * one handler installed without the flag turns a clean wind-down
+ * into a torn payload. The melody-lint rule `srv-eintr-retry` therefore bans
  * raw calls in those paths; this header is the one blessed home
  * for the retry loops.
  *
  * The wrappers retry EINTR and nothing else: EAGAIN, EPIPE and
- * friends are real states the callers must observe (nonblocking
- * sockets, vanished clients), so they pass through with errno
- * intact. retryPoll restarts its full timeout on EINTR; loops
- * whose wakeups carry wall-clock deadlines should use
- * retryPollDeadline, which recomputes the remaining budget after
- * every restart instead of making each caller hand-roll that.
+ * friends are real states the callers must observe (a vanished
+ * reader, a nonblocking pipe), so they pass through with errno
+ * intact. retryPollDeadline recomputes the remaining wall-clock
+ * budget after every restart instead of making each caller
+ * hand-roll that.
  *
  * These wrappers are also the host-I/O fault-injection points
  * (sim/io_fault.hh): with a plan armed, each call first consults
@@ -39,7 +37,6 @@
 #define CXLSIM_SIM_RETRY_IO_HH
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -102,31 +99,15 @@ retryWrite(int fd, const void *buf, std::size_t n)
     }
 }
 
-/** poll(2), retrying EINTR (restarts the full timeout). Only
- *  `poll:eintr` is injectable — a hard poll error panics the
- *  event loops by design, so the injector refuses to produce one. */
-inline int
-retryPoll(struct pollfd *fds, nfds_t n, int timeoutMs)
-{
-    for (;;) {
-        if (iofault::enabled() &&
-            iofault::check(iofault::Op::kPoll).err == EINTR)
-            continue;
-        const int r = ::poll(fds, n, timeoutMs);
-        if (r >= 0 || errno != EINTR)
-            return r;
-    }
-}
-
 /**
  * poll(2) against an absolute steady_clock deadline, retrying
  * EINTR with the *remaining* budget recomputed on every restart —
- * the hand-rolled budget arithmetic the supervisor and daemon
- * loops used to repeat. Returns 0 once the deadline has passed
- * (like a poll timeout). A `time_point::max()` deadline means
- * wait forever; any finite deadline is still woken at least every
- * 60 s so callers re-evaluate watchdogs even if a timer was
- * pushed far out after this call was issued.
+ * the hand-rolled budget arithmetic poll loops used to repeat.
+ * Returns 0 once the deadline has passed (like a poll timeout). A
+ * `time_point::max()` deadline means wait forever; any finite
+ * deadline is still woken at least every 60 s so callers
+ * re-evaluate watchdogs even if a timer was pushed far out after
+ * this call was issued.
  */
 inline int
 retryPollDeadline(struct pollfd *fds, nfds_t n,
@@ -172,33 +153,6 @@ retryPollDeadline(struct pollfd *fds, nfds_t n,
         if (expired || timeoutMs < 0)
             return 0;
         // Bounded interval elapsed short of the deadline: recheck.
-    }
-}
-
-/**
- * accept4(2), retrying EINTR; other errors pass through. Prefer
- * this over accept + post-hoc fcntl: SOCK_CLOEXEC applied
- * atomically at accept time closes the window where a concurrent
- * fork (the daemon spawns workers from another thread) inherits
- * the fresh client fd.
- */
-inline int
-retryAccept4(int fd, struct sockaddr *addr, socklen_t *len,
-             int flags)
-{
-    for (;;) {
-        if (iofault::enabled()) {
-            const auto d = iofault::check(iofault::Op::kAccept);
-            if (d.err == EINTR)
-                continue;
-            if (d.err) {
-                errno = d.err;
-                return -1;
-            }
-        }
-        const int r = ::accept4(fd, addr, len, flags);
-        if (r >= 0 || errno != EINTR)
-            return r;
     }
 }
 

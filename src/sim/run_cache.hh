@@ -27,9 +27,9 @@
  * behind.
  *
  * Multi-process concurrency: the cache directory is shared by
- * parallel sweeps, supervised workers and every `melody serve`
- * request worker at once, and `melody cache clear` may race all
- * of them. Three guarantees make that safe:
+ * parallel sweeps and supervised workers at once, and
+ * `melody cache clear` may race all of them. Three guarantees make
+ * that safe:
  *
  *  - temp names embed the writer's pid, so two processes storing
  *    the same key never clobber each other's half-written temp;
@@ -132,7 +132,7 @@ class RunCache
      * leaving the directory itself, the advisory lock file and
      * foreign files alone. Takes the directory's advisory lock
      * exclusively first, so a clear racing live writers (a cold
-     * sweep, serve workers) can never delete a half-written temp
+     * sweep, supervised workers) can never delete a half-written temp
      * or interleave with a write+rename pair; it simply waits for
      * the brief shared holds to drain.
      * @return number of files removed.

@@ -65,7 +65,7 @@ class Emit;
 /**
  * Human-readable name of a worker's terminating signal
  * ("SIGSEGV", "SIGABRT", ..., "signal N") — the structured-cause
- * vocabulary shared by the supervisor and the serve daemon.
+ * vocabulary of the supervisor's failure reports.
  */
 std::string signalName(int sig);
 

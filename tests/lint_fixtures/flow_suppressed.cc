@@ -2,7 +2,7 @@
  * Fixture: reasoned lint:allow on the flow rules — every violation
  * in this file is suppressed and carries a reason that the engine
  * must surface (see the suppressions array in --json).
- * Virtual path: src/serve/fixture.cc (in scope for all three).
+ * Virtual paths: src/sim/supervisor.cc, src/mem/fixture.cc.
  */
 
 namespace fixture {

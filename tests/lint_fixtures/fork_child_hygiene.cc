@@ -2,7 +2,7 @@
  * Fixture: fork-child-hygiene — between fork() and _exit()/exec the
  * child of a multithreaded process may only touch async-signal-safe
  * state; violations are followed through same-TU calls out of the
- * child block. Virtual path: src/serve/fixture.cc.
+ * child block. Virtual path: src/sim/supervisor.cc.
  */
 
 namespace fixture {

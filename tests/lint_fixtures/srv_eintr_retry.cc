@@ -1,4 +1,4 @@
-// Fixture: srv-eintr-retry — raw blocking POSIX calls in daemon
+// Fixture: srv-eintr-retry — raw blocking POSIX calls in supervisor
 // paths must ride the blessed EINTR-retrying wrappers.
 #include <cstddef>
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,8 @@ TEST_F(IoFaultTest, ParserRejectsMalformedSpecs)
     EXPECT_THROW(iof::install("poll:enospc@0.5"), ConfigError);
     // A persistent EINTR would spin the retry loops forever.
     EXPECT_THROW(iof::install("read:eintr@#2+"), ConfigError);
+    // `accept` is not an injection point (nothing accepts sockets).
+    EXPECT_THROW(iof::install("accept:eintr@0.1"), ConfigError);
 }
 
 TEST_F(IoFaultTest, FailedInstallLeavesActivePlanUntouched)
@@ -133,6 +136,131 @@ TEST_F(IoFaultTest, EmptySpecDisarms)
     iof::install("");
     EXPECT_FALSE(iof::enabled());
     EXPECT_TRUE(iof::activeSpec().empty());
+}
+
+// ---------------------------------------------------------------
+// Vocabularies, pinned entry by entry: each op name must arm the
+// Op its wrapper family checks (the name table and the enum are
+// kept in step by position), and each errno name must inject and
+// log as that errno.
+// ---------------------------------------------------------------
+
+struct OpCase
+{
+    const char *name;
+    iof::Op op;
+};
+
+void
+PrintTo(const OpCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+constexpr iof::Op kAllOps[] = {
+    iof::Op::kOpen,  iof::Op::kRead,   iof::Op::kWrite,
+    iof::Op::kFlush, iof::Op::kClose,  iof::Op::kRename,
+    iof::Op::kPipe,  iof::Op::kFork,   iof::Op::kPoll,
+};
+static_assert(sizeof(kAllOps) / sizeof(kAllOps[0]) ==
+              static_cast<unsigned>(iof::Op::kOpCount));
+
+class IoFaultOpName : public ::testing::TestWithParam<OpCase>
+{
+  protected:
+    void SetUp() override { iof::reset(); }
+    void TearDown() override { iof::reset(); }
+};
+
+TEST_P(IoFaultOpName, ArmsOnlyItsOwnOpAndLogsUnderItsName)
+{
+    const OpCase &c = GetParam();
+    // `eintr` is the one fault every op accepts, poll included.
+    iof::install(std::string(c.name) + ":eintr@#1");
+    for (const iof::Op op : kAllOps) {
+        const iof::Decision d = iof::check(op);
+        if (op == c.op)
+            EXPECT_EQ(d.err, EINTR);
+        else
+            EXPECT_FALSE(d) << "op #" << static_cast<unsigned>(op);
+    }
+    EXPECT_EQ(iof::logLines(),
+              (std::vector<std::string>{"io-fault: " +
+                                        std::string(c.name) +
+                                        " call#1 -> EINTR"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, IoFaultOpName,
+    ::testing::Values(OpCase{"open", iof::Op::kOpen},
+                      OpCase{"read", iof::Op::kRead},
+                      OpCase{"write", iof::Op::kWrite},
+                      OpCase{"flush", iof::Op::kFlush},
+                      OpCase{"close", iof::Op::kClose},
+                      OpCase{"rename", iof::Op::kRename},
+                      OpCase{"pipe", iof::Op::kPipe},
+                      OpCase{"fork", iof::Op::kFork},
+                      OpCase{"poll", iof::Op::kPoll}),
+    [](const ::testing::TestParamInfo<OpCase> &info) {
+        return std::string(info.param.name);
+    });
+
+struct ErrnoCase
+{
+    const char *name;
+    int err;
+    const char *upper;
+};
+
+void
+PrintTo(const ErrnoCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class IoFaultErrnoName : public ::testing::TestWithParam<ErrnoCase>
+{
+  protected:
+    void SetUp() override { iof::reset(); }
+    void TearDown() override { iof::reset(); }
+};
+
+TEST_P(IoFaultErrnoName, InjectsAndFormatsTheNamedErrno)
+{
+    const ErrnoCase &c = GetParam();
+    iof::install(std::string("write:") + c.name + "@#1");
+    const iof::Decision d = iof::check(iof::Op::kWrite);
+    EXPECT_EQ(d.err, c.err);
+    EXPECT_FALSE(d.shortIo);
+    EXPECT_FALSE(iof::check(iof::Op::kWrite));  // call#2: one-shot
+    EXPECT_EQ(iof::errnoName(c.err), c.upper);
+    EXPECT_EQ(iof::logLines(),
+              (std::vector<std::string>{
+                  std::string("io-fault: write call#1 -> ") +
+                  c.upper}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Errnos, IoFaultErrnoName,
+    ::testing::Values(ErrnoCase{"enospc", ENOSPC, "ENOSPC"},
+                      ErrnoCase{"emfile", EMFILE, "EMFILE"},
+                      ErrnoCase{"enfile", ENFILE, "ENFILE"},
+                      ErrnoCase{"eio", EIO, "EIO"},
+                      ErrnoCase{"eagain", EAGAIN, "EAGAIN"},
+                      ErrnoCase{"enomem", ENOMEM, "ENOMEM"},
+                      ErrnoCase{"epipe", EPIPE, "EPIPE"},
+                      ErrnoCase{"eintr", EINTR, "EINTR"}),
+    [](const ::testing::TestParamInfo<ErrnoCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(IoFaultErrnoNames, ErrnoOutsideTheVocabularyFormatsByNumber)
+{
+    iof::reset();
+    EXPECT_EQ(iof::errnoName(EBADF),
+              "errno " + std::to_string(EBADF));
+    EXPECT_THROW(iof::install("write:ebadf@0.5"), ConfigError);
+    EXPECT_FALSE(iof::enabled());
 }
 
 // ---------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,25 +128,25 @@ TEST(LintDeterminism, UnorderedIterFiresInFigurePaths)
               (Expected{{"det-unordered-iter", 15}}));
 }
 
-TEST(LintDeterminism, UnorderedIterFiresInServePaths)
+TEST(LintDeterminism, UnorderedIterFiresInFrontEndPaths)
 {
-    // Serve responses are rendered bytes and must be reproducible,
-    // so src/serve/ is an output path like the sweep engine.
-    const auto diags = lintSource("src/serve/fixture.cc",
+    // The CLI prints tables and figure rows, so tools/ is an output
+    // path like the sweep engine.
+    const auto diags = lintSource("tools/fixture.cc",
                                   fixture("det_unordered_iter.cc"));
     EXPECT_EQ(ruleLines(diags),
               (Expected{{"det-unordered-iter", 15}}));
 }
 
 // ---------------------------------------------------------------
-// Family: serve/supervisor EINTR hygiene.
+// Family: supervisor EINTR hygiene.
 // ---------------------------------------------------------------
 
-TEST(LintServe, EintrRetryFiresOnRawSyscallsInServePaths)
+TEST(LintEintr, EintrRetryFiresOnRawSyscalls)
 {
     // Global-scope and unqualified raw calls fire; member calls,
     // sim::retry* wrappers and declarations stay quiet.
-    const auto diags = lintSource("src/serve/fixture.cc",
+    const auto diags = lintSource("src/sim/supervisor.cc",
                                   fixture("srv_eintr_retry.cc"));
     EXPECT_EQ(ruleLines(diags),
               (Expected{{"srv-eintr-retry", 17},
@@ -154,24 +155,24 @@ TEST(LintServe, EintrRetryFiresOnRawSyscallsInServePaths)
                         {"srv-eintr-retry", 26}}));
 }
 
-TEST(LintServe, EintrRetryFiresInSupervisorPaths)
+TEST(LintEintr, EintrRetryFiresInSupervisorPaths)
 {
     const auto diags = lintSource("src/sim/supervisor.cc",
                                   fixture("srv_eintr_retry.cc"));
     EXPECT_EQ(diags.size(), 4u);
 }
 
-TEST(LintServe, EintrRetryFiresInIoFaultPaths)
+TEST(LintEintr, EintrRetryFiresInIoFaultPaths)
 {
     // The host-I/O fault injector (DESIGN.md §15) sits inside the
     // blessed-wrapper plumbing; its own file I/O follows the same
-    // retry discipline as the daemon's.
+    // retry discipline as the supervisor's.
     const auto diags = lintSource("src/sim/io_fault.cc",
                                   fixture("srv_eintr_retry.cc"));
     EXPECT_EQ(diags.size(), 4u);
 }
 
-TEST(LintServe, EintrRetryQuietInBlessedWrapperHome)
+TEST(LintEintr, EintrRetryQuietInBlessedWrapperHome)
 {
     // src/sim/retry_io.hh is where the raw calls live on purpose.
     const auto diags = lintSource("src/sim/retry_io.cc",
@@ -179,7 +180,7 @@ TEST(LintServe, EintrRetryQuietInBlessedWrapperHome)
     EXPECT_TRUE(diags.empty());
 }
 
-TEST(LintServe, EintrRetryQuietOutsideDaemonPaths)
+TEST(LintEintr, EintrRetryQuietOutsideSupervisorPaths)
 {
     // Single-shot CLI paths may take the simple raw-call route.
     // (src/dram/, not src/mem/: the fixture's member-call decoys
@@ -238,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(ScopeCase{"tools/melody_cli.cc", true},
                     ScopeCase{"bench/figures.cc", true},
                     ScopeCase{"bench/perf_microbench.cc", true},
-                    ScopeCase{"src/serve/session.cc", true},
+                    ScopeCase{"src/sim/sweep.cc", true},
                     ScopeCase{"src/sim/parallel.cc", false},
                     ScopeCase{"src/sim/journal.cc", false},
                     ScopeCase{"src/sim/interrupt.cc", false},
@@ -257,12 +258,78 @@ TEST_P(EintrRetryScope, FiresOnlyInLongLivedProcessPaths)
 
 INSTANTIATE_TEST_SUITE_P(
     RealFiles, EintrRetryScope,
-    testing::Values(ScopeCase{"src/serve/server.cc", true},
-                    ScopeCase{"src/serve/client.cc", true},
+    testing::Values(ScopeCase{"src/sim/supervisor.cc", true},
+                    ScopeCase{"src/sim/io_fault.cc", true},
                     ScopeCase{"src/sim/sweep.cc", false},
                     ScopeCase{"src/sim/journal.cc", false},
                     ScopeCase{"src/sim/run_cache.cc", false},
                     ScopeCase{"src/sim/parallel.cc", false}),
+    scopeCaseName);
+
+/** Diagnostics of @p rule only: the flow fixtures are linted under
+ *  real paths where other rules may also have something to say. */
+Expected
+onlyRule(const std::vector<Diagnostic> &diags, const std::string &rule)
+{
+    Expected out;
+    for (const auto &d : diags)
+        if (d.rule == rule)
+            out.emplace_back(d.rule, d.line);
+    return out;
+}
+
+class RasStatusFlowScope : public testing::TestWithParam<ScopeCase>
+{};
+
+TEST_P(RasStatusFlowScope, FiresOnlyInRasLayers)
+{
+    const auto diags = lintSource(GetParam().path,
+                                  fixture("ras_status_flow.cc"));
+    if (GetParam().scoped)
+        EXPECT_EQ(onlyRule(diags, "ras-status-flow"),
+                  (Expected{{"ras-status-flow", 14},
+                            {"ras-status-flow", 22}}));
+    else
+        EXPECT_TRUE(onlyRule(diags, "ras-status-flow").empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RealFiles, RasStatusFlowScope,
+    testing::Values(ScopeCase{"src/mem/cxl_backend.cc", true},
+                    ScopeCase{"src/mem/tiering_backend.cc", true},
+                    ScopeCase{"src/cxl/controller.cc", true},
+                    ScopeCase{"src/ras/ras.cc", true},
+                    ScopeCase{"src/sim/supervisor.cc", false},
+                    ScopeCase{"src/cpu/multicore.cc", false},
+                    ScopeCase{"src/core/mlc.cc", false},
+                    ScopeCase{"tools/melody_cli.cc", false}),
+    scopeCaseName);
+
+class ForkChildHygieneScope : public testing::TestWithParam<ScopeCase>
+{};
+
+TEST_P(ForkChildHygieneScope, FiresOnlyInTheForkingUnit)
+{
+    const auto diags = lintSource(GetParam().path,
+                                  fixture("fork_child_hygiene.cc"));
+    if (GetParam().scoped)
+        EXPECT_EQ(onlyRule(diags, "fork-child-hygiene"),
+                  (Expected{{"fork-child-hygiene", 15},
+                            {"fork-child-hygiene", 17},
+                            {"fork-child-hygiene", 26},
+                            {"fork-child-hygiene", 28}}));
+    else
+        EXPECT_TRUE(onlyRule(diags, "fork-child-hygiene").empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RealFiles, ForkChildHygieneScope,
+    testing::Values(ScopeCase{"src/sim/supervisor.cc", true},
+                    ScopeCase{"src/sim/sweep.cc", false},
+                    ScopeCase{"src/sim/parallel.cc", false},
+                    ScopeCase{"src/sim/io_fault.cc", false},
+                    ScopeCase{"src/sim/run_cache.cc", false},
+                    ScopeCase{"tools/melody_cli.cc", false}),
     scopeCaseName);
 
 // ---------------------------------------------------------------
@@ -343,7 +410,7 @@ TEST(LintRasFlow, QuietOutsideRasLayers)
 
 TEST(LintForkChild, ChildRegionAndCallClosureFire)
 {
-    const auto diags = lintSource("src/serve/fixture.cc",
+    const auto diags = lintSource("src/sim/supervisor.cc",
                                   fixture("fork_child_hygiene.cc"));
     EXPECT_EQ(ruleLines(diags),
               (Expected{{"fork-child-hygiene", 15},
@@ -361,8 +428,7 @@ TEST(LintForkChild, FiresInSupervisorScope)
 
 TEST(LintForkChild, QuietOutsideForkSites)
 {
-    // Only the two forking TUs (serve daemon, sweep supervisor)
-    // are in scope.
+    // Only the forking TU (the sweep supervisor) is in scope.
     const auto diags = lintSource("src/cpu/fixture.cc",
                                   fixture("fork_child_hygiene.cc"));
     EXPECT_TRUE(diags.empty());
@@ -411,6 +477,25 @@ TEST(LintArch, LayeringQuietOnDownwardIncludes)
     const auto diags = lintSource("src/core/fixture.cc",
                                   fixture("arch_layering.cc"));
     EXPECT_TRUE(diags.empty());
+}
+
+TEST(LintArch, FrontEndIsTheTopLayer)
+{
+    // bench/ and tools/ sit above spa, the highest src/ layer, and
+    // may include anything below them.
+    const std::string up = "#include \"bench/figures.hh\"\n"
+                           "#include \"tools/lint/lint.hh\"\n";
+    const auto diags = lintSource("src/spa/fixture.cc", up);
+    ASSERT_EQ(ruleLines(diags), (Expected{{"arch-layering", 1},
+                                          {"arch-layering", 2}}));
+    for (const auto &d : diags)
+        EXPECT_NE(d.message.find("layer 'spa' must not include upward "
+                                 "into 'frontend (bench/tools)'"),
+                  std::string::npos)
+            << d.message;
+    EXPECT_TRUE(lintSource("tools/fixture.cc",
+                           fixture("arch_layering.cc"))
+                    .empty());
 }
 
 TEST(LintArch, IncludeCycleDetectedOnceInFixtureTree)
@@ -582,23 +667,44 @@ TEST(LintSuppression, AllowCoversSameLineAndLineAbove)
 
 TEST(LintSuppression, ReasonSyntaxIsRecordedPerRule)
 {
-    int suppressed = 0;
-    std::vector<SuppressionNote> notes;
-    const auto diags =
-        lintSource("src/serve/fixture.cc",
-                   fixture("flow_suppressed.cc"), &suppressed,
-                   &notes);
-    EXPECT_TRUE(diags.empty());
-    EXPECT_EQ(suppressed, 3);
-    ASSERT_EQ(notes.size(), 3u);
-    for (const auto &n : notes) {
-        EXPECT_EQ(n.path, "src/serve/fixture.cc");
-        EXPECT_FALSE(n.reason.empty())
-            << n.rule << " note lost its reason";
+    // No one path is in scope for all three flow rules: the
+    // supervisor covers fork and sig, src/mem/ covers ras and sig.
+    struct Run
+    {
+        const char *path;
+        std::vector<std::string> rules;
+    };
+    const Run runs[] = {
+        {"src/sim/supervisor.cc",
+         {"fork-child-hygiene", "sig-async-safety"}},
+        {"src/mem/fixture.cc", {"ras-status-flow", "sig-async-safety"}},
+    };
+    std::set<std::string> covered;
+    for (const Run &r : runs) {
+        int suppressed = 0;
+        std::vector<SuppressionNote> notes;
+        const auto diags =
+            lintSource(r.path, fixture("flow_suppressed.cc"),
+                       &suppressed, &notes);
+        EXPECT_TRUE(diags.empty()) << r.path;
+        EXPECT_EQ(suppressed, static_cast<int>(r.rules.size()))
+            << r.path;
+        std::vector<std::string> rules;
+        for (const auto &n : notes) {
+            EXPECT_EQ(n.path, r.path);
+            EXPECT_FALSE(n.reason.empty())
+                << n.rule << " note lost its reason";
+            rules.push_back(n.rule);
+            covered.insert(n.rule);
+            if (n.rule == "fork-child-hygiene") {
+                EXPECT_EQ(n.reason,
+                          "helper runs pre-thread, stdio is safe "
+                          "here");
+            }
+        }
+        EXPECT_EQ(rules, r.rules) << r.path;
     }
-    EXPECT_EQ(notes[0].rule, "fork-child-hygiene");
-    EXPECT_EQ(notes[0].reason,
-              "helper runs pre-thread, stdio is safe here");
+    EXPECT_EQ(covered.size(), 3u);
 }
 
 TEST(LintSuppression, ReasonlessAllowStillWorks)

@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/mio.hh"
 #include "core/mlc.hh"
 #include "core/platform.hh"
 #include "core/slowdown.hh"
+#include "mem/backend.hh"
 #include "sim/logging.hh"
 #include "workloads/suite.hh"
 
@@ -219,6 +226,110 @@ TEST(Mlc, WriteFractionMatchesConfig)
         static_cast<double>(st.writes) /
         static_cast<double>(st.requests());
     EXPECT_NEAR(writeFrac, 0.25, 0.03);
+}
+
+namespace {
+
+/**
+ * Backend whose completions land on a coarse grid, so many MLC
+ * slots become ready on the same tick, recording every issue as
+ * (tick, slot). The slot is recoverable from the address because
+ * each slot walks its own regionBytes-sized region in order.
+ */
+class GridBackend : public mem::MemoryBackend
+{
+  public:
+    GridBackend(Tick grid, std::uint64_t regionBytes)
+        : grid_(grid), regionBytes_(regionBytes)
+    {}
+
+    Tick
+    access(Addr addr, mem::ReqType type, Tick now) override
+    {
+        note(type);
+        issues.emplace_back(now, addr / regionBytes_);
+        return completion(now);
+    }
+
+    Tick completion(Tick now) const { return (now / grid_ + 2) * grid_; }
+
+    const std::string &name() const override { return name_; }
+
+    std::vector<std::pair<Tick, std::uint64_t>> issues;
+
+  private:
+    Tick grid_;
+    std::uint64_t regionBytes_;
+    std::string name_ = "grid";
+};
+
+melody::MlcConfig
+gridConfig()
+{
+    melody::MlcConfig cfg;
+    cfg.trafficThreads = 4;
+    cfg.slotsPerThread = 8;
+    cfg.regionBytes = 1ULL << 20;
+    cfg.delayCycles = 0;
+    cfg.warmupUs = 0.5;
+    cfg.windowUs = 2.0;
+    return cfg;
+}
+
+}  // namespace
+
+TEST(Mlc, IssuesEarliestSlotFirstAndBreaksTiesByLowestIndex)
+{
+    const melody::MlcConfig cfg = gridConfig();
+    GridBackend be(nsToTicks(50.0), cfg.regionBytes);
+    melody::mlcMeasure(&be, cfg);
+
+    // Every slot (32 traffic + the chase) took part.
+    std::set<std::uint64_t> slots;
+    for (const auto &is : be.issues)
+        slots.insert(is.second);
+    EXPECT_EQ(slots.size(), 33u);
+    // Strictly increasing (tick, slot): time order first, and on a
+    // shared tick the lowest slot index goes first, as a linear
+    // scan for the minimum would choose.
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < be.issues.size(); ++i) {
+        ASSERT_LT(be.issues[i - 1], be.issues[i]) << "issue #" << i;
+        ties += be.issues[i - 1].first == be.issues[i].first;
+    }
+    // The grid makes ties the common case, so the rule above was
+    // really exercised.
+    EXPECT_GT(ties, be.issues.size() / 2);
+}
+
+TEST(Mlc, DrainsEverySlotUpToTheWindowEnd)
+{
+    const melody::MlcConfig cfg = gridConfig();
+    GridBackend be(nsToTicks(50.0), cfg.regionBytes);
+    const melody::MlcPoint p = melody::mlcMeasure(&be, cfg);
+    const Tick end = usToTicks(cfg.warmupUs + cfg.windowUs);
+    const std::uint64_t chase = cfg.trafficThreads * cfg.slotsPerThread;
+
+    // No issue at or past the window end, and no slot stopped
+    // while it could still issue inside the window: each slot's
+    // next issue after its last one falls at or past the end.
+    std::map<std::uint64_t, Tick> last;
+    for (const auto &is : be.issues) {
+        ASSERT_LT(is.first, end);
+        last[is.second] = is.first;
+    }
+    ASSERT_EQ(last.size(), 33u);
+    for (const auto &[slot, tick] : last) {
+        const Tick next = be.completion(tick) +
+                          (slot == chase ? nsToTicks(2.0) : 0);
+        EXPECT_GE(next, end) << "slot " << slot;
+    }
+    // Chase samples are exactly its issues inside the window.
+    std::uint64_t measured = 0;
+    for (const auto &is : be.issues)
+        measured += is.second == chase &&
+                    is.first >= usToTicks(cfg.warmupUs);
+    EXPECT_EQ(p.samples, measured);
 }
 
 TEST(Mio, UtilizationAgainstPeak)

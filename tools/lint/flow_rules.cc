@@ -85,7 +85,7 @@ ruleRasStatusFlowImpl(const std::string &path, const Tokens &t,
                       const FileStructure &fs, Sink *sink)
 {
     if (!underDir(path, "src/mem/") && !underDir(path, "src/cxl/") &&
-        !underDir(path, "src/ras/") && !underDir(path, "src/serve/"))
+        !underDir(path, "src/ras/"))
         return;
 
     for (std::size_t i = 0; i < t.size(); ++i) {
@@ -243,15 +243,14 @@ forkChildRegions(const Tokens &t, const FileStructure &fs)
  * lock, or a mutex at fork time, permanently. exit() additionally
  * runs atexit handlers and flushes inherited stdio buffers —
  * duplicating the parent's pending output. Scope: the two places
- * this project forks (the serve daemon and the sweep supervisor),
+ * the one place this project forks (the sweep supervisor),
  * following same-TU calls out of the child block.
  */
 void
 ruleForkChildHygieneImpl(const std::string &path, const Tokens &t,
                          const FileStructure &fs, Sink *sink)
 {
-    if (!underDir(path, "src/serve/") &&
-        !pathHas(path, "sim/supervisor"))
+    if (!pathHas(path, "sim/supervisor"))
         return;
 
     const auto regions = forkChildRegions(t, fs);

@@ -15,8 +15,8 @@
  *    analysis extends this from call sites to whole scopes (a
  *    status bound to a local that is never read before scope exit
  *    is just as dropped);
- *  - fork/signal hygiene: the serve daemon and the supervised sweep
- *    runner fork workers and install signal handlers; child regions
+ *  - fork/signal hygiene: the supervised sweep runner forks
+ *    workers and installs signal handlers; child regions
  *    must not exit()/throw/touch stdio/take locks, and handler code
  *    may only call the async-signal-safe allowlist;
  *  - architecture layering: the DESIGN.md §13 layer order is what

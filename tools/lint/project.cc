@@ -37,7 +37,7 @@ const std::map<std::string, int> kLayerOfDir = {
     {"workloads", 6},
     {"core", 7},
     {"spa", 8},
-    {"serve", 9},     {"bench", 9}, {"tools", 9},
+    {"bench", 9},     {"tools", 9},
     {"examples", 9},  {"tests", 9},
 };
 
@@ -45,7 +45,7 @@ const char *const kLayerNames[] = {
     "engine (sim/stats)", "ras",  "media (dram/link)",
     "cxl",                "mem",  "cpu",
     "workloads",          "core", "spa",
-    "frontend (serve/bench/tools)",
+    "frontend (bench/tools)",
 };
 
 /** The layer-bearing path component: the one after the last "src"

@@ -187,7 +187,6 @@ ruleDetUnorderedIter(const std::string &path, const Tokens &t,
 {
     const bool scoped = underDir(path, "src/stats/") ||
                         underDir(path, "src/spa/") ||
-                        underDir(path, "src/serve/") ||
                         underDir(path, "bench/") ||
                         underDir(path, "tools/") ||
                         pathHas(path, "sim/sweep") ||
@@ -326,22 +325,20 @@ ruleDetStaticLocal(const std::string &path, const Tokens &t,
 }
 
 /**
- * srv-eintr-retry — the serve daemon and the supervised sweep
- * runner are long-lived processes with signal handlers installed
- * (graceful drain / graceful interrupt), so every blocking syscall
- * can return EINTR at any moment. A raw call that forgets the
- * retry is the classic rare-flake: it works for months, then one
- * ^C lands mid-read and a clean drain becomes a torn payload. The
- * blessed home for the retry loops is src/sim/retry_io.hh; daemon
- * and supervisor code must call those wrappers, never the raw
- * syscall.
+ * srv-eintr-retry — the supervised sweep runner is a long-lived
+ * process with signal handlers installed (graceful interrupt), so
+ * every blocking syscall can return EINTR at any moment. A raw
+ * call that forgets the retry is the classic rare-flake: it works
+ * for months, then one ^C lands mid-read and a clean wind-down
+ * becomes a torn payload. The blessed home for the retry loops is
+ * src/sim/retry_io.hh; supervisor code must call those wrappers,
+ * never the raw syscall.
  */
 void
 ruleSrvEintrRetry(const std::string &path, const Tokens &t,
                   Sink *sink)
 {
-    const bool scoped = underDir(path, "src/serve/") ||
-                        pathHas(path, "sim/supervisor") ||
+    const bool scoped = pathHas(path, "sim/supervisor") ||
                         pathHas(path, "sim/io_fault");
     if (!scoped || pathHas(path, "sim/retry_io."))
         return;
@@ -378,7 +375,7 @@ ruleSrvEintrRetry(const std::string &path, const Tokens &t,
         }
         sink->emit(t[i].line, "srv-eintr-retry", Severity::kError,
                    "raw '" + t[i].text +
-                       "()' in a daemon/supervisor path; a signal "
+                       "()' in a supervisor path; a signal "
                        "can EINTR it mid-drain — use the retrying "
                        "wrappers in src/sim/retry_io.hh");
     }

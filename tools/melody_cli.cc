@@ -13,9 +13,6 @@
  *                                       isolated workers, --resume
  *                                       continues a killed run
  *   melody cache stats|clear            inspect/purge the run cache
- *   melody serve [opts]                 simulation-as-a-service
- *                                       daemon (DESIGN.md §12)
- *   melody request [opts] <op> [...]    one request to the daemon
  *   melody period <wl> <mem> [N]        period-based breakdown
  *   melody advise <wl> <mem>            §5.7 tiering advice
  *   melody batch <srv> <mem> [stride]   whole-suite slowdowns, CSV
@@ -33,14 +30,10 @@
 #include <filesystem>
 #include <string>
 #include <system_error>
-#include <thread>
 #include <vector>
 
 #include "bench/figures.hh"
 #include "core/mio.hh"
-#include "serve/client.hh"
-#include "serve/protocol.hh"
-#include "serve/server.hh"
 #include "sim/interrupt.hh"
 #include "sim/io_fault.hh"
 #include "core/mlc.hh"
@@ -79,14 +72,6 @@ usage()
         "               <figure...>|all\n"
         "  melody sweep --list\n"
         "  melody cache stats|clear [--cache-dir D]\n"
-        "  melody serve [--socket P] [--tcp-port N] [--workers N]\n"
-        "               [--queue-depth N] [--timeout-ms N]\n"
-        "               [--retry-after-ms N] [--drain-timeout-ms N]\n"
-        "               [--max-sessions N] [--journal F]\n"
-        "               [--request-jobs N] [--quiet]\n"
-        "  melody request [--socket P] [--timeout-ms N]\n"
-        "                 health|stats|shutdown|sweep <figure>"
-        "|json <payload>\n"
         "  melody period <workload> <memory> [periods]\n"
         "  melody advise <workload> <memory>\n"
         "  melody batch <server> <memory> [stride]\n"
@@ -446,118 +431,6 @@ cmdCache(const std::vector<std::string> &args)
     return 0;
 }
 
-int
-cmdServe(const std::vector<std::string> &args)
-{
-    serve::ServerConfig cfg;
-    cfg.socketPath = "results/melody-serve.sock";
-    cfg.journalPath = "results/serve-journal.jsonl";
-    unsigned requestJobs = 0;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        const bool hasVal = i + 1 < args.size();
-        if (a == "--socket" && hasVal) {
-            cfg.socketPath = args[++i];
-        } else if (a == "--tcp-port" && hasVal) {
-            cfg.tcpPort = static_cast<int>(
-                parseUnsigned(args[++i].c_str(), "--tcp-port"));
-        } else if (a == "--workers" && hasVal) {
-            cfg.workers =
-                parseUnsigned(args[++i].c_str(), "--workers");
-        } else if (a == "--queue-depth" && hasVal) {
-            cfg.queueDepth = parseUnsigned(args[++i].c_str(),
-                                           "--queue-depth");
-        } else if (a == "--timeout-ms" && hasVal) {
-            cfg.timeoutMs = parseUnsigned(args[++i].c_str(),
-                                          "--timeout-ms");
-        } else if (a == "--retry-after-ms" && hasVal) {
-            cfg.retryAfterMs = parseUnsigned(
-                args[++i].c_str(), "--retry-after-ms");
-        } else if (a == "--drain-timeout-ms" && hasVal) {
-            cfg.drainTimeoutMs = parseUnsigned(
-                args[++i].c_str(), "--drain-timeout-ms");
-        } else if (a == "--max-sessions" && hasVal) {
-            cfg.maxSessions = parseUnsigned(args[++i].c_str(),
-                                            "--max-sessions");
-        } else if (a == "--journal" && hasVal) {
-            cfg.journalPath = args[++i];
-        } else if (a == "--request-jobs" && hasVal) {
-            requestJobs = parseUnsigned(args[++i].c_str(),
-                                        "--request-jobs");
-        } else if (a == "--quiet") {
-            cfg.logToStderr = false;
-        } else {
-            throw ConfigError("unknown serve argument '" + a + "'");
-        }
-    }
-    // Default fan-out: split the machine between concurrent
-    // request workers instead of oversubscribing it per request.
-    if (requestJobs == 0) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        requestJobs = std::max(1u, hw / std::max(1u, cfg.workers));
-    }
-    cfg.runner = figs::makeServeRunner(requestJobs);
-    return serve::runServer(cfg);
-}
-
-int
-cmdRequest(const std::vector<std::string> &args)
-{
-    std::string socketPath = "results/melody-serve.sock";
-    unsigned timeoutMs = 120000;
-    std::string payload;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        const bool hasVal = i + 1 < args.size();
-        if (a == "--socket" && hasVal) {
-            socketPath = args[++i];
-        } else if (a == "--timeout-ms" && hasVal) {
-            timeoutMs = parseUnsigned(args[++i].c_str(),
-                                      "--timeout-ms");
-        } else if (!payload.empty()) {
-            throw ConfigError("request takes one operation, got '" +
-                              a + "' too");
-        } else if (a == "health" || a == "stats" ||
-                   a == "shutdown") {
-            payload = "{\"op\":\"" + a + "\"}";
-        } else if (a == "sweep" && hasVal) {
-            payload = "{\"op\":\"sweep\",\"figure\":";
-            serve::appendJsonString(&payload, args[++i]);
-            if (i + 1 < args.size()) {
-                payload += ",\"arg\":";
-                serve::appendJsonString(&payload, args[++i]);
-            }
-            payload += "}";
-        } else if (a == "json" && hasVal) {
-            payload = args[++i];
-        } else {
-            throw ConfigError("unknown request argument '" + a +
-                              "'");
-        }
-    }
-    if (payload.empty())
-        throw ConfigError(
-            "request needs an operation: health|stats|shutdown|"
-            "sweep <figure>|json <payload>");
-
-    std::string response, err;
-    if (!serve::requestOnce(socketPath, payload, timeoutMs,
-                            &response, &err))
-        throw ConfigError("request failed: " + err);
-    std::fwrite(response.data(), 1, response.size(), stdout);
-    std::fwrite("\n", 1, 1, stdout);
-
-    serve::JsonValue v;
-    std::string jerr;
-    if (!serve::parseJson(response, &v, &jerr))
-        return 1;
-    const std::string status = v.getString("status");
-    if (status == "ok")
-        return 0;
-    return status == "busy" ? 3 : 1;
-}
-
 /** True when the `sweep` arguments select figure mode (flags,
  *  `all`, or a known figure alias/binary) rather than a workload. */
 bool
@@ -576,6 +449,8 @@ int
 cmdPeriod(const std::string &wl, const std::string &mem,
           unsigned periods)
 {
+    if (periods == 0)
+        throw ConfigError("periods must be at least 1");
     auto w = workloads::byName(wl);
     melody::Platform lp("EMR2S", "Local");
     melody::Platform tp("EMR2S", mem);
@@ -601,6 +476,8 @@ int
 cmdBatch(const std::string &srv, const std::string &mem,
          unsigned stride)
 {
+    if (stride == 0)
+        throw ConfigError("stride must be at least 1");
     melody::SlowdownStudy study(1);
     std::vector<workloads::WorkloadProfile> ws;
     const auto &all = workloads::suite();
@@ -705,12 +582,6 @@ dispatch(int argc, char **argv)
     if (cmd == "cache")
         return cmdCache(
             std::vector<std::string>(argv + 2, argv + argc));
-    if (cmd == "serve")
-        return cmdServe(
-            std::vector<std::string>(argv + 2, argv + argc));
-    if (cmd == "request")
-        return cmdRequest(
-            std::vector<std::string>(argv + 2, argv + argc));
     if (cmd == "sweep" && argc == 3)
         return cmdSweep(argv[2]);
     if (cmd == "period" && argc >= 4)
@@ -744,7 +615,7 @@ main(int argc, char **argv)
             if (std::strcmp(argv[i], "--io-faults") == 0) {
                 // Any subcommand's host I/O can be made to fail
                 // deterministically (DESIGN.md §15). Equivalent to
-                // MELODY_IO_FAULTS, which forked daemons also
+                // MELODY_IO_FAULTS, which forked workers also
                 // inherit.
                 if (i + 1 == argc)
                     throw ConfigError("--io-faults needs a value");
