@@ -6,8 +6,8 @@
  * The supervisor is a single-threaded poll loop managing forked
  * worker subprocesses; it must turn SIGINT/SIGTERM into an orderly
  * wind-down (stop starting new work, reap what is in flight,
- * flush journals, report) instead of dying mid-write. The
- * classic shape is used here:
+ * report) instead of dying mid-write. The classic shape is used
+ * here:
  *
  *  - a volatile sig_atomic_t flag the handler sets, polled from
  *    the main loop (interruptRequested());

@@ -53,8 +53,8 @@ std::vector<std::string> g_log;
 std::uint64_t g_logDropped = 0;
 
 constexpr const char *kOpNames[] = {
-    "open",   "read", "write", "flush", "close",
-    "rename", "pipe", "fork",  "poll",
+    "open", "read", "write", "close",
+    "rename", "pipe", "fork", "poll",
 };
 static_assert(sizeof(kOpNames) / sizeof(kOpNames[0]) ==
               static_cast<unsigned>(Op::kOpCount));
@@ -125,6 +125,14 @@ parseOp(const std::string &name, Op *op)
     return false;
 }
 
+/** strtoull skips leading whitespace and accepts a sign ("-1"
+ *  wraps to 2^64-1), so a count must start with a digit. */
+bool
+startsWithDigit(const std::string &num)
+{
+    return !num.empty() && num[0] >= '0' && num[0] <= '9';
+}
+
 [[noreturn]] void
 bad(const std::string &item, const std::string &why)
 {
@@ -181,8 +189,7 @@ parseItem(const std::string &item, Plan *plan)
         char *end = nullptr;
         const unsigned long long n =
             std::strtoull(num.c_str(), &end, 10);
-        if (num.empty() || end == num.c_str() || *end != '\0' ||
-            n == 0)
+        if (!startsWithDigit(num) || *end != '\0' || n == 0)
             bad(item, "trigger '#N' needs a positive call index");
         r.nth = n;
     } else {
@@ -282,7 +289,7 @@ install(const std::string &spec)
             char *e = nullptr;
             const unsigned long long v =
                 std::strtoull(num.c_str(), &e, 10);
-            if (num.empty() || e == num.c_str() || *e != '\0')
+            if (!startsWithDigit(num) || *e != '\0')
                 bad(item, "seed needs a non-negative integer");
             plan->seed = v;
             continue;
@@ -393,26 +400,6 @@ xfwrite(const void *p, std::size_t size, std::size_t n,
         return 0;
     }
     return std::fwrite(p, size, n, f);
-}
-
-int
-xfputc(int c, std::FILE *f)
-{
-    if (const Decision d = check(Op::kWrite)) {
-        errno = d.shortIo ? EIO : d.err;
-        return EOF;
-    }
-    return std::fputc(c, f);
-}
-
-int
-xfflush(std::FILE *f)
-{
-    if (const Decision d = check(Op::kFlush)) {
-        errno = d.err;
-        return EOF;
-    }
-    return std::fflush(f);
 }
 
 int

@@ -5,10 +5,10 @@
  * The RAS subsystem injects *device* faults and the supervisor
  * contains *crashes*; this layer injects the failures the host OS
  * itself serves up — ENOSPC on write, EMFILE on open, short reads,
- * flaky flushes, fork/pipe exhaustion — so every degradation path
- * (cache read-only fallback, journal loss diagnostics, supervisor
- * retries) can be exercised deterministically in tests and CI
- * instead of waiting for a full disk in production.
+ * fork/pipe exhaustion — so every degradation path (cache
+ * read-only fallback, supervisor retries) can be exercised
+ * deterministically in tests and CI instead of waiting for a full
+ * disk in production.
  *
  * A FaultPlan-style spec selects what to inject:
  *
@@ -19,7 +19,7 @@
  * items; `seed=<n>` seeds the decision stream, every other item is
  * `<op>:<fault>@<trigger>`:
  *
- *   op      open read write flush close rename pipe fork poll
+ *   op      open read write close rename pipe fork poll
  *           — each names the blessed wrapper family it fires
  *           in (FILE* helpers below, retry wrappers in
  *           sim/retry_io.hh), not one libc symbol.
@@ -66,8 +66,7 @@ enum class Op : unsigned
 {
     kOpen,    // xfopen / xopen
     kRead,    // retryRead, xfread
-    kWrite,   // retryWrite, xfwrite, xfputc
-    kFlush,   // xfflush
+    kWrite,   // retryWrite, xfwrite
     kClose,   // xfclose
     kRename,  // xrename
     kPipe,    // retryPipe2
@@ -148,11 +147,11 @@ std::uint64_t droppedLogLines();
 std::string errnoName(int err);
 
 // ----------------------------------------------------------------
-// Blessed FILE*/path helpers for the persistence layers (run
-// cache, journals, cost DB). Byte-compatible with the libc calls
-// when injection is disabled; under injection they fail with the
-// injected errno — or genuinely truncate, for `short` — without
-// leaking the resources they manage.
+// Blessed FILE*/path helpers for the persistence layer (the run
+// cache). Byte-compatible with the libc calls when injection is
+// disabled; under injection they fail with the injected errno — or
+// genuinely truncate, for `short` — without leaking the resources
+// they manage.
 // ----------------------------------------------------------------
 
 /** fopen(3); injected kOpen faults return nullptr with errno set. */
@@ -169,14 +168,6 @@ std::size_t xfread(void *p, std::size_t size, std::size_t n,
  *  faults write nothing and return 0 with errno set. */
 std::size_t xfwrite(const void *p, std::size_t size, std::size_t n,
                     std::FILE *f);
-
-/** fputc(3); shares kWrite (a journal record's newline byte). */
-int xfputc(int c, std::FILE *f);
-
-/** fflush(3); injected kFlush faults return EOF with errno set
- *  (the data may or may not have reached the kernel — exactly the
- *  ambiguity real flush failures carry). */
-int xfflush(std::FILE *f);
 
 /**
  * fclose(3). ALWAYS really closes the stream — leaking the fd

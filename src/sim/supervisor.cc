@@ -253,8 +253,6 @@ runSupervised(const std::vector<SupervisorTask> &tasks,
 
     auto spawn = [&](std::size_t pos, unsigned attempt) {
         const SupervisorTask &task = tasks[pos];
-        if (cb.onStart)
-            cb.onStart(task.index, attempt);
         int fds[2];
         if (sim::retryPipe2(fds, O_CLOEXEC) != 0) {
             // Resource exhaustion (EMFILE/ENFILE) is a *point*
@@ -304,9 +302,9 @@ runSupervised(const std::vector<SupervisorTask> &tasks,
     // Graceful interruption (SIGINT/SIGTERM with the CLI's
     // handlers installed), in two stages. First signal: stop
     // dispatching and fail every queued point with the distinct
-    // cause "interrupted" (final, so the journal and failure
-    // table name what was cut), but let in-flight workers finish
-    // — their results are journaled and save --resume work.
+    // cause "interrupted" (final, so the failure table names
+    // what was cut), but let in-flight workers finish — their
+    // results reach the run cache, so a rerun skips them.
     // Second signal: the user is done waiting (a hung point would
     // otherwise pin the drain forever without --timeout-ms), so
     // SIGKILL in-flight workers too; they classify as
@@ -421,7 +419,7 @@ runSupervised(const std::vector<SupervisorTask> &tasks,
                        static_cast<std::ptrdiff_t>(i));
             if (result.ok) {
                 if (cb.onSuccess)
-                    cb.onSuccess(tasks[pos].index, attempt,
+                    cb.onSuccess(tasks[pos].index,
                                  std::move(result.slots),
                                  std::move(result.violations));
             } else {

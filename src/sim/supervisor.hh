@@ -38,13 +38,13 @@
  * CLI installs it — a SIGINT/SIGTERM stops the supervisor from
  * dispatching further points. In-flight workers are still reaped
  * and their results honoured; every not-yet-started point fails
- * with the distinct cause "interrupted" (journaled + reported in
- * the failure table like any other cause), and retries of
- * already-failed points are refused. A second signal escalates:
+ * with the distinct cause "interrupted" (reported in the failure
+ * table like any other cause), and retries of already-failed
+ * points are refused. A second signal escalates:
  * in-flight workers are SIGKILLed and classify as "interrupted"
  * too — so a hung point cannot pin the wind-down forever even
- * without a watchdog. The parent never dies mid-write: journal
- * lines stay whole and the failure table still prints.
+ * without a watchdog. The parent never dies mid-write: run-cache
+ * stores stay whole and the failure table still prints.
  */
 
 #ifndef CXLSIM_SIM_SUPERVISOR_HH
@@ -122,9 +122,8 @@ struct SupervisorReport
  *  thread, in completion order). */
 struct SupervisorCallbacks
 {
-    std::function<void(std::size_t index, unsigned attempt)> onStart;
     /** Slots arrive decoded; violations only when checkInvariants. */
-    std::function<void(std::size_t index, unsigned attempt,
+    std::function<void(std::size_t index,
                        std::vector<std::string> slots,
                        std::vector<sim::InvariantViolation>
                            violations)>

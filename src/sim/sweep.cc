@@ -2,18 +2,15 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <map>
 #include <mutex>
 #include <utility>
 
-#include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/run_cache.hh"
 #include "sim/supervisor.hh"
-#include "stats/rows.hh"
 
 namespace cxlsim::sweep {
 
@@ -34,7 +31,7 @@ namespace cxlsim::sweep {
 class Sweep::ProgressMeter
 {
   public:
-    /** @p done points are already resolved (cache or journal). */
+    /** @p done points are already resolved from the cache. */
     ProgressMeter(std::size_t total, std::size_t done)
         : total_(total), done_(done), start_(Clock::now()),
           last_(start_)
@@ -157,24 +154,42 @@ parseHexDoubles(std::string_view s)
 // Options
 // -----------------------------------------------------------------
 
+namespace {
+
+/**
+ * Apply on/off environment switch @p var to @p flag when set.
+ * Only 0|off|1|on are accepted: a value like "false" or "no" is a
+ * ConfigError, never silently read as "on".
+ */
+void
+envSwitch(const char *var, bool *flag)
+{
+    const char *v = std::getenv(var);
+    if (!v)
+        return;
+    const std::string_view s = v;
+    if (s == "0" || s == "off")
+        *flag = false;
+    else if (s == "1" || s == "on")
+        *flag = true;
+    else
+        throw ConfigError(std::string(var) +
+                          " must be 0|off|1|on, got '" + v + "'");
+}
+
+}  // namespace
+
 Options
 optionsFromEnv()
 {
     Options o;
     if (const char *jobs = std::getenv("MELODY_SWEEP_JOBS"))
         o.jobs = parseUnsigned(jobs, "MELODY_SWEEP_JOBS");
-    if (const char *cache = std::getenv("MELODY_SWEEP_CACHE"))
-        o.cache = !(std::strcmp(cache, "0") == 0 ||
-                    std::strcmp(cache, "off") == 0);
+    envSwitch("MELODY_SWEEP_CACHE", &o.cache);
     if (const char *dir = std::getenv("MELODY_SWEEP_CACHE_DIR"))
         o.cacheDir = dir;
-    if (const char *iso = std::getenv("MELODY_SWEEP_ISOLATE"))
-        o.isolate = !(std::strcmp(iso, "0") == 0 ||
-                      std::strcmp(iso, "off") == 0);
-    if (const char *inv =
-            std::getenv("MELODY_SWEEP_CHECK_INVARIANTS"))
-        o.checkInvariants = !(std::strcmp(inv, "0") == 0 ||
-                              std::strcmp(inv, "off") == 0);
+    envSwitch("MELODY_SWEEP_ISOLATE", &o.isolate);
+    envSwitch("MELODY_SWEEP_CHECK_INVARIANTS", &o.checkInvariants);
     return o;
 }
 
@@ -197,7 +212,6 @@ struct Sweep::Point
     std::size_t nSlots;
     PointFn fn;
     std::vector<std::string> slots;
-    bool fromCache = false;
     // Isolated-mode permanent failure (attempt budget exhausted):
     // the point renders a deterministic placeholder instead.
     bool failed = false;
@@ -212,7 +226,7 @@ struct Sweep::Gather
 };
 
 Sweep::Sweep(std::string name, Options opts)
-    : name_(std::move(name)), scope_(name_), opts_(std::move(opts))
+    : scope_(std::move(name)), opts_(std::move(opts))
 {
     if (opts_.cache)
         cache_ = std::make_unique<RunCache>(
@@ -318,50 +332,16 @@ Sweep::compute(Report *report)
     ran_ = true;
     report->points = points_.size();
 
-    const std::string salt =
-        opts_.salt.empty() ? kSweepSalt : opts_.salt;
-    // Journal records are addressed exactly like run-cache entries,
-    // so a salt bump orphans both at once.
-    const auto hashOf = [&](const std::string &key) {
-        return stats::hex64(
-            stats::fnv1a64(key, stats::fnv1a64(salt)));
-    };
-    const bool isolate = opts_.isolate || opts_.resume;
-
-    // Phase 0: load journaled completions (resume mode). A salt or
-    // format mismatch is a user-facing configuration error.
-    std::map<std::string, std::vector<std::string>> journaled;
-    if (opts_.resume) {
-        if (opts_.journalPath.empty())
-            throw ConfigError(
-                "sweep resume requires a journal path");
-        std::string err;
-        if (!Journal::load(opts_.journalPath, salt, &journaled,
-                           &err))
-            throw ConfigError(err);
-    }
-
-    // Phase 1: satisfy points from the journal, then the cache,
-    // serially (cheap file reads); survivors go to the simulator.
+    // Phase 1: satisfy points from the cache, serially (cheap file
+    // reads); the misses go to the simulator. This is also how an
+    // interrupted or crashed isolated run resumes: rerunning the
+    // same command finds every point it finished already stored.
     std::vector<std::size_t> pending;
     pending.reserve(points_.size());
     for (std::size_t i = 0; i < points_.size(); ++i) {
         Point &p = points_[i];
-        if (opts_.resume) {
-            const auto it = journaled.find(hashOf(p.key));
-            if (it != journaled.end() &&
-                it->second.size() == p.nSlots) {
-                p.slots = it->second;
-                p.fromCache = true;
-                ++report->resumedPoints;
-                continue;
-            }
-        }
-        if (cache_ && cache_->lookup(p.key, p.nSlots, &p.slots)) {
-            p.fromCache = true;
-            continue;
-        }
-        pending.push_back(i);
+        if (!cache_ || !cache_->lookup(p.key, p.nSlots, &p.slots))
+            pending.push_back(i);
     }
 
     std::unique_ptr<ProgressMeter> progress;
@@ -371,9 +351,8 @@ Sweep::compute(Report *report)
 
     // Phase 2: compute the misses — supervised subprocesses under
     // isolation, otherwise the in-process worker pool.
-    if (isolate)
-        computeIsolated(pending, salt, hashOf, progress.get(),
-                        report);
+    if (opts_.isolate)
+        computeIsolated(pending, progress.get(), report);
     else
         computeInProcess(pending, progress.get(), report);
     if (progress)
@@ -383,7 +362,7 @@ Sweep::compute(Report *report)
     // stored the moment each worker reported back, so a later
     // crash cannot lose them).
     if (cache_) {
-        if (!isolate)
+        if (!opts_.isolate)
             for (const std::size_t idx : pending)
                 cache_->store(points_[idx].key,
                               points_[idx].slots);
@@ -436,25 +415,14 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
 }
 
 void
-Sweep::computeIsolated(
-    const std::vector<std::size_t> &pending,
-    const std::string &salt,
-    const std::function<std::string(const std::string &)> &hashOf,
-    ProgressMeter *progress, Report *report)
+Sweep::computeIsolated(const std::vector<std::size_t> &pending,
+                       ProgressMeter *progress, Report *report)
 {
-    Journal journal;
-    if (!opts_.journalPath.empty()) {
-        journal.open(opts_.journalPath, opts_.resume);
-        journal.begin(name_, salt, opts_.resume);
-    }
     std::vector<SupervisorTask> tasks;
     tasks.reserve(pending.size());
-    for (const std::size_t idx : pending) {
-        journal.queued(hashOf(points_[idx].key), idx,
-                       points_[idx].key);
+    for (const std::size_t idx : pending)
         tasks.push_back({idx, points_[idx].key,
                          points_[idx].nSlots, &points_[idx].fn});
-    }
 
     SupervisorConfig cfg;
     cfg.jobs = opts_.jobs;
@@ -469,10 +437,7 @@ Sweep::computeIsolated(
         diags;
 
     SupervisorCallbacks cb;
-    cb.onStart = [&](std::size_t idx, unsigned attempt) {
-        journal.started(hashOf(points_[idx].key), attempt);
-    };
-    cb.onSuccess = [&](std::size_t idx, unsigned attempt,
+    cb.onSuccess = [&](std::size_t idx,
                        std::vector<std::string> slots,
                        std::vector<sim::InvariantViolation>
                            violations) {
@@ -480,7 +445,6 @@ Sweep::computeIsolated(
         p.slots = std::move(slots);
         if (cache_)
             cache_->store(p.key, p.slots);
-        journal.finished(hashOf(p.key), attempt, p.slots);
         if (!violations.empty())
             diags[idx] = std::move(violations);
         if (progress)
@@ -488,8 +452,6 @@ Sweep::computeIsolated(
     };
     cb.onFailure = [&](std::size_t idx, unsigned attempt,
                        const std::string &cause, bool final) {
-        journal.failed(hashOf(points_[idx].key), attempt, cause,
-                       final);
         if (final) {
             Point &p = points_[idx];
             p.failed = true;
@@ -502,7 +464,6 @@ Sweep::computeIsolated(
 
     const SupervisorReport srep = runSupervised(tasks, cfg, cb);
     report->retries = srep.retries;
-    report->journalError = journal.failure();
     for (const auto &f : srep.failures)
         report->failures.push_back({f.index,
                                     points_[f.index].key,

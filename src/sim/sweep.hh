@@ -126,17 +126,10 @@ struct Options
      * render and failures are reported in Report::failures.
      */
     bool isolate = false;
-    /**
-     * Skip points already journaled complete (implies isolate;
-     * requires journalPath). See src/sim/journal.hh.
-     */
-    bool resume = false;
     /** Attempts per point under isolation, >= 1 (1 = no retry). */
     unsigned maxAttempts = 2;
     /** Per-attempt wall-clock watchdog in ms; 0 disables it. */
     unsigned timeoutMs = 0;
-    /** Journal path for isolated runs; empty disables journaling. */
-    std::string journalPath;
     /**
      * Install the runtime invariant checker (sim::Invariants)
      * around every point. Default-on in Debug builds.
@@ -151,11 +144,13 @@ struct Options
 };
 
 /**
- * Options with MELODY_SWEEP_JOBS / MELODY_SWEEP_CACHE (0|1) /
- * MELODY_SWEEP_CACHE_DIR / MELODY_SWEEP_ISOLATE (0|1) /
- * MELODY_SWEEP_CHECK_INVARIANTS (0|1) applied over the defaults —
- * how the standalone bench binaries pick up configuration without
- * flags. A malformed MELODY_SWEEP_JOBS throws ConfigError.
+ * Options with MELODY_SWEEP_JOBS / MELODY_SWEEP_CACHE /
+ * MELODY_SWEEP_CACHE_DIR / MELODY_SWEEP_ISOLATE /
+ * MELODY_SWEEP_CHECK_INVARIANTS applied over the defaults — how
+ * the standalone bench binaries pick up configuration without
+ * flags. The three switches accept exactly 0|off|1|on; any other
+ * switch value, or a malformed MELODY_SWEEP_JOBS, throws
+ * ConfigError naming the variable.
  */
 Options optionsFromEnv();
 
@@ -202,8 +197,6 @@ class Sweep
         std::size_t cacheHits = 0;
         std::size_t cacheStores = 0;
         std::size_t corruptEntries = 0;
-        /** Points skipped via the journal (resume mode). */
-        std::size_t resumedPoints = 0;
         /** Isolated attempts beyond each point's first. */
         std::uint64_t retries = 0;
         /** Points that failed permanently, by point index. */
@@ -214,16 +207,10 @@ class Sweep
          *  store failure). Results stay correct — they are just
          *  recomputed next time. */
         bool cacheDegraded = false;
-        /** Journaling was lost ("open-failed: ..." /
-         *  "write-failed: ..."); empty while healthy. A lost
-         *  journal only costs --resume coverage, never results, so
-         *  it is a diagnostic, not a failure. */
-        std::string journalError;
 
         /** No failed points and no invariant violations.
-         *  (Degradation diagnostics — cacheDegraded, journalError —
-         *  deliberately do not flip this: outputs are still
-         *  complete and correct.) */
+         *  (cacheDegraded deliberately does not flip this: outputs
+         *  are still complete and correct.) */
         bool
         clean() const
         {
@@ -294,15 +281,10 @@ class Sweep
     void compute(Report *report);
     void computeInProcess(const std::vector<std::size_t> &pending,
                           ProgressMeter *progress, Report *report);
-    void computeIsolated(
-        const std::vector<std::size_t> &pending,
-        const std::string &salt,
-        const std::function<std::string(const std::string &)>
-            &hashOf,
-        ProgressMeter *progress, Report *report);
+    void computeIsolated(const std::vector<std::size_t> &pending,
+                         ProgressMeter *progress, Report *report);
     void render(std::FILE *out, std::string *str);
 
-    std::string name_;
     std::string scope_;
     Options opts_;
     std::unique_ptr<RunCache> cache_;

@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/io_fault.hh"
-#include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/retry_io.hh"
 #include "sim/run_cache.hh"
@@ -111,6 +110,12 @@ TEST_F(IoFaultTest, ParserRejectsMalformedSpecs)
     EXPECT_THROW(iof::install("write:enospc@#x"), ConfigError);
     EXPECT_THROW(iof::install("seed=abc write:enospc@0.5"),
                  ConfigError);
+    // Counts are unsigned decimals: strtoull would wrap "-1" to
+    // 2^64-1 (a trigger that never fires, a silently huge seed).
+    EXPECT_THROW(iof::install("write:enospc@#-1"), ConfigError);
+    EXPECT_THROW(iof::install("write:enospc@#-1+"), ConfigError);
+    EXPECT_THROW(iof::install("seed=-3 write:enospc@0.5"),
+                 ConfigError);
     // `short` only truncates transfers.
     EXPECT_THROW(iof::install("open:short@0.5"), ConfigError);
     // A hard poll error would panic the event loops by design.
@@ -159,8 +164,8 @@ PrintTo(const OpCase &c, std::ostream *os)
 
 constexpr iof::Op kAllOps[] = {
     iof::Op::kOpen,  iof::Op::kRead,   iof::Op::kWrite,
-    iof::Op::kFlush, iof::Op::kClose,  iof::Op::kRename,
-    iof::Op::kPipe,  iof::Op::kFork,   iof::Op::kPoll,
+    iof::Op::kClose, iof::Op::kRename, iof::Op::kPipe,
+    iof::Op::kFork,  iof::Op::kPoll,
 };
 static_assert(sizeof(kAllOps) / sizeof(kAllOps[0]) ==
               static_cast<unsigned>(iof::Op::kOpCount));
@@ -195,7 +200,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(OpCase{"open", iof::Op::kOpen},
                       OpCase{"read", iof::Op::kRead},
                       OpCase{"write", iof::Op::kWrite},
-                      OpCase{"flush", iof::Op::kFlush},
                       OpCase{"close", iof::Op::kClose},
                       OpCase{"rename", iof::Op::kRename},
                       OpCase{"pipe", iof::Op::kPipe},
@@ -486,84 +490,68 @@ TEST_F(IoFaultTest, RunCacheShortReadIsACleanRecomputableMiss)
     EXPECT_EQ(got, rows);
 }
 
-// ---------------------------------------------------------------
-// Journal write failure + resume from the surviving prefix.
-// ---------------------------------------------------------------
-
-TEST_F(IoFaultTest, JournalOpenFailureIsAStructuredDiagnostic)
-{
-    iof::install("open:emfile@#1");
-    sweep::Journal j;
-    j.open(path("j.jsonl"), /*keep=*/false);
-    EXPECT_FALSE(j.active());
-    EXPECT_EQ(j.failure(), "open-failed: " + path("j.jsonl"));
-}
-
-TEST_F(IoFaultTest, JournalWriteFailureDisablesAndReports)
-{
-    sweep::Journal j;
-    j.open(path("j.jsonl"), /*keep=*/false);
-    ASSERT_TRUE(j.active());
-    j.begin("t", "salt1", false);
-    EXPECT_TRUE(j.failure().empty());
-    iof::install("flush:eio@#1+");
-    j.started("aaaa", 1);
-    EXPECT_FALSE(j.active());
-    EXPECT_EQ(j.failure(), "write-failed: " + path("j.jsonl"));
-    // Further appends are silent no-ops, not crashes.
-    j.started("bbbb", 1);
-}
-
-/** Build the 3-point sweep used by the resume tests. */
+/**
+ * Build the 3-point sweep used by the sweep-level tests. With
+ * @p runnable >= 0, every other point segfaults if executed, which
+ * proves a rerun took it from the run cache.
+ */
 void
-buildPoints(sweep::Sweep *s)
+buildPoints(sweep::Sweep *s, int runnable = -1)
 {
     for (int i = 0; i < 3; ++i) {
         const std::string key = "p" + std::to_string(i);
-        s->point(key, [key](sweep::Emit &e) {
+        s->point(key, [key, trap = runnable >= 0 && i != runnable](
+                          sweep::Emit &e) {
+            if (trap) {
+                volatile int *p = nullptr;
+                *p = 1;
+            }
             e.printf("%s-out\n", key.c_str());
         });
     }
 }
 
-TEST_F(IoFaultTest, ResumeCompletesFromSurvivingJournalPrefix)
+// ---------------------------------------------------------------
+// A dropped run-cache store costs the rerun exactly that point.
+// ---------------------------------------------------------------
+
+TEST_F(IoFaultTest, RerunRecomputesOnlyTheDroppedStore)
 {
     sweep::Options opts;
     opts.jobs = 1;
-    opts.cache = false;
     opts.isolate = true;
     opts.maxAttempts = 1;
-    opts.journalPath = path("j.jsonl");
+    opts.cacheDir = dir_.string();
     opts.salt = "iofault-test-salt";
 
-    // Run 1: the journal's fflush dies mid-run — after point p0's
-    // `finished` record (line 6: header, 3×queued, started p0,
-    // finished p0) but before p1's. Worker pipe I/O rides kWrite,
-    // not kFlush, so only the journal is hit.
+    // Run 1: isolated stores happen in the parent as each worker
+    // reports back, in point order at --jobs 1, so the second
+    // rename is p1's. One failed store does not degrade the cache.
     std::string out1;
     {
-        sweep::Sweep s("iofault-resume", opts);
+        sweep::Sweep s("iofault-rerun", opts);
         buildPoints(&s);
-        iof::install("flush:eio@#7");
+        iof::install("rename:eio@#2");
         sweep::Sweep::Report rep;
         out1 = s.renderToString(&rep);
+        EXPECT_EQ(iof::injectedCount(), 1u);
         iof::reset();
         EXPECT_TRUE(rep.clean());  // outputs complete regardless
-        EXPECT_EQ(rep.journalError,
-                  "write-failed: " + opts.journalPath);
+        EXPECT_EQ(rep.cacheStores, 2u);
+        EXPECT_FALSE(rep.cacheDegraded);
     }
     EXPECT_EQ(out1, "p0-out\np1-out\np2-out\n");
+    EXPECT_EQ(countFiles(".tmp"), 0u);
 
-    // Run 2: --resume completes from the surviving prefix — p0
-    // replays from the journal, p1/p2 recompute, bytes identical.
-    opts.resume = true;
-    sweep::Sweep s("iofault-resume", opts);
-    buildPoints(&s);
+    // Run 2: p0 and p2 segfault if executed, so a clean report
+    // proves the rerun computed only p1, with identical bytes.
+    sweep::Sweep s("iofault-rerun", opts);
+    buildPoints(&s, /*runnable=*/1);
     sweep::Sweep::Report rep;
     const std::string out2 = s.renderToString(&rep);
     EXPECT_TRUE(rep.clean());
-    EXPECT_TRUE(rep.journalError.empty());
-    EXPECT_EQ(rep.resumedPoints, 1u);
+    EXPECT_EQ(rep.cacheHits, 2u);
+    EXPECT_EQ(rep.cacheStores, 1u);
     EXPECT_EQ(out2, out1);
 }
 

@@ -241,7 +241,6 @@ INSTANTIATE_TEST_SUITE_P(
                     ScopeCase{"bench/perf_microbench.cc", true},
                     ScopeCase{"src/sim/sweep.cc", true},
                     ScopeCase{"src/sim/parallel.cc", false},
-                    ScopeCase{"src/sim/journal.cc", false},
                     ScopeCase{"src/sim/interrupt.cc", false},
                     ScopeCase{"src/cpu/multicore.cc", false}),
     scopeCaseName);
@@ -261,7 +260,6 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(ScopeCase{"src/sim/supervisor.cc", true},
                     ScopeCase{"src/sim/io_fault.cc", true},
                     ScopeCase{"src/sim/sweep.cc", false},
-                    ScopeCase{"src/sim/journal.cc", false},
                     ScopeCase{"src/sim/run_cache.cc", false},
                     ScopeCase{"src/sim/parallel.cc", false}),
     scopeCaseName);

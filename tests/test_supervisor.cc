@@ -4,9 +4,9 @@
  * output vs the in-process engine for any job count, structured
  * failure causes for every crash class (SIGSEGV, SIGABRT, thrown
  * exception, premature exit, watchdog hang), retry accounting,
- * journal round trips, resumable runs that skip journaled-complete
- * points, runtime invariant plumbing, and the cache
- * stats/clear maintenance entry points.
+ * reruns that take every point a crashed or interrupted run
+ * finished from the run cache, runtime invariant plumbing, and the
+ * cache stats/clear maintenance entry points.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <map>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,7 +30,6 @@
 #include "bench/figures.hh"
 #include "sim/interrupt.hh"
 #include "sim/invariants.hh"
-#include "sim/journal.hh"
 #include "sim/logging.hh"
 #include "sim/run_cache.hh"
 #include "sim/sweep.hh"
@@ -47,16 +45,6 @@ freshDir(const char *leaf)
     const fs::path d = fs::path(testing::TempDir()) / leaf;
     fs::remove_all(d);
     return d.string();
-}
-
-std::string
-freshJournal(const char *leaf)
-{
-    namespace fs = std::filesystem;
-    const fs::path p =
-        fs::path(testing::TempDir()) / (std::string(leaf) + ".jsonl");
-    fs::remove(p);
-    return p.string();
 }
 
 sweep::Options
@@ -76,7 +64,7 @@ enum class Victim { kOk, kSegv, kAbort, kThrow, kExit, kHang };
  * Synthetic sweep with two healthy points on either side of one
  * configurable victim, plus a gather over the victim's slot. If
  * @p trapSurvivors, the healthy points segfault too — used by the
- * resume tests to prove journaled points are never re-executed.
+ * rerun tests to prove cached points are never re-executed.
  */
 void
 buildVictimSweep(sweep::Sweep &s, Victim mode,
@@ -90,7 +78,7 @@ buildVictimSweep(sweep::Sweep &s, Victim mode,
                 [k, trapSurvivors](sweep::Emit &e) {
                     if (trapSurvivors) {
                         volatile int *p = nullptr;
-                        *p = 1;  // must never run under --resume
+                        *p = 1;  // must never run on a rerun
                     }
                     e.printf("pre %d = %d\n", k, k * k);
                 });
@@ -154,14 +142,6 @@ renderVictim(const sweep::Options &opts, Victim mode,
     sweep::Sweep s("test-supervisor", opts);
     buildVictimSweep(s, mode, trapSurvivors, marker);
     return s.renderToString(rep);
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream f(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(f),
-                       std::istreambuf_iterator<char>());
 }
 
 }  // namespace
@@ -439,149 +419,103 @@ TEST(Supervisor, SecondInterruptKillsInFlightWorkers)
 }
 
 // ---------------------------------------------------------------
-// Journal: lifecycle records, load(), resume, salt guard.
+// Resuming is rerunning: an isolated run stores each point in the
+// run cache as its worker reports back, so rerunning the same
+// sweep recomputes only what the crash or interrupt left out.
 // ---------------------------------------------------------------
 
-TEST(Journal, RecordsLifecycleAndLoadsBack)
+TEST(Supervisor, RerunServesSurvivorsFromCache)
 {
-    const std::string path = freshJournal("journal-lifecycle");
     sweep::Options o = isolated();
-    o.jobs = 2;
-    o.journalPath = path;
-    o.salt = "journal-test-salt";
-    sweep::Sweep::Report rep;
-    renderVictim(o, Victim::kSegv, &rep);
-    ASSERT_EQ(rep.failures.size(), 1u);
+    o.jobs = 4;
+    o.cache = true;
+    o.cacheDir = freshDir("rerun-survivors");
 
-    const std::string text = slurp(path);
-    EXPECT_NE(text.find("\"event\":\"sweep\""), std::string::npos);
-    EXPECT_NE(text.find("\"salt\":\"journal-test-salt\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"queued\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"started\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"finished\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"event\":\"failed\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"final\":true"), std::string::npos);
-
-    // load() surfaces the four completions, not the failure.
-    std::map<std::string, std::vector<std::string>> done;
-    std::string err;
-    ASSERT_TRUE(sweep::Journal::load(path, "journal-test-salt",
-                                     &done, &err))
-        << err;
-    EXPECT_EQ(done.size(), 4u);
-
-    // Older journals carry an "elapsed_us" field in each finished
-    // record; they must still resume. Re-append one completion in
-    // that shape under a new hash and expect it to load with the
-    // same slots.
-    const std::size_t at = text.find("{\"event\":\"finished\"");
-    ASSERT_NE(at, std::string::npos);
-    std::string legacy = text.substr(at, text.find('\n', at) - at);
-    const std::size_t hashAt = legacy.find("\"hash\":\"") + 8;
-    const std::string hash =
-        legacy.substr(hashAt, legacy.find('"', hashAt) - hashAt);
-    legacy.replace(hashAt, hash.size(), "legacy-elapsed");
-    legacy.insert(legacy.find("\"slots_hex\""),
-                  "\"elapsed_us\":48213,");
-    {
-        std::ofstream f(path, std::ios::binary | std::ios::app);
-        f << legacy << "\n";
-    }
-    done.clear();
-    ASSERT_TRUE(sweep::Journal::load(path, "journal-test-salt",
-                                     &done, &err))
-        << err;
-    EXPECT_EQ(done.size(), 5u);
-    ASSERT_EQ(done.count("legacy-elapsed"), 1u);
-    EXPECT_EQ(done["legacy-elapsed"], done[hash]);
-
-    // A different salt refuses the whole journal.
-    done.clear();
-    EXPECT_FALSE(
-        sweep::Journal::load(path, "other-salt", &done, &err));
-    EXPECT_NE(err.find("salt"), std::string::npos);
-}
-
-TEST(Journal, LoadIgnoresTornTrailingLine)
-{
-    const std::string path = freshJournal("journal-torn");
-    sweep::Options o = isolated();
-    o.jobs = 1;
-    o.journalPath = path;
-    o.salt = "torn-salt";
-    renderVictim(o, Victim::kOk);
-
-    // Simulate a crash mid-append: a partial JSON line with no
-    // trailing newline must be skipped, not fail the load.
-    {
-        std::ofstream f(path, std::ios::binary | std::ios::app);
-        f << "{\"event\":\"finished\",\"hash\":\"dead";
-    }
-    std::map<std::string, std::vector<std::string>> done;
-    std::string err;
-    ASSERT_TRUE(
-        sweep::Journal::load(path, "torn-salt", &done, &err))
-        << err;
-    EXPECT_EQ(done.size(), 5u);
-}
-
-TEST(Supervisor, ResumeSkipsJournaledPoints)
-{
-    const std::string path = freshJournal("journal-resume");
-
-    // Run 1: the victim segfaults; everything else completes and
-    // is journaled.
-    sweep::Options first = isolated();
-    first.jobs = 4;
-    first.journalPath = path;
+    // Run 1: the victim segfaults; the four survivors are stored.
     sweep::Sweep::Report rep1;
-    renderVictim(first, Victim::kSegv, &rep1);
+    renderVictim(o, Victim::kSegv, &rep1);
     ASSERT_EQ(rep1.failures.size(), 1u);
+    EXPECT_EQ(rep1.cacheStores, 4u);
 
-    // Run 2: --resume with every survivor booby-trapped to
-    // segfault if re-executed. A clean report proves the journal
+    // Run 2: the same options with every survivor booby-trapped to
+    // segfault if re-executed. A clean report proves the run cache
     // (not recomputation) supplied their bytes.
-    sweep::Options second = isolated();
-    second.jobs = 4;
-    second.resume = true;
-    second.journalPath = path;
     sweep::Sweep::Report rep2;
     const std::string out = renderVictim(
-        second, Victim::kOk, &rep2, /*trapSurvivors=*/true);
+        o, Victim::kOk, &rep2, /*trapSurvivors=*/true);
     EXPECT_TRUE(rep2.clean());
-    EXPECT_EQ(rep2.resumedPoints, 4u);
+    EXPECT_EQ(rep2.cacheHits, 4u);
+    EXPECT_EQ(rep2.cacheStores, 1u);
 
-    // The resumed output is byte-identical to a fully clean run.
-    sweep::Options clean = isolated();
-    EXPECT_EQ(out, renderVictim(clean, Victim::kOk));
+    // The rerun's output is byte-identical to a fully clean run.
+    EXPECT_EQ(out, renderVictim(isolated(), Victim::kOk));
 }
 
-TEST(Supervisor, ResumeWithoutJournalPathIsAConfigError)
+TEST(Supervisor, InterruptedRunRerunsOnlyWhatWasCut)
 {
+    // Four identical points; `before` runs in each point's worker
+    // ahead of its output, which depends only on the key.
+    const auto build = [](sweep::Sweep &s,
+                          const std::function<void(int)> &before) {
+        s.scope("interrupt-rerun");
+        for (int k = 0; k < 4; ++k)
+            s.point("p" + std::to_string(k),
+                    [k, before](sweep::Emit &e) {
+                        before(k);
+                        e.printf("point %d done\n", k);
+                    });
+    };
+
     sweep::Options o = isolated();
-    o.resume = true;
-    o.journalPath.clear();
-    EXPECT_THROW(renderVictim(o, Victim::kOk), ConfigError);
-}
+    o.jobs = 1;
+    o.cache = true;
+    o.cacheDir = freshDir("interrupt-rerun");
 
-TEST(Supervisor, ResumeRefusesSaltMismatch)
-{
-    const std::string path = freshJournal("journal-salt");
-    sweep::Options first = isolated();
-    first.journalPath = path;
-    first.salt = "salt-one";
-    renderVictim(first, Victim::kOk);
+    // Run 1: whichever point runs first interrupts the parent and
+    // finishes; the three queued points are cut.
+    sim::installInterruptHandlers();
+    sweep::Sweep::Report rep1;
+    {
+        sweep::Sweep s("test-interrupt-rerun", o);
+        build(s, [](int) {
+            ::kill(::getppid(), SIGINT);
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(300));
+        });
+        s.renderToString(&rep1);
+    }
+    EXPECT_TRUE(sim::interruptRequested());
+    sim::resetInterruptHandlers();
+    ASSERT_EQ(rep1.failures.size(), 3u);
+    EXPECT_EQ(rep1.cacheStores, 1u);
 
-    sweep::Options second = isolated();
-    second.resume = true;
-    second.journalPath = path;
-    second.salt = "salt-two";
-    EXPECT_THROW(renderVictim(second, Victim::kOk), ConfigError);
+    // Run 2: the point run 1 finished segfaults if re-executed, so
+    // a clean report proves only the cut points were computed.
+    std::vector<bool> finished(4, true);
+    for (const auto &f : rep1.failures)
+        finished[f.point] = false;
+    sweep::Sweep::Report rep2;
+    std::string out;
+    {
+        sweep::Sweep s("test-interrupt-rerun", o);
+        build(s, [finished](int k) {
+            if (finished[static_cast<std::size_t>(k)]) {
+                volatile int *p = nullptr;
+                *p = 1;
+            }
+        });
+        out = s.renderToString(&rep2);
+    }
+    EXPECT_TRUE(rep2.clean());
+    EXPECT_EQ(rep2.cacheHits, 1u);
+    EXPECT_EQ(rep2.cacheStores, 3u);
+
+    sweep::Options ref;
+    ref.cache = false;
+    ref.checkInvariants = false;
+    sweep::Sweep s("test-interrupt-rerun", ref);
+    build(s, [](int) {});
+    EXPECT_EQ(out, s.renderToString());
 }
 
 // ---------------------------------------------------------------
@@ -817,6 +751,30 @@ TEST(SweepEnv, IsolateAndInvariantSwitchesParse)
 
     unsetenv("MELODY_SWEEP_ISOLATE");
     unsetenv("MELODY_SWEEP_CHECK_INVARIANTS");
+
+    // Each switch takes exactly 0|off|1|on. Anything else names
+    // the variable in a ConfigError instead of reading as "on".
+    for (const char *var :
+         {"MELODY_SWEEP_ISOLATE", "MELODY_SWEEP_CACHE",
+          "MELODY_SWEEP_CHECK_INVARIANTS"}) {
+        setenv(var, "on", 1);
+        EXPECT_NO_THROW(sweep::optionsFromEnv()) << var;
+        for (const char *bad : {"false", "no", "", "2"}) {
+            setenv(var, bad, 1);
+            try {
+                sweep::optionsFromEnv();
+                ADD_FAILURE() << var << "='" << bad << "' accepted";
+            } catch (const ConfigError &e) {
+                EXPECT_NE(std::string(e.what()).find(var),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        unsetenv(var);
+    }
+    setenv("MELODY_SWEEP_CACHE", "off", 1);
+    EXPECT_FALSE(sweep::optionsFromEnv().cache);
+    unsetenv("MELODY_SWEEP_CACHE");
 
     setenv("MELODY_SWEEP_JOBS", "4294967295", 1);
     EXPECT_EQ(sweep::optionsFromEnv().jobs, 4294967295u);

@@ -10,8 +10,8 @@
  *   melody sweep [opts] <fig...>|all    figure suite via the sweep
  *                                       engine (parallel + cached);
  *                                       --isolate forks crash-
- *                                       isolated workers, --resume
- *                                       continues a killed run
+ *                                       isolated workers; rerun to
+ *                                       continue a killed run
  *   melody cache stats|clear            inspect/purge the run cache
  *   melody period <wl> <mem> [N]        period-based breakdown
  *   melody advise <wl> <mem>            §5.7 tiering advice
@@ -66,8 +66,7 @@ usage()
         "  melody slowdown <workload> <server> <memory>\n"
         "  melody sweep <workload>\n"
         "  melody sweep [--jobs N] [--no-cache] [--cache-dir D]\n"
-        "               [--isolate] [--resume] [--retries N]\n"
-        "               [--timeout-ms N] [--journal F]\n"
+        "               [--isolate] [--retries N] [--timeout-ms N]\n"
         "               [--check-invariants] [--progress]\n"
         "               <figure...>|all\n"
         "  melody sweep --list\n"
@@ -220,8 +219,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
             opts.cacheDir = args[++i];
         } else if (a == "--isolate") {
             opts.isolate = true;
-        } else if (a == "--resume") {
-            opts.resume = true;
         } else if (a == "--retries") {
             if (i + 1 == args.size())
                 throw ConfigError("--retries needs a value");
@@ -234,10 +231,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
                 throw ConfigError("--timeout-ms needs a value");
             opts.timeoutMs = parseUnsigned(args[++i].c_str(),
                                            "--timeout-ms");
-        } else if (a == "--journal") {
-            if (i + 1 == args.size())
-                throw ConfigError("--journal needs a value");
-            opts.journalPath = args[++i];
         } else if (a == "--check-invariants") {
             opts.checkInvariants = true;
         } else if (a == "--progress") {
@@ -258,16 +251,12 @@ cmdSweepFigures(const std::vector<std::string> &args)
     if (picked.empty())
         throw ConfigError("no figures selected "
                           "(melody sweep --list)");
-    // Isolated (and therefore resumable) runs journal by default
-    // so a killed run can always be picked back up.
-    if ((opts.isolate || opts.resume) && opts.journalPath.empty())
-        opts.journalPath = "results/sweep-journal.jsonl";
-
     // Graceful ^C/SIGTERM for crash-isolated runs: the supervisor
-    // stops dispatching, reaps in-flight workers, journals every
-    // unstarted point as "interrupted" and still prints the
-    // failure table (src/sim/interrupt.hh).
-    if (opts.isolate || opts.resume)
+    // stops dispatching, reaps in-flight workers (their results
+    // reach the run cache), fails every unstarted point as
+    // "interrupted" and still prints the failure table
+    // (src/sim/interrupt.hh).
+    if (opts.isolate)
         sim::installInterruptHandlers();
 
     // One engine run for the whole selection; each figure keeps its
@@ -284,26 +273,17 @@ cmdSweepFigures(const std::vector<std::string> &args)
                  "%zu cache hit(s), %zu store(s), %zu corrupt\n",
                  picked.size(), rep.points, rep.cacheHits,
                  rep.cacheStores, rep.corruptEntries);
-    if (rep.resumedPoints || rep.retries)
-        std::fprintf(
-            stderr,
-            "melody sweep: %zu point(s) resumed from journal, "
-            "%llu retry(ies)\n",
-            rep.resumedPoints,
-            static_cast<unsigned long long>(rep.retries));
-    // Degradation diagnostics: outputs above are complete and
+    if (rep.retries)
+        std::fprintf(stderr, "melody sweep: %llu retry(ies)\n",
+                     static_cast<unsigned long long>(rep.retries));
+    // Degradation diagnostic: outputs above are complete and
     // correct (hence exit code untouched), but the operator should
-    // know persistence went read-only or the audit trail stopped.
+    // know persistence went read-only.
     if (rep.cacheDegraded)
         std::fprintf(stderr,
                      "melody sweep: run cache DEGRADED to "
                      "read-only (persistent store failure); "
                      "results recompute next run\n");
-    if (!rep.journalError.empty())
-        std::fprintf(stderr,
-                     "melody sweep: journal lost (%s); --resume "
-                     "covers only the surviving prefix\n",
-                     rep.journalError.c_str());
     // Degraded-run reporting: surviving figures already rendered
     // above; summarize what was lost and exit nonzero so scripts
     // notice.
@@ -348,9 +328,12 @@ cmdSweepFigures(const std::vector<std::string> &args)
                              sim::iofault::droppedLogLines()));
     }
     if (sim::interruptRequested()) {
-        std::fprintf(stderr,
-                     "melody sweep: interrupted; completed points "
-                     "are journaled — rerun with --resume\n");
+        std::fprintf(stderr, "melody sweep: interrupted; %s\n",
+                     opts.cache && !rep.cacheDegraded
+                         ? "finished points are in the run cache — "
+                           "rerun the same command to continue"
+                         : "the run cache is off or read-only, so a "
+                           "rerun recomputes what it could not store");
         sim::resetInterruptHandlers();
     }
     return rep.clean() ? 0 : 1;
