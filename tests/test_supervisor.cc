@@ -451,6 +451,48 @@ TEST(Supervisor, RerunServesSurvivorsFromCache)
     EXPECT_EQ(out, renderVictim(isolated(), Victim::kOk));
 }
 
+TEST(Supervisor, ResumeRefusesSaltMismatch)
+{
+    sweep::Options first = isolated();
+    first.cache = true;
+    first.cacheDir = freshDir("rerun-salt");
+    first.salt = "salt-one";
+    sweep::Sweep::Report rep1;
+    renderVictim(first, Victim::kSegv, &rep1);
+    EXPECT_EQ(rep1.cacheStores, 4u);
+
+    // The run cache keys every point by the salt, so a rerun under
+    // another salt serves none of the first run's points.
+    sweep::Options second = first;
+    second.salt = "salt-two";
+    sweep::Sweep::Report rep2;
+    const std::string out = renderVictim(second, Victim::kOk, &rep2);
+    EXPECT_TRUE(rep2.clean());
+    EXPECT_EQ(rep2.cacheHits, 0u);
+    EXPECT_EQ(rep2.cacheStores, 5u);
+    EXPECT_EQ(out, renderVictim(isolated(), Victim::kOk));
+}
+
+TEST(Supervisor, NoCacheRerunRecomputesEveryPoint)
+{
+    // Without a run cache nothing survives a crash: the rerun
+    // recomputes all five points and only time is lost.
+    sweep::Options o = isolated();
+    sweep::Sweep::Report rep1;
+    renderVictim(o, Victim::kSegv, &rep1);
+    ASSERT_EQ(rep1.failures.size(), 1u);
+    EXPECT_EQ(rep1.cacheStores, 0u);
+
+    sweep::Sweep::Report rep2;
+    const std::string out = renderVictim(o, Victim::kOk, &rep2);
+    EXPECT_TRUE(rep2.clean());
+    EXPECT_EQ(rep2.cacheHits, 0u);
+    EXPECT_EQ(rep2.cacheStores, 0u);
+    sweep::Options inproc = o;
+    inproc.isolate = false;
+    EXPECT_EQ(out, renderVictim(inproc, Victim::kOk));
+}
+
 TEST(Supervisor, InterruptedRunRerunsOnlyWhatWasCut)
 {
     // Four identical points; `before` runs in each point's worker
