@@ -1,15 +1,20 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator itself:
- * event-queue throughput, cache lookups, DRAM channel accesses,
- * CXL device round trips, and end-to-end workload simulation rate.
+ * event-queue throughput, cache lookups, cache warm-up, demand
+ * loads with prefetchers, DRAM channel accesses, CXL device round
+ * trips, and end-to-end workload simulation rate.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cpu/cache.hh"
+#include "cpu/hierarchy.hh"
 #include "cpu/multicore.hh"
 #include "core/platform.hh"
 #include "cxl/device.hh"
@@ -57,6 +62,68 @@ BM_CacheLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheLookup);
+
+static void
+BM_Preload(benchmark::State &state)
+{
+    // Warm-up of a fit-sized 8-thread workload on EMR2S: every 8 MB
+    // partition fits the per-core budget, so each core preloads its
+    // whole partition into its L2 and the shared L3.
+    auto w = workloads::byName("605.mcf_s");
+    w.threads = 8;
+    w.workingSetBytes = 64ULL << 20;
+    melody::Platform plat("EMR2S", "Local");
+    auto be = plat.makeBackend(6);
+    const auto kernels = workloads::makeKernels(w);
+    const std::uint64_t budget =
+        cpu::MultiCore::preloadBudget(plat.cpu(), kernels.size());
+    std::vector<cpu::LineRange> ranges;
+    std::uint64_t lines = 0;
+    for (const auto &k : kernels) {
+        ranges.push_back(k->preloadRange(budget));
+        lines += ranges.back().lines;
+    }
+    for (auto _ : state) {
+        cpu::MemoryHierarchy h(plat.cpu(), 8, be.get());
+        h.preload(ranges);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(lines));
+}
+BENCHMARK(BM_Preload);
+
+static void
+BM_DemandLoadPrefetch(benchmark::State &state)
+{
+    // Prefetchers on; even loads walk a sequential stream (which
+    // trains both prefetchers), odd loads hit random lines of a
+    // 1 GB region. Time advances to each load's data, as in a
+    // dependent chain.
+    melody::Platform plat("EMR2S", "Local");
+    auto be = plat.makeBackend(7);
+    cpu::MemoryHierarchy h(plat.cpu(), 1, be.get(), true);
+    Rng rng(8);
+    Addr cursor = 0;
+    Tick now = 0;
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        const bool seq = (n++ & 1) == 0;
+        Addr a;
+        if (seq) {
+            a = cursor;
+            cursor += kCacheLineBytes;
+        } else {
+            a = (1ULL << 30) + rng.below(1 << 24) * kCacheLineBytes;
+        }
+        const cpu::LoadOutcome out =
+            h.demandLoad(0, a, seq ? 1 : 8, now);
+        now = std::max(now + nsToTicks(1), out.readyAt);
+        benchmark::DoNotOptimize(out.readyAt);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DemandLoadPrefetch);
 
 static void
 BM_DramChannelAccess(benchmark::State &state)

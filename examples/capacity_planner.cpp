@@ -9,6 +9,7 @@
  * memory-pooling operator makes before placing a tenant on CXL.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 

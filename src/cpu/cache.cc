@@ -1,5 +1,8 @@
 #include "cache.hh"
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/logging.hh"
 
 namespace cxlsim::cpu {
@@ -105,6 +108,61 @@ Cache::insert(Addr line_addr, Tick ready_at, StallTag home, bool dirty)
     mb[victim].lruStamp = ++stamp_;
     mru_[set] = static_cast<std::uint8_t>(victim);
     return ev;
+}
+
+void
+Cache::fill(std::span<const LineRange> ranges, StallTag home)
+{
+    // No insert() (stamp_) and no lookup() (stamp_ on a hit,
+    // misses_ otherwise) yet: every way is empty.
+    SIM_ASSERT(stamp_ == 0 && misses_ == 0, "fill() needs a fresh cache");
+    std::vector<LineRange> byBase;
+    byBase.reserve(ranges.size());
+    for (const LineRange &r : ranges) {
+        SIM_ASSERT(lineAlign(r.base) == r.base, "unaligned fill range");
+        if (r.lines > 0)
+            byBase.push_back(r);
+    }
+    std::sort(byBase.begin(), byBase.end(),
+              [](const LineRange &a, const LineRange &b) {
+                  return a.base < b.base;
+              });
+    for (std::size_t i = 1; i < byBase.size(); ++i)
+        SIM_ASSERT(byBase[i - 1].base +
+                           byBase[i - 1].lines * kCacheLineBytes <=
+                       byBase[i].base,
+                   "fill ranges overlap");
+
+    const std::uint64_t capacity = sets_ * ways_;
+    for (const LineRange &r : ranges) {
+        const std::uint64_t first = r.base / kCacheLineBytes;
+        // Line i of the range is followed in its set by lines i +
+        // sets_, i + 2*sets_, ...: it survives the range iff fewer
+        // than ways_ of those exist, i.e. iff i >= lines - capacity.
+        // Each t in [lo, lo + sets_) is the first survivor of a
+        // distinct set.
+        const std::uint64_t lo =
+            r.lines > capacity ? r.lines - capacity : 0;
+        const std::uint64_t end = std::min(r.lines, lo + sets_);
+        for (std::uint64_t t = lo; t < end; ++t) {
+            const std::size_t set = (first + t) % sets_;
+            Addr *tg = &tags_[set * ways_];
+            Meta *mb = &meta_[set * ways_];
+            // Earlier ranges left this set's last line in its MRU
+            // way, so the FIFO continues one way further; t / sets_
+            // lines of this range precede line t in the set.
+            const unsigned m = mru_[set];
+            std::uint64_t w = (tg[m] != 0 ? m + 1 : 0) + t / sets_;
+            w %= ways_;
+            for (std::uint64_t i = t; i < r.lines; i += sets_) {
+                tg[w] = tagWord((first + i) * kCacheLineBytes);
+                mb[w] = Meta{0, stamp_ + i + 1, home, false};
+                mru_[set] = static_cast<std::uint8_t>(w);
+                w = w + 1 == ways_ ? 0 : w + 1;
+            }
+        }
+        stamp_ += r.lines;
+    }
 }
 
 void

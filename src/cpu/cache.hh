@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <type_traits>
 
 #include "cpu/counters.hh"
@@ -50,6 +51,13 @@ struct Eviction
     bool valid = false;
     bool dirty = false;
     Addr lineAddr = 0;
+};
+
+/** @p lines consecutive cache lines starting at line address @p base. */
+struct LineRange
+{
+    Addr base = 0;
+    std::uint64_t lines = 0;
 };
 
 /**
@@ -88,6 +96,19 @@ class Cache
     Eviction insert(Addr line_addr, Tick ready_at, StallTag home,
                     bool dirty);
 
+    /**
+     * Install every line of @p ranges, in order, as resident (ready
+     * at tick 0), clean and homed at @p home. The state is exactly
+     * what insert() would leave line by line: on a fresh cache with
+     * distinct lines every set fills FIFO, so a set's j-th line
+     * lands in way j % ways with LRU stamp (global insert index +
+     * 1), and only the last ways lines of each set survive. Only
+     * the survivors are written. Requires a fresh cache (no
+     * insert() or lookup() yet) and pairwise-disjoint, line-aligned
+     * ranges.
+     */
+    void fill(std::span<const LineRange> ranges, StallTag home);
+
     /** Mark a present line dirty (store commit); no-op on miss. */
     void markDirty(Addr line_addr);
 
@@ -105,7 +126,7 @@ class Cache
     /**
      * Cold per-line state; read only after a tag match, so the
      * backing array is deliberately left uninitialized (trivial
-     * type, written by insert() before any read).
+     * type, written by insert() or fill() before any read).
      */
     struct Meta
     {

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "sim/invariants.hh"
+#include "sim/logging.hh"
 
 namespace cxlsim::cpu {
 
@@ -63,13 +64,14 @@ MemoryHierarchy::handleEviction(PerCore *pc, unsigned from_level,
 }
 
 void
-MemoryHierarchy::preload(unsigned core, Addr addr)
+MemoryHierarchy::preload(const std::vector<LineRange> &ranges)
 {
-    const Addr line = lineAlign(addr);
-    // Resident, clean, ready: evictions during preload are clean
-    // and need no writeback.
-    percore_[core]->l2.insert(line, 0, StallTag::kL2, false);
-    l3_.insert(line, 0, StallTag::kL3, false);
+    SIM_ASSERT(ranges.size() == percore_.size(),
+               "preload needs one range per core");
+    // Resident, clean, ready: nothing to write back.
+    for (std::size_t c = 0; c < ranges.size(); ++c)
+        percore_[c]->l2.fill({&ranges[c], 1}, StallTag::kL2);
+    l3_.fill(ranges, StallTag::kL3);
 }
 
 LoadOutcome

@@ -81,11 +81,12 @@ class MemoryHierarchy
                            unsigned stream_id, Tick now);
 
     /**
-     * Install a line as resident (ready at tick 0) in the core's
-     * L2 and the shared LLC — cache pre-warming for steady-state
-     * measurements.
+     * Cache pre-warming for steady-state measurements: install
+     * @p ranges[c] as resident (ready at tick 0) in core c's L2, and
+     * every range, in core order, in the shared LLC. One range per
+     * core; call once, before any access (Cache::fill).
      */
-    void preload(unsigned core, Addr addr);
+    void preload(const std::vector<LineRange> &ranges);
 
     /**
      * Read-for-ownership for a store; returns the tick at which

@@ -15,8 +15,8 @@
 #define CXLSIM_CPU_KERNEL_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "cpu/cache.hh"
 #include "sim/types.hh"
 
 namespace cxlsim::cpu {
@@ -61,19 +61,22 @@ class Kernel
     virtual bool next(Block *b) = 0;
 
     /**
-     * Enumerate cache lines that are resident at steady state.
-     * The runner pre-warms the hierarchy with them so short
-     * simulations measure steady-state behaviour instead of
-     * cold-start misses. @p budget_bytes is roughly this core's
-     * share of the LLC: a kernel whose working set fits should
-     * enumerate all of it (it would be LLC-resident in steady
-     * state); larger working sets enumerate only their hot set.
+     * The cache lines that are resident at steady state, as one
+     * contiguous range (empty by default). The runner pre-warms the
+     * hierarchy with every core's range so short simulations
+     * measure steady-state behaviour instead of cold-start misses.
+     * @p budget_bytes is roughly this core's share of the LLC: a
+     * kernel whose working set fits should return all of it (it
+     * would be LLC-resident in steady state); larger working sets
+     * return only their hot set. The base is line-aligned, and the
+     * ranges of a workload's kernels must be pairwise disjoint:
+     * they share one LLC (Cache::fill).
      */
-    virtual void
-    forEachPreloadLine(const std::function<void(Addr)> &,
-                       std::uint64_t budget_bytes) const
+    virtual LineRange
+    preloadRange(std::uint64_t budget_bytes) const
     {
         (void)budget_bytes;
+        return {};
     }
 };
 

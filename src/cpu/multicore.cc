@@ -20,15 +20,24 @@ MultiCore::MultiCore(const CpuProfile &profile,
     hier_ = std::make_unique<MemoryHierarchy>(
         profile, static_cast<unsigned>(kernels_.size()), backend,
         prefetchers_on);
-    const std::uint64_t preloadBudget = static_cast<std::uint64_t>(
-        0.7 * static_cast<double>(profile.l3.sizeBytes) /
-        static_cast<double>(kernels_.size()));
+    const std::uint64_t budget =
+        preloadBudget(profile, kernels_.size());
+    std::vector<LineRange> ranges;
+    ranges.reserve(kernels_.size());
     for (unsigned c = 0; c < kernels_.size(); ++c) {
-        kernels_[c]->forEachPreloadLine(
-            [&](Addr a) { hier_->preload(c, a); }, preloadBudget);
+        ranges.push_back(kernels_[c]->preloadRange(budget));
         cores_.push_back(std::make_unique<Core>(
             profile, exec, hier_.get(), c, kernels_[c].get()));
     }
+    hier_->preload(ranges);
+}
+
+std::uint64_t
+MultiCore::preloadBudget(const CpuProfile &profile, std::size_t cores)
+{
+    return static_cast<std::uint64_t>(
+        0.7 * static_cast<double>(profile.l3.sizeBytes) /
+        static_cast<double>(cores));
 }
 
 void

@@ -11,6 +11,8 @@
 #ifndef CXLSIM_CPU_MULTICORE_HH
 #define CXLSIM_CPU_MULTICORE_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -78,6 +80,13 @@ class MultiCore
               mem::MemoryBackend *backend,
               std::vector<std::unique_ptr<Kernel>> kernels,
               bool prefetchers_on = true);
+
+    /**
+     * Per-core pre-warming budget handed to Kernel::preloadRange:
+     * 0.7 of the LLC split evenly over @p cores.
+     */
+    static std::uint64_t preloadBudget(const CpuProfile &profile,
+                                       std::size_t cores);
 
     /** Enable 1ms-style sampling on core 0. */
     void enableSampling(Tick interval);

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,8 +40,7 @@ class SyntheticKernel : public cpu::Kernel
 
     /** The hot region — and, if it fits the budget, the whole
      *  partition — is cache-resident at steady state. */
-    void forEachPreloadLine(const std::function<void(Addr)> &cb,
-                            std::uint64_t budget_bytes)
+    cpu::LineRange preloadRange(std::uint64_t budget_bytes)
         const override;
 
   private:

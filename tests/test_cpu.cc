@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "cpu/cache.hh"
 #include "cpu/core.hh"
@@ -17,6 +21,7 @@
 #include "cpu/prefetcher.hh"
 #include "cpu/profile.hh"
 #include "core/platform.hh"
+#include "sim/rng.hh"
 #include "workloads/suite.hh"
 #include "workloads/synthetic_kernel.hh"
 
@@ -89,6 +94,170 @@ TEST(Cache, MarkDirtyAndReinsert)
     EXPECT_FALSE(none.valid);  // refresh, not new insert
     c.invalidate(0);
     EXPECT_FALSE(c.contains(0));
+}
+
+namespace {
+
+/** Reference preload: insert() every line of @p ranges, in order. */
+void
+insertLoop(Cache *c, std::span<const LineRange> ranges, StallTag home)
+{
+    for (const LineRange &r : ranges)
+        for (std::uint64_t i = 0; i < r.lines; ++i)
+            c->insert(r.base + i * kCacheLineBytes, 0, home, false);
+}
+
+/**
+ * Expect @p got and @p want, two caches of one geometry, to hold the
+ * same state. First every line of @p seen must give the same
+ * contains() answer. Then both caches take one identical follow-on
+ * sequence and must give identical outcomes: ways() fresh lines into
+ * a sample of sets, which evicts each sampled set in its full LRU
+ * order, then random lookups, clean inserts and dirty inserts over
+ * seen and fresh lines. Every line either cache saw is checked with
+ * contains() again at the end, and the hit/miss/pending counters
+ * must match.
+ */
+void
+expectSameState(Cache &got, Cache &want,
+                 std::span<const LineRange> seen, std::uint64_t seed)
+{
+    ASSERT_EQ(got.sets(), want.sets());
+    ASSERT_EQ(got.ways(), want.ways());
+    const std::uint64_t sets = got.sets();
+    const unsigned ways = got.ways();
+
+    std::vector<Addr> lines;
+    Addr top = 0;
+    for (const LineRange &r : seen)
+        for (std::uint64_t i = 0; i < r.lines; ++i) {
+            lines.push_back(r.base + i * kCacheLineBytes);
+            top = std::max(top, lines.back() + kCacheLineBytes);
+        }
+    for (const Addr a : lines)
+        ASSERT_EQ(got.contains(a), want.contains(a)) << "line " << a;
+
+    Rng rng(seed);
+    Tick now = 1000;
+    const auto insertBoth = [&](Addr a, bool dirty) {
+        const Tick ready = now + rng.below(2000);
+        const Eviction e = got.insert(a, ready, StallTag::kDram, dirty);
+        const Eviction w =
+            want.insert(a, ready, StallTag::kDram, dirty);
+        EXPECT_EQ(e.valid, w.valid) << "insert " << a;
+        EXPECT_EQ(e.dirty, w.dirty) << "insert " << a;
+        EXPECT_EQ(e.lineAddr, w.lineAddr) << "insert " << a;
+        lines.push_back(a);
+    };
+
+    // Fresh lines lie beyond every seen line, on a set-0 boundary.
+    const std::uint64_t fresh =
+        (top / kCacheLineBytes + sets) / sets * sets;
+    const std::uint64_t sampled = std::min<std::uint64_t>(sets, 64);
+    for (std::uint64_t k = 0; k < sampled; ++k) {
+        const std::uint64_t set =
+            sampled == sets ? k : rng.below(sets);
+        for (unsigned j = 0; j < ways; ++j)
+            insertBoth((fresh + j * sets + set) * kCacheLineBytes,
+                       false);
+    }
+
+    const std::uint64_t span = fresh + ways * sets;
+    for (int k = 0; k < 20000; ++k) {
+        now += 100;
+        const Addr a = rng.chance(0.5) && !lines.empty()
+                           ? lines[rng.below(lines.size())]
+                           : rng.below(span) * kCacheLineBytes;
+        const std::uint64_t op = rng.below(3);
+        if (op == 0) {
+            Tick r1 = 0, r2 = 0;
+            StallTag h1 = StallTag::kDram, h2 = StallTag::kDram;
+            const LookupResult l1 = got.lookup(a, now, &r1, &h1);
+            const LookupResult l2 = want.lookup(a, now, &r2, &h2);
+            EXPECT_EQ(l1, l2) << "lookup " << a;
+            if (l1 == LookupResult::kPending &&
+                l2 == LookupResult::kPending) {
+                EXPECT_EQ(r1, r2) << "lookup " << a;
+                EXPECT_EQ(h1, h2) << "lookup " << a;
+            }
+        } else {
+            insertBoth(a, op == 2);
+        }
+    }
+
+    for (const Addr a : lines)
+        ASSERT_EQ(got.contains(a), want.contains(a)) << "line " << a;
+    EXPECT_EQ(got.hits(), want.hits());
+    EXPECT_EQ(got.misses(), want.misses());
+    EXPECT_EQ(got.pendingHits(), want.pendingHits());
+}
+
+}  // namespace
+
+TEST(Cache, FillMatchesInsertLoop)
+{
+    struct Geometry
+    {
+        const char *name;
+        std::uint64_t bytes;
+        unsigned ways;
+        std::uint64_t sets;
+    };
+    const Geometry geometries[] = {
+        {"EMR L2", 2048 * 1024, 16, 2048},
+        // Non-power-of-two set count, odd way count.
+        {"SKX L3", 13800ULL * 1024, 11, 20072},
+        {"toy", 4 * 4 * kCacheLineBytes, 4, 4},
+    };
+    for (const Geometry &g : geometries) {
+        const std::uint64_t cap = g.sets * g.ways;
+        const auto at = [](std::uint64_t line) {
+            return line * kCacheLineBytes;
+        };
+        // One fill per case, ranges in core order.
+        const std::vector<std::vector<LineRange>> cases = {
+            {{at(3), 0}},
+            {{0, g.sets - 1}},
+            {{0, cap}},
+            {{at(5), cap * 7 / 2}},
+            // Four disjoint ranges of mixed sizes sharing one cache;
+            // core order is not address order. The first overflows
+            // the cache, and the later three are too small to evict
+            // all of it, so the survivors mix all four ranges.
+            {{at(7), 2 * cap + 1},
+             {at(10 * cap + 3), cap / 3 + 1},
+             {at(20 * cap), 7},
+             {at(4 * cap), g.sets + 5}},
+        };
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            SCOPED_TRACE(std::string(g.name) + ", case " +
+                         std::to_string(i));
+            Cache got(g.bytes, g.ways);
+            Cache want(g.bytes, g.ways);
+            ASSERT_EQ(got.sets(), g.sets);
+            got.fill(cases[i], StallTag::kL3);
+            insertLoop(&want, cases[i], StallTag::kL3);
+            expectSameState(got, want, cases[i], 17 + i);
+        }
+    }
+}
+
+TEST(Cache, FillRejectsOverlapOrUsedCache)
+{
+    // The closed form holds only for distinct lines on empty sets.
+    const LineRange overlapping[] = {{0, 8},
+                                     {7 * kCacheLineBytes, 1}};
+    Cache a(64 * 1024, 8);
+    EXPECT_DEATH(a.fill(overlapping, StallTag::kL3), "overlap");
+
+    const LineRange one[] = {{64 * kCacheLineBytes, 1}};
+    Cache inserted(64 * 1024, 8);
+    inserted.insert(0, 0, StallTag::kDram, false);
+    EXPECT_DEATH(inserted.fill(one, StallTag::kL3), "fresh");
+    Cache looked(64 * 1024, 8);
+    EXPECT_EQ(looked.lookup(0, 0, nullptr, nullptr),
+              LookupResult::kMiss);
+    EXPECT_DEATH(looked.fill(one, StallTag::kL3), "fresh");
 }
 
 TEST(StridePrefetcher, TrainsOnConstantStride)
@@ -359,7 +528,7 @@ TEST(Hierarchy, PreloadMakesLinesResident)
     melody::Platform lp("EMR2S", "Local");
     auto be = lp.makeBackend(89);
     MemoryHierarchy h(lp.cpu(), 1, be.get(), false);
-    h.preload(0, 1 << 20);
+    h.preload({{1 << 20, 1}});
     const auto out = h.demandLoad(0, 1 << 20, 0, 0);
     EXPECT_FALSE(out.immediate);  // L2 hit, small latency
     EXPECT_EQ(out.tag, StallTag::kL2);
@@ -416,10 +585,43 @@ TEST(Hierarchy, PreloadWarmsOwnL2AndSharedL3)
     melody::Platform lp("EMR2S", "Local");
     auto be = lp.makeBackend(113);
     MemoryHierarchy h(lp.cpu(), 2, be.get(), false);
-    h.preload(0, 1 << 20);
+    h.preload({{1 << 20, 1}, {}});
     EXPECT_EQ(h.demandLoad(0, 1 << 20, 0, 0).tag, StallTag::kL2);
     EXPECT_EQ(h.demandLoad(1, 1 << 20, 0, 0).tag, StallTag::kL3);
     EXPECT_EQ(be->stats().reads, 0u);
+}
+
+TEST(Hierarchy, PreloadMatchesPerLineReference)
+{
+    // Three cores of a fit-sized workload: two whole 12 MB
+    // partitions around one core's 1.5 MB hot set. Each L2 must
+    // hold its own core's range, the shared L3 all three in core
+    // order, exactly as insert() line by line would leave them.
+    melody::Platform lp("EMR2S", "Local");
+    const CpuProfile &prof = lp.cpu();
+    auto be = lp.makeBackend(127);
+    MemoryHierarchy h(prof, 3, be.get(), false);
+    const std::uint64_t part = 12ULL << 20;
+    const std::vector<LineRange> ranges = {
+        {0, part / kCacheLineBytes},
+        {part, (3ULL << 19) / kCacheLineBytes},
+        {2 * part, part / kCacheLineBytes},
+    };
+    h.preload(ranges);
+
+    // The hierarchy is only inspected from here on, so driving its
+    // caches directly leaves nothing else out of step.
+    for (unsigned c = 0; c < ranges.size(); ++c) {
+        SCOPED_TRACE("L2 of core " + std::to_string(c));
+        Cache want(prof.l2.sizeBytes, prof.l2.ways);
+        insertLoop(&want, {&ranges[c], 1}, StallTag::kL2);
+        expectSameState(const_cast<Cache &>(h.l2(c)), want,
+                        {&ranges[c], 1}, 131 + c);
+    }
+    SCOPED_TRACE("L3");
+    Cache want(prof.l3.sizeBytes, prof.l3.ways);
+    insertLoop(&want, ranges, StallTag::kL3);
+    expectSameState(const_cast<Cache &>(h.l3()), want, ranges, 137);
 }
 
 TEST(MultiCore, SymmetricCoresFinishTogether)

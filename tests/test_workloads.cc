@@ -7,6 +7,8 @@
 
 #include <set>
 
+#include "cpu/multicore.hh"
+#include "cpu/profile.hh"
 #include "workloads/suite.hh"
 #include "workloads/synthetic_kernel.hh"
 
@@ -208,13 +210,49 @@ TEST(Kernel, PreloadRespectsBudget)
 {
     auto w = byName("ubench-rnd-64m-i1");
     SyntheticKernel k(w, 0);
-    std::uint64_t big = 0, small = 0;
-    k.forEachPreloadLine([&](Addr) { ++big; }, 128ULL << 20);
-    k.forEachPreloadLine([&](Addr) { ++small; }, 4ULL << 20);
+    const std::uint64_t big = k.preloadRange(128ULL << 20).lines;
+    const std::uint64_t small = k.preloadRange(4ULL << 20).lines;
     // Generous budget: whole 64MB partition; tight budget: hot set.
     EXPECT_EQ(big, (64ULL << 20) / 64);
     EXPECT_LT(small, (4ULL << 20) / 64);
     EXPECT_GT(small, 0u);
+}
+
+TEST(Kernel, PreloadRangeStaysInOwnPartition)
+{
+    // Cache::fill needs the cores' ranges to be pairwise disjoint
+    // in the shared LLC. Each range stays inside the lines its own
+    // partition touches, and because a partition need not start on
+    // a line boundary, consecutive ranges are also checked not to
+    // share that boundary line.
+    std::size_t checked = 0;
+    for (const cpu::CpuProfile &cpu :
+         {cpu::skx(), cpu::spr(), cpu::emr(), cpu::emrPrime()}) {
+        for (const auto &w : suite()) {
+            const auto kernels = makeKernels(w);
+            const std::uint64_t budget =
+                cpu::MultiCore::preloadBudget(cpu, kernels.size());
+            const std::uint64_t partBytes =
+                w.workingSetBytes / kernels.size();
+            Addr prevEnd = 0;
+            for (std::size_t c = 0; c < kernels.size(); ++c) {
+                const cpu::LineRange r =
+                    kernels[c]->preloadRange(budget);
+                const Addr partBase = c * partBytes;
+                const Addr end = r.base + r.lines * kCacheLineBytes;
+                const std::string where = cpu.name + " " + w.name +
+                                          " core " +
+                                          std::to_string(c);
+                EXPECT_GT(r.lines, 0u) << where;
+                EXPECT_GE(r.base, lineAlign(partBase)) << where;
+                EXPECT_LE(end, partBase + partBytes) << where;
+                EXPECT_GE(r.base, prevEnd) << where;
+                prevEnd = end;
+            }
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 4 * suite().size());
 }
 
 TEST(Kernel, DependentOnlyOnColdLoads)
