@@ -3,7 +3,7 @@
  * Ablation: memory-level parallelism and CPU tolerance to CXL
  * latency.
  *
- *  (1) coldBurst (miss clustering): isolated misses pay the full
+ *  (1) coldBurst (miss clustering): lone misses pay the full
  *      latency delta; clustered misses amortize it across the LFB
  *      — why real workloads tolerate CXL better than a naive
  *      MPKI x latency model predicts (Finding #2's flip side).

@@ -68,11 +68,11 @@ void buildPredictionAccuracy(cxlsim::sweep::Sweep &);
 void buildTieringPolicies(cxlsim::sweep::Sweep &);
 
 /**
- * Test-only figure exercising the supervised sweep runner: its
- * "victim" point misbehaves per MELODY_CRASHTEST_MODE
- * (segv | abort | hang | exception | exit | ok). Registered so
- * find() resolves it (CI crash-recovery job, test_supervisor) but
- * hidden from all() so it never runs as part of `sweep all`.
+ * Test-only figure exercising crash recovery through the run
+ * cache: its "victim" point misbehaves per MELODY_CRASHTEST_MODE
+ * (segv | exception | ok). Registered so find() resolves it (CI
+ * crash-recovery job, test_sweep) but hidden from all() so it never
+ * runs as part of `sweep all`.
  */
 void buildCrashTest(cxlsim::sweep::Sweep &);
 

@@ -1,8 +1,6 @@
 #include "interrupt.hh"
 
-#include <fcntl.h>
 #include <signal.h>
-#include <unistd.h>
 
 #include <csignal>
 
@@ -11,25 +9,22 @@ namespace cxlsim::sim {
 namespace {
 
 volatile std::sig_atomic_t g_interrupted = 0;
-volatile std::sig_atomic_t g_interruptCount = 0;
-int g_wakePipe[2] = {-1, -1};
 
 extern "C" void
 interruptHandler(int)
 {
     g_interrupted = 1;
-    // Only the handler writes this and SIGINT/SIGTERM are not
-    // re-entered while handling (default sa_mask blocks the
-    // delivered signal), so the increment cannot tear.
-    g_interruptCount = g_interruptCount + 1;
-    if (g_wakePipe[1] >= 0) {
-        const char b = 'i';
-        // Best effort: a full pipe already guarantees the poll
-        // loop wakes; EINTR cannot happen for a 1-byte nonblocking
-        // pipe write. (void) keeps -Werror=unused-result honest.
-        [[maybe_unused]] const ssize_t r =
-            ::write(g_wakePipe[1], &b, 1);
-    }
+}
+
+void
+setHandler(void (*handler)(int), int flags)
+{
+    struct sigaction sa = {};
+    sa.sa_handler = handler;
+    ::sigemptyset(&sa.sa_mask);
+    sa.sa_flags = flags;
+    ::sigaction(SIGINT, &sa, nullptr);
+    ::sigaction(SIGTERM, &sa, nullptr);
 }
 
 }  // namespace
@@ -37,24 +32,7 @@ interruptHandler(int)
 void
 installInterruptHandlers()
 {
-    if (g_wakePipe[0] < 0) {
-        if (::pipe(g_wakePipe) == 0) {
-            for (const int fd : g_wakePipe) {
-                ::fcntl(fd, F_SETFL,
-                        ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-                ::fcntl(fd, F_SETFD,
-                        ::fcntl(fd, F_GETFD) | FD_CLOEXEC);
-            }
-        } else {
-            g_wakePipe[0] = g_wakePipe[1] = -1;
-        }
-    }
-    struct sigaction sa = {};
-    sa.sa_handler = interruptHandler;
-    ::sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;  // no SA_RESTART: poll must see EINTR
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
+    setHandler(interruptHandler, SA_RESETHAND | SA_RESTART);
 }
 
 bool
@@ -63,39 +41,11 @@ interruptRequested()
     return g_interrupted != 0;
 }
 
-int
-interruptCount()
-{
-    return static_cast<int>(g_interruptCount);
-}
-
-int
-interruptWakeFd()
-{
-    return g_wakePipe[0];
-}
-
-void
-drainInterruptWake()
-{
-    if (g_wakePipe[0] < 0)
-        return;
-    char buf[64];
-    while (::read(g_wakePipe[0], buf, sizeof(buf)) > 0) {
-    }
-}
-
 void
 resetInterruptHandlers()
 {
     g_interrupted = 0;
-    g_interruptCount = 0;
-    drainInterruptWake();
-    struct sigaction sa = {};
-    sa.sa_handler = SIG_DFL;
-    ::sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
+    setHandler(SIG_DFL, 0);
 }
 
 }  // namespace cxlsim::sim

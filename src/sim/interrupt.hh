@@ -1,30 +1,19 @@
 /**
  * @file
- * Graceful-interrupt plumbing for the supervised sweep runner
- * (`melody sweep --isolate`).
+ * ^C handling for `melody sweep`.
  *
- * The supervisor is a single-threaded poll loop managing forked
- * worker subprocesses; it must turn SIGINT/SIGTERM into an orderly
- * wind-down (stop starting new work, reap what is in flight,
- * report) instead of dying mid-write. The classic shape is used
- * here:
+ * The handler sets one sig_atomic_t flag and nothing else. The sweep
+ * engine checks it (interruptRequested()) before each point it
+ * claims: once set, claimed points return without running, the pool
+ * drains, and the run reports Sweep::Report::interrupted without
+ * rendering. Every point that finished before the signal is already
+ * in the run cache, so rerunning the same command continues the run.
  *
- *  - a volatile sig_atomic_t flag the handler sets, polled from
- *    the main loop (interruptRequested());
- *  - a self-pipe the handler writes one byte to, so a poll()
- *    blocked on worker pipes wakes immediately even through the
- *    EINTR-retrying wrappers (interruptWakeFd() goes into the poll
- *    set; drain it once the flag is observed, or a level-triggered
- *    POLLIN busy-spins the loop).
- *
- * The handlers are async-signal-safe (flag store + write(2)) and
- * idempotent to install. Deliveries are counted so loops can
- * escalate: the first signal requests a graceful wind-down, a
- * second one (interruptCount() >= 2) means the user is done
- * waiting and in-flight work should be killed. Forked workers must
- * restore SIG_DFL (see supervisor.cc) so a Ctrl-C against the
- * process group kills them cleanly rather than running the
- * parent's handler against an inherited pipe.
+ * The handler is installed with SA_RESTART, so interrupted file I/O
+ * restarts instead of failing with EINTR, and SA_RESETHAND, so a
+ * second ^C takes the default action and kills the process at once.
+ * That is safe: the run cache writes each entry through a temp file
+ * + rename, so a kill never leaves a torn entry behind.
  */
 
 #ifndef CXLSIM_SIM_INTERRUPT_HH
@@ -32,38 +21,15 @@
 
 namespace cxlsim::sim {
 
-/**
- * Install SIGINT/SIGTERM handlers that request a graceful stop
- * (no SA_RESTART: blocked syscalls return EINTR and the retry
- * wrappers re-enter poll with the wake fd readable). Idempotent.
- */
+/** Install the one-shot SIGINT/SIGTERM flag handler. Idempotent. */
 void installInterruptHandlers();
 
-/** True once any SIGINT/SIGTERM arrived after installation. */
+/** True once a SIGINT/SIGTERM arrived after installation. */
 bool interruptRequested();
 
 /**
- * Number of SIGINT/SIGTERM deliveries since installation (or the
- * last reset). Loops use this for escalation: the first signal
- * winds down gracefully, a second one means "stop waiting" and
- * kills in-flight workers too.
- */
-int interruptCount();
-
-/**
- * Read end of the self-pipe (POLLIN after a signal), or -1 when
- * handlers were never installed. Poll loops add it to their fd
- * set so a signal wakes them immediately.
- */
-int interruptWakeFd();
-
-/** Consume pending wake bytes (call once the flag is observed). */
-void drainInterruptWake();
-
-/**
- * Reset the flag and restore SIG_DFL for SIGINT/SIGTERM (the
- * self-pipe stays open for reinstallation). Test/run-exit
- * hygiene so a later real signal behaves normally again.
+ * Clear the flag and restore SIG_DFL for SIGINT/SIGTERM, so a
+ * later signal behaves normally again (tests, run exit).
  */
 void resetInterruptHandlers();
 

@@ -53,8 +53,7 @@ std::vector<std::string> g_log;
 std::uint64_t g_logDropped = 0;
 
 constexpr const char *kOpNames[] = {
-    "open", "read", "write", "close",
-    "rename", "pipe", "fork", "poll",
+    "open", "read", "write", "close", "rename",
 };
 static_assert(sizeof(kOpNames) / sizeof(kOpNames[0]) ==
               static_cast<unsigned>(Op::kOpCount));
@@ -70,7 +69,7 @@ constexpr FaultName kFaults[] = {
     {"enospc", ENOSPC},       {"emfile", EMFILE},
     {"enfile", ENFILE},       {"eio", EIO},
     {"eagain", EAGAIN},       {"enomem", ENOMEM},
-    {"epipe", EPIPE},         {"eintr", EINTR},
+    {"epipe", EPIPE},
 };
 
 /** SplitMix64: the per-call fault decision is a pure function of
@@ -172,10 +171,6 @@ parseItem(const std::string &item, Plan *plan)
         if (!known)
             bad(item, "unknown fault '" + fault + "'");
     }
-    // A hard poll error would panic the event loops by design;
-    // only the EINTR the wrappers absorb is injectable there.
-    if (op == Op::kPoll && r.err != EINTR)
-        bad(item, "poll accepts only 'eintr'");
 
     const std::string trig = item.substr(at + 1);
     if (trig.empty())
@@ -200,11 +195,6 @@ parseItem(const std::string &item, Plan *plan)
             bad(item, "probability must be in (0, 1]");
         r.prob = p;
     }
-    // An unconditionally recurring EINTR would spin the retry
-    // loops forever; probabilistic/one-shot EINTR terminates.
-    if (r.err == EINTR && r.fromNthOn)
-        bad(item, "'eintr' cannot use '#N+' (the retry loop "
-                  "would never terminate)");
     plan->rules[static_cast<unsigned>(op)].push_back(r);
 }
 
@@ -219,10 +209,9 @@ clearCountersAndLog()
     g_logDropped = 0;
 }
 
-/** Arm from the environment at process start, so tests, bench
- *  binaries and forked workers pick injection up without CLI
- *  plumbing. A malformed value warns instead of aborting every
- *  binary on the machine. */
+/** Arm from the environment at process start, so tests and bench
+ *  binaries pick injection up without CLI plumbing. A malformed
+ *  value warns instead of aborting every binary on the machine. */
 const bool g_envArmed = [] {
     const char *spec = std::getenv("MELODY_IO_FAULTS");
     if (!spec || !*spec)

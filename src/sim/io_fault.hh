@@ -2,13 +2,12 @@
  * @file
  * Deterministic host-I/O fault injector (DESIGN.md §15).
  *
- * The RAS subsystem injects *device* faults and the supervisor
- * contains *crashes*; this layer injects the failures the host OS
- * itself serves up — ENOSPC on write, EMFILE on open, short reads,
- * fork/pipe exhaustion — so every degradation path (cache
- * read-only fallback, supervisor retries) can be exercised
- * deterministically in tests and CI instead of waiting for a full
- * disk in production.
+ * The RAS subsystem injects *device* faults; this layer injects the
+ * failures the host OS itself serves up — ENOSPC on write, EMFILE
+ * on open, short reads, failed renames — so every degradation path
+ * of the run cache (read-only fallback, clean recomputable misses)
+ * can be exercised deterministically in tests and CI instead of
+ * waiting for a full disk in production.
  *
  * A FaultPlan-style spec selects what to inject:
  *
@@ -19,12 +18,11 @@
  * items; `seed=<n>` seeds the decision stream, every other item is
  * `<op>:<fault>@<trigger>`:
  *
- *   op      open read write close rename pipe fork poll
- *           — each names the blessed wrapper family it fires
- *           in (FILE* helpers below, retry wrappers in
- *           sim/retry_io.hh), not one libc symbol.
+ *   op      open read write close rename
+ *           — each names the blessed FILE* or path helper family it
+ *           fires in (below), not one libc symbol.
  *   fault   an errno name (enospc, emfile, enfile, eio, eagain,
- *           enomem, epipe, eintr) or `short`
+ *           enomem, epipe) or `short`
  *           (read/write only: truncate instead of failing).
  *   trigger @p      independently with probability p per call
  *           @#N     exactly the Nth call of that op (1-based)
@@ -35,13 +33,7 @@
  * the same seed always fails the same call indices, so a failing
  * run replays byte-for-byte (single-job runs; with parallel jobs
  * the failing *set* per op is fixed but thread interleaving decides
- * which consumer absorbs each one). `eintr` is special-cased to be
- * invisible at the wrapper layer (the retry loops consume it), so
- * it exercises the EINTR paths without ever failing a caller;
- * `poll` accepts only `eintr` for that reason — a hard poll error
- * would panic the event loops by design. Forked children inherit
- * the parent's plan and counter snapshot and then count on
- * independently.
+ * which consumer absorbs each one).
  *
  * Zero overhead when disabled: every hook is one relaxed atomic
  * bool load. The plan installs once, from the environment at
@@ -65,13 +57,10 @@ namespace cxlsim::sim::iofault {
 enum class Op : unsigned
 {
     kOpen,    // xfopen / xopen
-    kRead,    // retryRead, xfread
-    kWrite,   // retryWrite, xfwrite
+    kRead,    // xfread
+    kWrite,   // xfwrite
     kClose,   // xfclose
     kRename,  // xrename
-    kPipe,    // retryPipe2
-    kFork,    // retryFork
-    kPoll,    // retryPollDeadline (eintr only)
     kOpCount
 };
 

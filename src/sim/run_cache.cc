@@ -114,7 +114,7 @@ RunCache::lockFd()
 {
     if (!lockTried_) {
         lockTried_ = true;
-        // O_CLOEXEC so forked request workers re-open their own
+        // O_CLOEXEC so a child process re-opens its own
         // description: flock holds are per open file description,
         // and a shared inherited one would self-deadlock nothing
         // but would also protect nothing.

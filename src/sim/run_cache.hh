@@ -26,10 +26,9 @@
  * temp-file + rename so a crashed run cannot leave a torn entry
  * behind.
  *
- * Multi-process concurrency: the cache directory is shared by
- * parallel sweeps and supervised workers at once, and
- * `melody cache clear` may race all of them. Three guarantees make
- * that safe:
+ * Multi-process concurrency: the cache directory may be shared by
+ * several sweeps at once, and `melody cache clear` may race all of
+ * them. Three guarantees make that safe:
  *
  *  - temp names embed the writer's pid, so two processes storing
  *    the same key never clobber each other's half-written temp;
@@ -42,6 +41,11 @@
  *  - readers take no lock at all: entries appear atomically via
  *    rename and are self-verifying, so the worst a concurrent
  *    clear can inflict on a reader is a clean miss.
+ *
+ * Within one process a RunCache is not thread-safe: its counters
+ * are plain integers and temp names are unique per process, not per
+ * thread. The sweep engine serializes its worker threads' stores on
+ * one mutex.
  */
 
 #ifndef CXLSIM_SIM_RUN_CACHE_HH
@@ -131,9 +135,9 @@ class RunCache
      * Delete every cache entry (and stray `.tmp`) under @p dir,
      * leaving the directory itself, the advisory lock file and
      * foreign files alone. Takes the directory's advisory lock
-     * exclusively first, so a clear racing live writers (a cold
-     * sweep, supervised workers) can never delete a half-written temp
-     * or interleave with a write+rename pair; it simply waits for
+     * exclusively first, so a clear racing live writers (cold
+     * sweeps) can never delete a half-written temp or interleave
+     * with a write+rename pair; it simply waits for
      * the brief shared holds to drain.
      * @return number of files removed.
      */

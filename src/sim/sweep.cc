@@ -1,16 +1,16 @@
 #include "sweep.hh"
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <utility>
 
+#include "sim/interrupt.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/run_cache.hh"
-#include "sim/supervisor.hh"
 
 namespace cxlsim::sweep {
 
@@ -39,8 +39,8 @@ class Sweep::ProgressMeter
         draw(start_);
     }
 
-    /** One point resolved. Called from pool workers and the
-     *  supervisor thread — mutex-serialized. */
+    /** One point resolved. Called from pool workers —
+     *  mutex-serialized. */
     void
     tick()
     {
@@ -188,7 +188,6 @@ optionsFromEnv()
     envSwitch("MELODY_SWEEP_CACHE", &o.cache);
     if (const char *dir = std::getenv("MELODY_SWEEP_CACHE_DIR"))
         o.cacheDir = dir;
-    envSwitch("MELODY_SWEEP_ISOLATE", &o.isolate);
     envSwitch("MELODY_SWEEP_CHECK_INVARIANTS", &o.checkInvariants);
     return o;
 }
@@ -212,11 +211,6 @@ struct Sweep::Point
     std::size_t nSlots;
     PointFn fn;
     std::vector<std::string> slots;
-    // Isolated-mode permanent failure (attempt budget exhausted):
-    // the point renders a deterministic placeholder instead.
-    bool failed = false;
-    unsigned attempts = 0;
-    std::string cause;
 };
 
 struct Sweep::Gather
@@ -333,8 +327,8 @@ Sweep::compute(Report *report)
     report->points = points_.size();
 
     // Phase 1: satisfy points from the cache, serially (cheap file
-    // reads); the misses go to the simulator. This is also how an
-    // interrupted or crashed isolated run resumes: rerunning the
+    // reads); the misses go to the simulator. This is also how a
+    // crashed, failed or interrupted run resumes: rerunning the
     // same command finds every point it finished already stored.
     std::vector<std::size_t> pending;
     pending.reserve(points_.size());
@@ -349,23 +343,12 @@ Sweep::compute(Report *report)
         progress = std::make_unique<ProgressMeter>(
             points_.size(), points_.size() - pending.size());
 
-    // Phase 2: compute the misses — supervised subprocesses under
-    // isolation, otherwise the in-process worker pool.
-    if (opts_.isolate)
-        computeIsolated(pending, progress.get(), report);
-    else
-        computeInProcess(pending, progress.get(), report);
+    // Phase 2: compute and store the misses.
+    computePending(pending, progress.get(), report);
     if (progress)
         progress->finish();
 
-    // Phase 3: persist fresh results (isolated successes were
-    // stored the moment each worker reported back, so a later
-    // crash cannot lose them).
     if (cache_) {
-        if (!opts_.isolate)
-            for (const std::size_t idx : pending)
-                cache_->store(points_[idx].key,
-                              points_[idx].slots);
         report->cacheHits = cache_->stats().hits;
         report->cacheStores = cache_->stats().stores;
         report->corruptEntries = cache_->stats().corrupt;
@@ -374,20 +357,33 @@ Sweep::compute(Report *report)
 }
 
 void
-Sweep::computeInProcess(const std::vector<std::size_t> &pending,
-                        ProgressMeter *progress, Report *report)
+Sweep::computePending(const std::vector<std::size_t> &pending,
+                      ProgressMeter *progress, Report *report)
 {
     // Fan out over the worker pool in declaration order. Each
     // closure writes only into its own pre-sized slot storage, so
     // which worker runs a point cannot affect the rendered bytes. A
     // throwing closure is captured and re-thrown from the lowest
     // point index so the failure is deterministic too.
+    //
+    // Each point is stored the moment it finishes, so a crash, a
+    // throw or a ^C later in the run loses only unfinished points.
+    // RunCache is not thread-safe (unsynchronized counters, temp
+    // names unique per process, not per thread): stores serialize
+    // on storeMu. After an interrupt, claimed points return without
+    // running, which drains the pool's remaining indices quickly.
     std::vector<std::exception_ptr> errors(pending.size());
     std::vector<sim::Invariants> invs(
         opts_.checkInvariants ? pending.size() : 0);
+    std::mutex storeMu;
+    std::atomic<bool> cut{false};
     parallelFor(
         pending.size(),
         [&](std::size_t i) {
+            if (sim::interruptRequested()) {
+                cut = true;
+                return;
+            }
             Point &p = points_[pending[i]];
             std::vector<Emit> slots(p.nSlots);
             try {
@@ -397,6 +393,10 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
                 p.slots.reserve(p.nSlots);
                 for (auto &s : slots)
                     p.slots.push_back(s.take());
+                if (cache_) {
+                    std::lock_guard<std::mutex> lk(storeMu);
+                    cache_->store(p.key, p.slots);
+                }
             } catch (...) {
                 errors[i] = std::current_exception();
             }
@@ -407,71 +407,11 @@ Sweep::computeInProcess(const std::vector<std::size_t> &pending,
     for (const auto &err : errors)
         if (err)
             std::rethrow_exception(err);
+    report->interrupted = cut;
     for (std::size_t i = 0; i < invs.size(); ++i)
         for (const auto &v : invs[i].violations())
             report->invariantDiags.push_back(
                 {points_[pending[i]].key, v.invariant, v.where,
-                 v.values});
-}
-
-void
-Sweep::computeIsolated(const std::vector<std::size_t> &pending,
-                       ProgressMeter *progress, Report *report)
-{
-    std::vector<SupervisorTask> tasks;
-    tasks.reserve(pending.size());
-    for (const std::size_t idx : pending)
-        tasks.push_back({idx, points_[idx].key,
-                         points_[idx].nSlots, &points_[idx].fn});
-
-    SupervisorConfig cfg;
-    cfg.jobs = opts_.jobs;
-    cfg.maxAttempts = opts_.maxAttempts;
-    cfg.timeoutMs = opts_.timeoutMs;
-    cfg.checkInvariants = opts_.checkInvariants;
-
-    // Workers complete in nondeterministic order; buffer the
-    // per-point diagnostics and flatten by point index so the
-    // report is stable.
-    std::map<std::size_t, std::vector<sim::InvariantViolation>>
-        diags;
-
-    SupervisorCallbacks cb;
-    cb.onSuccess = [&](std::size_t idx,
-                       std::vector<std::string> slots,
-                       std::vector<sim::InvariantViolation>
-                           violations) {
-        Point &p = points_[idx];
-        p.slots = std::move(slots);
-        if (cache_)
-            cache_->store(p.key, p.slots);
-        if (!violations.empty())
-            diags[idx] = std::move(violations);
-        if (progress)
-            progress->tick();
-    };
-    cb.onFailure = [&](std::size_t idx, unsigned attempt,
-                       const std::string &cause, bool final) {
-        if (final) {
-            Point &p = points_[idx];
-            p.failed = true;
-            p.attempts = attempt;
-            p.cause = cause;
-            if (progress)
-                progress->tick();
-        }
-    };
-
-    const SupervisorReport srep = runSupervised(tasks, cfg, cb);
-    report->retries = srep.retries;
-    for (const auto &f : srep.failures)
-        report->failures.push_back({f.index,
-                                    points_[f.index].key,
-                                    f.attempts, f.cause});
-    for (const auto &[idx, vs] : diags)
-        for (const auto &v : vs)
-            report->invariantDiags.push_back(
-                {points_[idx].key, v.invariant, v.where,
                  v.values});
 }
 
@@ -484,39 +424,16 @@ Sweep::render(std::FILE *out, std::string *str)
         else if (!s.empty())
             std::fwrite(s.data(), 1, s.size(), out);
     };
-    // Deterministic degraded rendering: a permanently failed point
-    // (isolated mode only) renders a placeholder per placed slot,
-    // and a gather depending on one is skipped rather than fed
-    // partial inputs.
-    const auto placeholder = [](const Point &p) {
-        return "[melody] point failed: " + p.key + " (" + p.cause +
-               ", " + std::to_string(p.attempts) + " attempt(s))\n";
-    };
     for (const Item &it : items_) {
         switch (it.kind) {
           case Item::Kind::kText:
             put(it.text);
             break;
-          case Item::Kind::kSlot: {
-            const Point &p = points_[it.slot.point];
-            put(p.failed ? placeholder(p)
-                         : p.slots[it.slot.slot]);
+          case Item::Kind::kSlot:
+            put(points_[it.slot.point].slots[it.slot.slot]);
             break;
-          }
           case Item::Kind::kGather: {
             const Gather &g = gathers_[it.gather];
-            const Point *failedDep = nullptr;
-            for (const auto &in : g.inputs)
-                if (points_[in.point].failed) {
-                    failedDep = &points_[in.point];
-                    break;
-                }
-            if (failedDep) {
-                put("[melody] gather skipped: depends on failed "
-                    "point: " +
-                    failedDep->key + "\n");
-                break;
-            }
             std::vector<std::string> inputs;
             inputs.reserve(g.inputs.size());
             for (const auto &in : g.inputs)
@@ -538,7 +455,8 @@ Sweep::run(std::FILE *out)
 {
     Report report;
     compute(&report);
-    render(out, nullptr);
+    if (!report.interrupted)
+        render(out, nullptr);
     return report;
 }
 
@@ -548,7 +466,8 @@ Sweep::renderToString(Report *report)
     Report local;
     compute(&local);
     std::string s;
-    render(nullptr, &s);
+    if (!local.interrupted)
+        render(nullptr, &s);
     if (report)
         *report = local;
     return s;

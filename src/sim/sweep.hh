@@ -20,8 +20,10 @@
  * item sequence and streams it to stdout — so the bytes are
  * identical to the serial program for any --jobs value. Points are
  * also the unit of caching: each one's slots are persisted in a
- * content-addressed RunCache keyed by (salt, scope, point key), so
- * re-running a figure recomputes only points whose keys changed.
+ * content-addressed RunCache keyed by (salt, scope, point key) the
+ * moment the point finishes, so re-running a figure — including
+ * after a crash, a thrown point or a ^C — recomputes only points
+ * that are not stored yet.
  *
  * Contract for point closures: capture everything by value (the
  * declaring frame is gone by run()-time; share heavyweight state
@@ -43,7 +45,6 @@
 
 #include <cstdarg>
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -119,18 +120,6 @@ struct Options
     /** Cache salt; empty means kSweepSalt. */
     std::string salt;
     /**
-     * Crash-isolated execution: fork one supervised worker
-     * subprocess per point (src/sim/supervisor.hh) instead of
-     * running points on the in-process thread pool. Byte-identical
-     * stdout on fault-free runs; on faults, surviving points still
-     * render and failures are reported in Report::failures.
-     */
-    bool isolate = false;
-    /** Attempts per point under isolation, >= 1 (1 = no retry). */
-    unsigned maxAttempts = 2;
-    /** Per-attempt wall-clock watchdog in ms; 0 disables it. */
-    unsigned timeoutMs = 0;
-    /**
      * Install the runtime invariant checker (sim::Invariants)
      * around every point. Default-on in Debug builds.
      */
@@ -145,10 +134,10 @@ struct Options
 
 /**
  * Options with MELODY_SWEEP_JOBS / MELODY_SWEEP_CACHE /
- * MELODY_SWEEP_CACHE_DIR / MELODY_SWEEP_ISOLATE /
- * MELODY_SWEEP_CHECK_INVARIANTS applied over the defaults — how
- * the standalone bench binaries pick up configuration without
- * flags. The three switches accept exactly 0|off|1|on; any other
+ * MELODY_SWEEP_CACHE_DIR / MELODY_SWEEP_CHECK_INVARIANTS applied
+ * over the defaults — how the standalone bench binaries pick up
+ * configuration without flags. The two switches accept exactly
+ * 0|off|1|on; any other
  * switch value, or a malformed MELODY_SWEEP_JOBS, throws
  * ConfigError naming the variable.
  */
@@ -173,17 +162,6 @@ class Sweep
 
     struct Report
     {
-        /** A point that exhausted its isolated attempt budget. */
-        struct PointFailure
-        {
-            std::size_t point = 0;
-            std::string key;
-            unsigned attempts = 0;
-            /** Structured cause ("SIGSEGV", "watchdog-timeout",
-             *  "exit-code N", "exception: ...", ...). */
-            std::string cause;
-        };
-
         /** One invariant violation attributed to a point. */
         struct InvariantDiag
         {
@@ -197,24 +175,24 @@ class Sweep
         std::size_t cacheHits = 0;
         std::size_t cacheStores = 0;
         std::size_t corruptEntries = 0;
-        /** Isolated attempts beyond each point's first. */
-        std::uint64_t retries = 0;
-        /** Points that failed permanently, by point index. */
-        std::vector<PointFailure> failures;
         /** Invariant violations, grouped by point in index order. */
         std::vector<InvariantDiag> invariantDiags;
         /** The run cache flipped read-only mid-run (persistent
          *  store failure). Results stay correct — they are just
          *  recomputed next time. */
         bool cacheDegraded = false;
+        /** A SIGINT/SIGTERM (sim::interruptRequested()) cut the run
+         *  short: points not yet started were skipped and nothing
+         *  was rendered. The points that finished are stored. */
+        bool interrupted = false;
 
-        /** No failed points and no invariant violations.
+        /** Not interrupted and no invariant violations.
          *  (cacheDegraded deliberately does not flip this: outputs
          *  are still complete and correct.) */
         bool
         clean() const
         {
-            return failures.empty() && invariantDiags.empty();
+            return !interrupted && invariantDiags.empty();
         }
     };
 
@@ -264,7 +242,8 @@ class Sweep
 
     /**
      * Execute all points (cache-aware, parallel) and stream the
-     * item sequence to @p out.
+     * item sequence to @p out. An interrupted run streams nothing:
+     * a partial figure is not a figure.
      */
     Report run(std::FILE *out = stdout);
 
@@ -279,10 +258,8 @@ class Sweep
     class ProgressMeter;
 
     void compute(Report *report);
-    void computeInProcess(const std::vector<std::size_t> &pending,
-                          ProgressMeter *progress, Report *report);
-    void computeIsolated(const std::vector<std::size_t> &pending,
-                         ProgressMeter *progress, Report *report);
+    void computePending(const std::vector<std::size_t> &pending,
+                        ProgressMeter *progress, Report *report);
     void render(std::FILE *out, std::string *str);
 
     std::string scope_;

@@ -404,9 +404,9 @@ TEST(ParallelFor, ThreadCapHoldsAfterThePoolGrew)
 
 TEST(ParallelFor, ConcurrentCallersBothComplete)
 {
-    // Two threads publishing jobs at once (a supervisor thread next
-    // to a caller's own loop) serialize on the one pool; neither
-    // loses or duplicates an index.
+    // Two threads publishing jobs at once (say, two sweeps run from
+    // different threads) serialize on the one pool; neither loses
+    // or duplicates an index.
     std::vector<int> a(500, 0), b(500, 0);
     auto fill = [](std::vector<int> *v) {
         for (int rep = 0; rep < 20; ++rep)

@@ -6,12 +6,10 @@
  * injected ENOSPC/EMFILE/short-I/O instead of corrupting state.
  */
 
-#include <fcntl.h>
-#include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <ostream>
@@ -22,7 +20,6 @@
 
 #include "sim/io_fault.hh"
 #include "sim/logging.hh"
-#include "sim/retry_io.hh"
 #include "sim/run_cache.hh"
 #include "sim/sweep.hh"
 
@@ -40,12 +37,14 @@ class IoFaultTest : public ::testing::Test
     SetUp() override
     {
         iof::reset();
+        // Parameterized test names carry a '/'; keep one flat dir.
+        std::string name = ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name();
+        std::replace(name.begin(), name.end(), '/', '_');
         dir_ = fs::temp_directory_path() /
                ("melody-iofault-" + std::to_string(::getpid()) +
-                "-" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name());
+                "-" + name);
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
@@ -118,12 +117,14 @@ TEST_F(IoFaultTest, ParserRejectsMalformedSpecs)
                  ConfigError);
     // `short` only truncates transfers.
     EXPECT_THROW(iof::install("open:short@0.5"), ConfigError);
-    // A hard poll error would panic the event loops by design.
-    EXPECT_THROW(iof::install("poll:enospc@0.5"), ConfigError);
-    // A persistent EINTR would spin the retry loops forever.
-    EXPECT_THROW(iof::install("read:eintr@#2+"), ConfigError);
-    // `accept` is not an injection point (nothing accepts sockets).
-    EXPECT_THROW(iof::install("accept:eintr@0.1"), ConfigError);
+    // `accept` is not an injection point (nothing accepts sockets),
+    // and neither are `pipe`, `fork` and `poll` (nothing forks).
+    for (const char *op : {"accept", "pipe", "fork", "poll"})
+        EXPECT_THROW(iof::install(std::string(op) + ":eio@0.1"),
+                     ConfigError)
+            << op;
+    // `eintr` is not an injectable fault either.
+    EXPECT_THROW(iof::install("read:eintr@0.5"), ConfigError);
 }
 
 TEST_F(IoFaultTest, FailedInstallLeavesActivePlanUntouched)
@@ -164,8 +165,7 @@ PrintTo(const OpCase &c, std::ostream *os)
 
 constexpr iof::Op kAllOps[] = {
     iof::Op::kOpen,  iof::Op::kRead,   iof::Op::kWrite,
-    iof::Op::kClose, iof::Op::kRename, iof::Op::kPipe,
-    iof::Op::kFork,  iof::Op::kPoll,
+    iof::Op::kClose, iof::Op::kRename,
 };
 static_assert(sizeof(kAllOps) / sizeof(kAllOps[0]) ==
               static_cast<unsigned>(iof::Op::kOpCount));
@@ -180,19 +180,19 @@ class IoFaultOpName : public ::testing::TestWithParam<OpCase>
 TEST_P(IoFaultOpName, ArmsOnlyItsOwnOpAndLogsUnderItsName)
 {
     const OpCase &c = GetParam();
-    // `eintr` is the one fault every op accepts, poll included.
-    iof::install(std::string(c.name) + ":eintr@#1");
+    // Every op accepts an errno fault such as `eio`.
+    iof::install(std::string(c.name) + ":eio@#1");
     for (const iof::Op op : kAllOps) {
         const iof::Decision d = iof::check(op);
         if (op == c.op)
-            EXPECT_EQ(d.err, EINTR);
+            EXPECT_EQ(d.err, EIO);
         else
             EXPECT_FALSE(d) << "op #" << static_cast<unsigned>(op);
     }
     EXPECT_EQ(iof::logLines(),
               (std::vector<std::string>{"io-fault: " +
                                         std::string(c.name) +
-                                        " call#1 -> EINTR"}));
+                                        " call#1 -> EIO"}));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,10 +201,7 @@ INSTANTIATE_TEST_SUITE_P(
                       OpCase{"read", iof::Op::kRead},
                       OpCase{"write", iof::Op::kWrite},
                       OpCase{"close", iof::Op::kClose},
-                      OpCase{"rename", iof::Op::kRename},
-                      OpCase{"pipe", iof::Op::kPipe},
-                      OpCase{"fork", iof::Op::kFork},
-                      OpCase{"poll", iof::Op::kPoll}),
+                      OpCase{"rename", iof::Op::kRename}),
     [](const ::testing::TestParamInfo<OpCase> &info) {
         return std::string(info.param.name);
     });
@@ -252,8 +249,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ErrnoCase{"eio", EIO, "EIO"},
                       ErrnoCase{"eagain", EAGAIN, "EAGAIN"},
                       ErrnoCase{"enomem", ENOMEM, "ENOMEM"},
-                      ErrnoCase{"epipe", EPIPE, "EPIPE"},
-                      ErrnoCase{"eintr", EINTR, "EINTR"}),
+                      ErrnoCase{"epipe", EPIPE, "EPIPE"}),
     [](const ::testing::TestParamInfo<ErrnoCase> &info) {
         return std::string(info.param.name);
     });
@@ -368,54 +364,6 @@ TEST_F(IoFaultTest, XfcloseReportsErrorButNeverLeaksTheFd)
     EXPECT_EQ(openFdCount(), before);
 }
 
-TEST_F(IoFaultTest, InjectedEintrIsConsumedByRetryWrappers)
-{
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    ASSERT_EQ(::write(fds[1], "hi", 2), 2);
-    iof::install("read:eintr@#1");
-    char buf[8];
-    // The wrapper absorbs the injected EINTR and completes the
-    // read: callers never observe a failure.
-    EXPECT_EQ(sim::retryRead(fds[0], buf, sizeof(buf)), 2);
-    EXPECT_EQ(iof::injectedCount(), 1u);
-    ::close(fds[0]);
-    ::close(fds[1]);
-}
-
-TEST_F(IoFaultTest, RetryPollDeadlineHonorsDeadlineAndReadyFds)
-{
-    using Clock = std::chrono::steady_clock;
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    struct pollfd p = {fds[0], POLLIN, 0};
-
-    // No data: times out at (not meaningfully before) deadline.
-    const auto t0 = Clock::now();
-    EXPECT_EQ(sim::retryPollDeadline(
-                  &p, 1, t0 + std::chrono::milliseconds(50)),
-              0);
-    EXPECT_GE(Clock::now() - t0, std::chrono::milliseconds(50));
-
-    // Data ready: reported even when the deadline already passed
-    // (the caller harvests I/O and fires watchdogs in one turn).
-    ASSERT_EQ(::write(fds[1], "x", 1), 1);
-    p.revents = 0;
-    EXPECT_EQ(sim::retryPollDeadline(
-                  &p, 1, Clock::now() - std::chrono::seconds(1)),
-              1);
-    EXPECT_TRUE(p.revents & POLLIN);
-
-    // Injected EINTR restarts with a recomputed budget.
-    iof::install("poll:eintr@#1");
-    p.revents = 0;
-    EXPECT_EQ(sim::retryPollDeadline(
-                  &p, 1, Clock::time_point::max()),
-              1);
-    ::close(fds[0]);
-    ::close(fds[1]);
-}
-
 // ---------------------------------------------------------------
 // RunCache degradation.
 // ---------------------------------------------------------------
@@ -519,14 +467,12 @@ TEST_F(IoFaultTest, RerunRecomputesOnlyTheDroppedStore)
 {
     sweep::Options opts;
     opts.jobs = 1;
-    opts.isolate = true;
-    opts.maxAttempts = 1;
     opts.cacheDir = dir_.string();
     opts.salt = "iofault-test-salt";
 
-    // Run 1: isolated stores happen in the parent as each worker
-    // reports back, in point order at --jobs 1, so the second
-    // rename is p1's. One failed store does not degrade the cache.
+    // Run 1: each point is stored as it finishes, in point order
+    // at --jobs 1, so the second rename is p1's. One failed store
+    // does not degrade the cache.
     std::string out1;
     {
         sweep::Sweep s("iofault-rerun", opts);
@@ -556,45 +502,83 @@ TEST_F(IoFaultTest, RerunRecomputesOnlyTheDroppedStore)
 }
 
 // ---------------------------------------------------------------
-// Supervisor: injected pipe/fork exhaustion is a retryable point
-// failure with an errno-named cause.
+// A persistent fault in any op the run cache uses, hit while points
+// are stored (or, for reads, served) in-process: the sweep's bytes
+// stay complete and correct, no temp file is left behind, and a
+// fault-free rerun finds nothing torn.
 // ---------------------------------------------------------------
 
-TEST_F(IoFaultTest, SupervisorRetriesInjectedPipeExhaustion)
+struct PersistentFaultCase
 {
-    sweep::Options opts;
-    opts.jobs = 1;
-    opts.cache = false;
-    opts.isolate = true;
-    opts.maxAttempts = 2;
+    const char *name;
+    const char *spec;
+    /** Populate the cache before arming, so lookups hit the fault. */
+    bool warm;
+};
 
-    sweep::Sweep s("iofault-pipe", opts);
-    buildPoints(&s);
-    iof::install("pipe:emfile@#1");
-    sweep::Sweep::Report rep;
-    const std::string out = s.renderToString(&rep);
-    iof::reset();
-    EXPECT_TRUE(rep.clean());  // the retry rode out the fault
-    EXPECT_EQ(rep.retries, 1u);
-    EXPECT_EQ(out, "p0-out\np1-out\np2-out\n");
+void
+PrintTo(const PersistentFaultCase &c, std::ostream *os)
+{
+    *os << c.spec;
 }
 
-TEST_F(IoFaultTest, SupervisorNamesTheErrnoInExhaustionCauses)
+class SweepUnderPersistentFault
+    : public IoFaultTest,
+      public ::testing::WithParamInterface<PersistentFaultCase>
+{};
+
+TEST_P(SweepUnderPersistentFault, OutputIntactAndRerunFindsNothingTorn)
 {
+    const PersistentFaultCase &c = GetParam();
     sweep::Options opts;
     opts.jobs = 1;
-    opts.cache = false;
-    opts.isolate = true;
-    opts.maxAttempts = 1;  // no retry: the failure surfaces
+    opts.cacheDir = dir_.string();
+    opts.salt = "iofault-persistent";
+    const std::string want = "p0-out\np1-out\np2-out\n";
+    const auto render = [&](sweep::Sweep::Report *rep) {
+        sweep::Sweep s("iofault-persistent", opts);
+        buildPoints(&s);
+        return s.renderToString(rep);
+    };
+    if (c.warm) {
+        sweep::Sweep::Report rep;
+        ASSERT_EQ(render(&rep), want);
+        ASSERT_EQ(rep.cacheStores, 3u);
+    }
 
-    sweep::Sweep s("iofault-fork", opts);
-    buildPoints(&s);
-    iof::install("fork:eagain@#1");
+    iof::install(c.spec);
     sweep::Sweep::Report rep;
-    (void)s.renderToString(&rep);
+    const std::string out = render(&rep);
+    const std::uint64_t injected = iof::injectedCount();
     iof::reset();
-    ASSERT_EQ(rep.failures.size(), 1u);
-    EXPECT_EQ(rep.failures[0].cause, "fork-failed: EAGAIN");
+    EXPECT_GT(injected, 0u);
+    EXPECT_EQ(out, want);
+    EXPECT_TRUE(rep.clean());
+    if (c.warm)
+        EXPECT_EQ(rep.cacheHits, 0u);  // every read was cut
+    else
+        EXPECT_EQ(rep.cacheStores, 0u);  // every store failed
+    EXPECT_EQ(countFiles(".tmp"), 0u);
+
+    sweep::Sweep::Report again;
+    EXPECT_EQ(render(&again), want);
+    EXPECT_TRUE(again.clean());
+    EXPECT_EQ(again.corruptEntries, 0u);
+    EXPECT_EQ(again.cacheHits + again.cacheStores, 3u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Faults, SweepUnderPersistentFault,
+    ::testing::Values(
+        PersistentFaultCase{"open_emfile", "open:emfile@#1+", false},
+        PersistentFaultCase{"write_enospc", "write:enospc@#1+", false},
+        PersistentFaultCase{"write_short", "write:short@#1+", false},
+        PersistentFaultCase{"close_eio", "close:eio@#1+", false},
+        PersistentFaultCase{"rename_eio", "rename:eio@#1+", false},
+        PersistentFaultCase{"read_short", "read:short@#1+", true},
+        PersistentFaultCase{"read_eio", "read:eio@#1+", true}),
+    [](const ::testing::TestParamInfo<PersistentFaultCase> &info) {
+        return std::string(info.param.name);
+    });
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -139,60 +138,8 @@ TEST(LintDeterminism, UnorderedIterFiresInFrontEndPaths)
 }
 
 // ---------------------------------------------------------------
-// Family: supervisor EINTR hygiene.
-// ---------------------------------------------------------------
-
-TEST(LintEintr, EintrRetryFiresOnRawSyscalls)
-{
-    // Global-scope and unqualified raw calls fire; member calls,
-    // sim::retry* wrappers and declarations stay quiet.
-    const auto diags = lintSource("src/sim/supervisor.cc",
-                                  fixture("srv_eintr_retry.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"srv-eintr-retry", 17},
-                        {"srv-eintr-retry", 18},
-                        {"srv-eintr-retry", 20},
-                        {"srv-eintr-retry", 26}}));
-}
-
-TEST(LintEintr, EintrRetryFiresInSupervisorPaths)
-{
-    const auto diags = lintSource("src/sim/supervisor.cc",
-                                  fixture("srv_eintr_retry.cc"));
-    EXPECT_EQ(diags.size(), 4u);
-}
-
-TEST(LintEintr, EintrRetryFiresInIoFaultPaths)
-{
-    // The host-I/O fault injector (DESIGN.md §15) sits inside the
-    // blessed-wrapper plumbing; its own file I/O follows the same
-    // retry discipline as the supervisor's.
-    const auto diags = lintSource("src/sim/io_fault.cc",
-                                  fixture("srv_eintr_retry.cc"));
-    EXPECT_EQ(diags.size(), 4u);
-}
-
-TEST(LintEintr, EintrRetryQuietInBlessedWrapperHome)
-{
-    // src/sim/retry_io.hh is where the raw calls live on purpose.
-    const auto diags = lintSource("src/sim/retry_io.cc",
-                                  fixture("srv_eintr_retry.cc"));
-    EXPECT_TRUE(diags.empty());
-}
-
-TEST(LintEintr, EintrRetryQuietOutsideSupervisorPaths)
-{
-    // Single-shot CLI paths may take the simple raw-call route.
-    // (src/dram/, not src/mem/: the fixture's member-call decoys
-    // would trip the RAS plain-call rule there.)
-    const auto diags = lintSource("src/dram/fixture.cc",
-                                  fixture("srv_eintr_retry.cc"));
-    EXPECT_TRUE(diags.empty());
-}
-
-// ---------------------------------------------------------------
 // Path scopes, pinned file by file: which real files each
-// determinism/EINTR rule covers (true) and which it leaves alone.
+// determinism/flow rule covers (true) and which it leaves alone.
 // ---------------------------------------------------------------
 
 struct ScopeCase
@@ -245,25 +192,6 @@ INSTANTIATE_TEST_SUITE_P(
                     ScopeCase{"src/cpu/multicore.cc", false}),
     scopeCaseName);
 
-class EintrRetryScope : public testing::TestWithParam<ScopeCase>
-{};
-
-TEST_P(EintrRetryScope, FiresOnlyInLongLivedProcessPaths)
-{
-    const auto diags = lintSource(GetParam().path,
-                                  fixture("srv_eintr_retry.cc"));
-    EXPECT_EQ(diags.size(), GetParam().scoped ? 4u : 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RealFiles, EintrRetryScope,
-    testing::Values(ScopeCase{"src/sim/supervisor.cc", true},
-                    ScopeCase{"src/sim/io_fault.cc", true},
-                    ScopeCase{"src/sim/sweep.cc", false},
-                    ScopeCase{"src/sim/run_cache.cc", false},
-                    ScopeCase{"src/sim/parallel.cc", false}),
-    scopeCaseName);
-
 /** Diagnostics of @p rule only: the flow fixtures are linted under
  *  real paths where other rules may also have something to say. */
 Expected
@@ -297,36 +225,9 @@ INSTANTIATE_TEST_SUITE_P(
                     ScopeCase{"src/mem/tiering_backend.cc", true},
                     ScopeCase{"src/cxl/controller.cc", true},
                     ScopeCase{"src/ras/ras.cc", true},
-                    ScopeCase{"src/sim/supervisor.cc", false},
+                    ScopeCase{"src/sim/sweep.cc", false},
                     ScopeCase{"src/cpu/multicore.cc", false},
                     ScopeCase{"src/core/mlc.cc", false},
-                    ScopeCase{"tools/melody_cli.cc", false}),
-    scopeCaseName);
-
-class ForkChildHygieneScope : public testing::TestWithParam<ScopeCase>
-{};
-
-TEST_P(ForkChildHygieneScope, FiresOnlyInTheForkingUnit)
-{
-    const auto diags = lintSource(GetParam().path,
-                                  fixture("fork_child_hygiene.cc"));
-    if (GetParam().scoped)
-        EXPECT_EQ(onlyRule(diags, "fork-child-hygiene"),
-                  (Expected{{"fork-child-hygiene", 15},
-                            {"fork-child-hygiene", 17},
-                            {"fork-child-hygiene", 26},
-                            {"fork-child-hygiene", 28}}));
-    else
-        EXPECT_TRUE(onlyRule(diags, "fork-child-hygiene").empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RealFiles, ForkChildHygieneScope,
-    testing::Values(ScopeCase{"src/sim/supervisor.cc", true},
-                    ScopeCase{"src/sim/sweep.cc", false},
-                    ScopeCase{"src/sim/parallel.cc", false},
-                    ScopeCase{"src/sim/io_fault.cc", false},
-                    ScopeCase{"src/sim/run_cache.cc", false},
                     ScopeCase{"tools/melody_cli.cc", false}),
     scopeCaseName);
 
@@ -399,36 +300,6 @@ TEST(LintRasFlow, QuietOutsideRasLayers)
 {
     const auto diags = lintSource("src/cpu/fixture.cc",
                                   fixture("ras_status_flow.cc"));
-    EXPECT_TRUE(diags.empty());
-}
-
-// ---------------------------------------------------------------
-// Flow family: fork-child-hygiene.
-// ---------------------------------------------------------------
-
-TEST(LintForkChild, ChildRegionAndCallClosureFire)
-{
-    const auto diags = lintSource("src/sim/supervisor.cc",
-                                  fixture("fork_child_hygiene.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"fork-child-hygiene", 15},
-                        {"fork-child-hygiene", 17},
-                        {"fork-child-hygiene", 26},
-                        {"fork-child-hygiene", 28}}));
-}
-
-TEST(LintForkChild, FiresInSupervisorScope)
-{
-    const auto diags = lintSource("src/sim/supervisor.cc",
-                                  fixture("fork_child_hygiene.cc"));
-    EXPECT_EQ(diags.size(), 4u);
-}
-
-TEST(LintForkChild, QuietOutsideForkSites)
-{
-    // Only the forking TU (the sweep supervisor) is in scope.
-    const auto diags = lintSource("src/cpu/fixture.cc",
-                                  fixture("fork_child_hygiene.cc"));
     EXPECT_TRUE(diags.empty());
 }
 
@@ -665,44 +536,27 @@ TEST(LintSuppression, AllowCoversSameLineAndLineAbove)
 
 TEST(LintSuppression, ReasonSyntaxIsRecordedPerRule)
 {
-    // No one path is in scope for all three flow rules: the
-    // supervisor covers fork and sig, src/mem/ covers ras and sig.
-    struct Run
-    {
-        const char *path;
-        std::vector<std::string> rules;
-    };
-    const Run runs[] = {
-        {"src/sim/supervisor.cc",
-         {"fork-child-hygiene", "sig-async-safety"}},
-        {"src/mem/fixture.cc", {"ras-status-flow", "sig-async-safety"}},
-    };
-    std::set<std::string> covered;
-    for (const Run &r : runs) {
-        int suppressed = 0;
-        std::vector<SuppressionNote> notes;
-        const auto diags =
-            lintSource(r.path, fixture("flow_suppressed.cc"),
-                       &suppressed, &notes);
-        EXPECT_TRUE(diags.empty()) << r.path;
-        EXPECT_EQ(suppressed, static_cast<int>(r.rules.size()))
-            << r.path;
-        std::vector<std::string> rules;
-        for (const auto &n : notes) {
-            EXPECT_EQ(n.path, r.path);
-            EXPECT_FALSE(n.reason.empty())
-                << n.rule << " note lost its reason";
-            rules.push_back(n.rule);
-            covered.insert(n.rule);
-            if (n.rule == "fork-child-hygiene") {
-                EXPECT_EQ(n.reason,
-                          "helper runs pre-thread, stdio is safe "
-                          "here");
-            }
+    // src/mem/ is in scope for both flow rules.
+    const std::string path = "src/mem/fixture.cc";
+    int suppressed = 0;
+    std::vector<SuppressionNote> notes;
+    const auto diags = lintSource(path, fixture("flow_suppressed.cc"),
+                                  &suppressed, &notes);
+    EXPECT_TRUE(diags.empty());
+    EXPECT_EQ(suppressed, 2);
+    std::vector<std::string> rules;
+    for (const auto &n : notes) {
+        EXPECT_EQ(n.path, path);
+        EXPECT_FALSE(n.reason.empty())
+            << n.rule << " note lost its reason";
+        rules.push_back(n.rule);
+        if (n.rule == "ras-status-flow") {
+            EXPECT_EQ(n.reason,
+                      "warm-up probe, result intentionally unused");
         }
-        EXPECT_EQ(rules, r.rules) << r.path;
     }
-    EXPECT_EQ(covered.size(), 3u);
+    EXPECT_EQ(rules, (std::vector<std::string>{"ras-status-flow",
+                                               "sig-async-safety"}));
 }
 
 TEST(LintSuppression, ReasonlessAllowStillWorks)

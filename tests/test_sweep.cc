@@ -2,24 +2,42 @@
  * @file
  * Sweep-engine contract tests: byte-identical output for any job
  * count, cache round trips that reproduce cache-miss bytes exactly
- * (including corrupted-entry fallback), salt invalidation, and
- * figure-level determinism for a few real benches.
+ * (including corrupted-entry fallback), salt invalidation,
+ * figure-level determinism for a few real benches, reruns that take
+ * every point a crashed, failed or interrupted run finished from the
+ * run cache, store timing at every pool size, the ^C handler,
+ * runtime invariant plumbing, and the cache stats/clear maintenance
+ * entry points.
  */
+
+#include <pthread.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <regex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/figures.hh"
+#include "sim/interrupt.hh"
+#include "sim/invariants.hh"
 #include "sim/logging.hh"
+#include "sim/run_cache.hh"
 #include "sim/sweep.hh"
 
 using namespace cxlsim;
@@ -209,8 +227,49 @@ INSTANTIATE_TEST_SUITE_P(CheapFigures, FigureDeterminism,
                          testing::Values("fig01", "fig16",
                                          "usecase"));
 
-/** Every job count renders the synthetic sweep's serial bytes,
- *  in process and under --isolate. 0 means one job per core. */
+/** A cold cached render stores every point of a real figure as it
+ *  finishes, and the warm rerun serves all of them; both match the
+ *  uncached bytes. */
+class FigureCacheDeterminism
+    : public testing::TestWithParam<const char *>
+{};
+
+TEST_P(FigureCacheDeterminism, ColdStoreAndWarmHitMatchUncached)
+{
+    const figs::Figure *fig = figs::find(GetParam());
+    ASSERT_NE(fig, nullptr);
+
+    auto render = [&](const sweep::Options &o,
+                      sweep::Sweep::Report *rep) {
+        sweep::Sweep s(fig->binary, o);
+        s.scope(fig->binary);
+        fig->build(s);
+        return s.renderToString(rep);
+    };
+    const std::string dir =
+        freshDir((std::string("fig-cache-") + GetParam()).c_str());
+    sweep::Options cached = cacheAt(dir);
+    cached.jobs = 4;
+    sweep::Sweep::Report cold, warm, none;
+    const std::string a = render(cached, &cold);
+    const std::string b = render(cached, &warm);
+    const std::string ref = render(noCache(), &none);
+    EXPECT_FALSE(ref.empty());
+    EXPECT_EQ(a, ref);
+    EXPECT_EQ(b, ref);
+    EXPECT_EQ(cold.cacheHits, 0u);
+    EXPECT_EQ(cold.cacheStores, cold.points);
+    EXPECT_EQ(sweep::RunCache::scanDir(dir).entries, cold.points);
+    EXPECT_EQ(warm.cacheHits, warm.points);
+    EXPECT_EQ(warm.cacheStores, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Figures, FigureCacheDeterminism,
+                         testing::Values("fig01", "fig16",
+                                         "usecase"));
+
+/** Every job count renders the synthetic sweep's serial bytes.
+ *  0 means one job per core. */
 class SweepJobs : public testing::TestWithParam<unsigned>
 {};
 
@@ -221,16 +280,10 @@ TEST_P(SweepJobs, BytesMatchSerial)
     const std::string ref = renderSynthetic(serial);
     ASSERT_FALSE(ref.empty());
 
-    sweep::Options inproc = noCache();
-    inproc.jobs = GetParam();
-    EXPECT_EQ(ref, renderSynthetic(inproc));
-
-    sweep::Options iso = noCache();
-    iso.jobs = GetParam();
-    iso.isolate = true;
-    iso.checkInvariants = false;
+    sweep::Options par = noCache();
+    par.jobs = GetParam();
     sweep::Sweep::Report rep;
-    EXPECT_EQ(ref, renderSynthetic(iso, &rep));
+    EXPECT_EQ(ref, renderSynthetic(par, &rep));
     EXPECT_TRUE(rep.clean());
 }
 
@@ -319,4 +372,862 @@ TEST(SweepProgress, EtaAppearsOncePointsFinish)
         << err;
     EXPECT_NE(err.find("4/4 points, ETA --"), std::string::npos)
         << err;
+}
+
+// ---------------------------------------------------------------
+// Resuming is rerunning: each point is stored in the run cache the
+// moment it finishes, so rerunning the same sweep after a throw, a
+// crash or a ^C recomputes only what that run did not finish.
+// ---------------------------------------------------------------
+
+namespace {
+
+/** What the victim point does when it runs. */
+enum class Victim { kOk, kSegv, kThrow };
+
+/**
+ * Synthetic sweep with two healthy points on either side of one
+ * configurable victim, plus a gather over the victim's slot. If
+ * @p trapSurvivors, the healthy points segfault instead — the
+ * rerun tests use this to prove cached points are never
+ * re-executed.
+ */
+void
+buildVictimSweep(sweep::Sweep &s, Victim mode,
+                 bool trapSurvivors = false)
+{
+    const auto survivor = [trapSurvivors](const char *tag, int k,
+                                          int v) {
+        return [tag, k, v, trapSurvivors](sweep::Emit &e) {
+            if (trapSurvivors) {
+                volatile int *p = nullptr;
+                *p = 1;  // must never run on a rerun
+            }
+            e.printf("%s %d = %d\n", tag, k, v);
+        };
+    };
+    s.scope("victim-sweep");
+    s.text("header\n");
+    for (int k = 0; k < 2; ++k)
+        s.point("pre k=" + std::to_string(k), survivor("pre", k, k * k));
+    const std::size_t victim =
+        s.point("victim", 1, [mode](sweep::Emit *slots) {
+            if (mode == Victim::kSegv) {
+                volatile int *p = nullptr;
+                *p = 42;
+            } else if (mode == Victim::kThrow) {
+                throw std::runtime_error("victim boom");
+            }
+            slots[0].text("victim ok\n");
+        });
+    s.place(victim);
+    for (int k = 0; k < 2; ++k)
+        s.point("post k=" + std::to_string(k),
+                survivor("post", k, k * k * k));
+    s.gather(s.slotsOf(victim),
+             [](const std::vector<std::string> &in,
+                sweep::Emit &out) {
+                 out.printf("victim emitted %zu byte(s)\n",
+                            in[0].size());
+             });
+}
+
+std::string
+renderVictim(const sweep::Options &opts, Victim mode,
+             sweep::Sweep::Report *rep = nullptr,
+             bool trapSurvivors = false)
+{
+    sweep::Sweep s("test-victim", opts);
+    buildVictimSweep(s, mode, trapSurvivors);
+    return s.renderToString(rep);
+}
+
+/** Cached run options over @p dir, invariant checker off. */
+sweep::Options
+rerunOpts(const std::string &dir, unsigned jobs)
+{
+    sweep::Options o = cacheAt(dir);
+    o.jobs = jobs;
+    o.checkInvariants = false;
+    return o;
+}
+
+/** The fault-free victim sweep, rendered without a cache. */
+std::string
+cleanVictimBytes()
+{
+    sweep::Options o = noCache();
+    o.checkInvariants = false;
+    return renderVictim(o, Victim::kOk);
+}
+
+}  // namespace
+
+TEST(SweepRerun, RerunServesSurvivorsFromCache)
+{
+    const std::string dir = freshDir("rerun-survivors");
+    const sweep::Options o = rerunOpts(dir, 4);
+
+    // Run 1: the victim throws; the four survivors are stored.
+    EXPECT_THROW(renderVictim(o, Victim::kThrow), std::runtime_error);
+    EXPECT_EQ(sweep::RunCache::scanDir(dir).entries, 4u);
+
+    // Run 2: the same options with every survivor booby-trapped to
+    // segfault if re-executed. A clean report proves the run cache
+    // (not recomputation) supplied their bytes.
+    sweep::Sweep::Report rep;
+    const std::string out = renderVictim(o, Victim::kOk, &rep,
+                                         /*trapSurvivors=*/true);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.cacheHits, 4u);
+    EXPECT_EQ(rep.cacheStores, 1u);
+    EXPECT_EQ(out, cleanVictimBytes());
+}
+
+TEST(SweepRerun, ResumeRefusesSaltMismatch)
+{
+    sweep::Options first = rerunOpts(freshDir("rerun-salt"), 4);
+    first.salt = "salt-one";
+    EXPECT_THROW(renderVictim(first, Victim::kThrow),
+                 std::runtime_error);
+    EXPECT_EQ(sweep::RunCache::scanDir(first.cacheDir).entries, 4u);
+
+    // The run cache keys every point by the salt, so a rerun under
+    // another salt serves none of the first run's points.
+    sweep::Options second = first;
+    second.salt = "salt-two";
+    sweep::Sweep::Report rep;
+    const std::string out = renderVictim(second, Victim::kOk, &rep);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.cacheHits, 0u);
+    EXPECT_EQ(rep.cacheStores, 5u);
+    EXPECT_EQ(out, cleanVictimBytes());
+}
+
+TEST(SweepRerun, NoCacheRerunRecomputesEveryPoint)
+{
+    // Without a run cache nothing survives a failed run: the rerun
+    // recomputes all five points and only time is lost.
+    sweep::Options o = noCache();
+    o.jobs = 4;
+    o.checkInvariants = false;
+    EXPECT_THROW(renderVictim(o, Victim::kThrow), std::runtime_error);
+
+    sweep::Sweep::Report rep;
+    const std::string out = renderVictim(o, Victim::kOk, &rep);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.cacheHits, 0u);
+    EXPECT_EQ(rep.cacheStores, 0u);
+    EXPECT_EQ(out, cleanVictimBytes());
+}
+
+TEST(SweepRerun, SegfaultLeavesFinishedPointsStored)
+{
+    // At --jobs 1 points run in declaration order, so the two `pre`
+    // points finish (and are stored) before the victim kills the
+    // whole process; nothing after it runs.
+    // The pool's workers may be alive from earlier tests in this
+    // process; re-execute rather than fork a threaded process.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::string dir = freshDir("rerun-segv");
+    const sweep::Options o = rerunOpts(dir, 1);
+    EXPECT_EXIT(renderVictim(o, Victim::kSegv),
+                testing::KilledBySignal(SIGSEGV), "");
+
+    EXPECT_EQ(sweep::RunCache::scanDir(dir).entries, 2u);
+    sweep::RunCache cache(dir, sweep::kSweepSalt);
+    std::vector<std::string> slots;
+    for (const char *key : {"victim-sweep|pre k=0",
+                            "victim-sweep|pre k=1"})
+        EXPECT_TRUE(cache.lookup(key, 1, &slots)) << key;
+
+    // The rerun computes only the victim and the `post` points.
+    sweep::Sweep::Report rep;
+    const std::string out = renderVictim(o, Victim::kOk, &rep);
+    EXPECT_EQ(rep.cacheHits, 2u);
+    EXPECT_EQ(rep.cacheStores, 3u);
+    EXPECT_EQ(out, cleanVictimBytes());
+}
+
+TEST(SweepRerun, InterruptedRunRerunsOnlyWhatWasCut)
+{
+    // Four points; `before` runs ahead of each point's output,
+    // which depends only on the key.
+    const auto build = [](sweep::Sweep &s,
+                          const std::function<void(int)> &before) {
+        s.scope("interrupt-rerun");
+        for (int k = 0; k < 4; ++k)
+            s.point("p" + std::to_string(k),
+                    [k, before](sweep::Emit &e) {
+                        before(k);
+                        e.printf("point %d done\n", k);
+                    });
+    };
+    const sweep::Options o = rerunOpts(freshDir("interrupt-rerun"), 1);
+
+    // Run 1: point 0 gets a ^C and still finishes; the three points
+    // after it never start, and nothing renders.
+    sim::installInterruptHandlers();
+    sweep::Sweep::Report rep1;
+    std::string out1;
+    {
+        sweep::Sweep s("test-interrupt-rerun", o);
+        build(s, [](int k) {
+            if (k == 0)
+                std::raise(SIGINT);
+        });
+        out1 = s.renderToString(&rep1);
+    }
+    EXPECT_TRUE(sim::interruptRequested());
+    sim::resetInterruptHandlers();
+    EXPECT_FALSE(sim::interruptRequested());
+    EXPECT_TRUE(rep1.interrupted);
+    EXPECT_FALSE(rep1.clean());
+    EXPECT_EQ(rep1.cacheStores, 1u);
+    EXPECT_EQ(out1, "");
+
+    // Run 2: point 0 segfaults if re-executed, so a clean report
+    // proves only the cut points were computed.
+    sweep::Sweep::Report rep2;
+    std::string out2;
+    {
+        sweep::Sweep s("test-interrupt-rerun", o);
+        build(s, [](int k) {
+            if (k == 0) {
+                volatile int *p = nullptr;
+                *p = 1;
+            }
+        });
+        out2 = s.renderToString(&rep2);
+    }
+    EXPECT_TRUE(rep2.clean());
+    EXPECT_EQ(rep2.cacheHits, 1u);
+    EXPECT_EQ(rep2.cacheStores, 3u);
+
+    sweep::Sweep ref("test-interrupt-rerun", noCache());
+    build(ref, [](int) {});
+    EXPECT_EQ(out2, ref.renderToString());
+}
+
+// ---------------------------------------------------------------
+// Store timing under every pool size: stores serialize on one
+// mutex, so each finished point lands in the run cache exactly
+// once however many workers finish side by side.
+// ---------------------------------------------------------------
+
+namespace {
+
+class SweepStoreTiming : public testing::TestWithParam<unsigned>
+{
+  protected:
+    /** Fresh cache dir named after the test and its job count. */
+    std::string
+    dir(const char *leaf) const
+    {
+        return freshDir((std::string(leaf) + "-j" +
+                         std::to_string(GetParam()))
+                            .c_str());
+    }
+};
+
+/** Number of leftover temp files under @p dir. */
+std::size_t
+tmpFiles(const std::string &dir)
+{
+    namespace fs = std::filesystem;
+    std::size_t n = 0;
+    std::error_code ec;
+    for (const auto &e : fs::directory_iterator(dir, ec))
+        if (e.path().extension() == ".tmp")
+            ++n;
+    return n;
+}
+
+}  // namespace
+
+TEST_P(SweepStoreTiming, EveryPointStoredExactlyOnce)
+{
+    const std::string d = dir("store-once");
+    sweep::Options o = cacheAt(d);
+    o.jobs = GetParam();
+    sweep::Sweep::Report cold, warm;
+    const std::string a = renderSynthetic(o, &cold);
+    EXPECT_EQ(cold.cacheStores, cold.points);
+    EXPECT_EQ(sweep::RunCache::scanDir(d).entries, cold.points);
+    EXPECT_EQ(tmpFiles(d), 0u);
+
+    const std::string b = renderSynthetic(o, &warm);
+    EXPECT_EQ(warm.cacheHits, warm.points);
+    EXPECT_EQ(warm.cacheStores, 0u);
+    EXPECT_EQ(warm.corruptEntries, 0u);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a, renderSynthetic(noCache()));
+}
+
+TEST_P(SweepStoreTiming, ThrowingPointStoresEverySurvivor)
+{
+    const std::string d = dir("store-throw");
+    try {
+        renderVictim(rerunOpts(d, GetParam()), Victim::kThrow);
+        ADD_FAILURE() << "the victim's exception was swallowed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "victim boom");
+    }
+
+    // The survivors finish whatever the pool size, because a throw
+    // only ends its own point; the victim stores nothing.
+    EXPECT_EQ(sweep::RunCache::scanDir(d).entries, 4u);
+    EXPECT_EQ(tmpFiles(d), 0u);
+    sweep::RunCache cache(d, sweep::kSweepSalt);
+    std::vector<std::string> slots;
+    for (const char *key :
+         {"victim-sweep|pre k=0", "victim-sweep|pre k=1",
+          "victim-sweep|post k=0", "victim-sweep|post k=1"})
+        EXPECT_TRUE(cache.lookup(key, 1, &slots)) << key;
+    EXPECT_FALSE(cache.lookup("victim-sweep|victim", 1, &slots));
+}
+
+TEST_P(SweepStoreTiming, LowestIndexErrorWinsAndFailuresStoreNothing)
+{
+    const std::string d = dir("store-two-throws");
+    auto build = [](sweep::Sweep &s) {
+        s.scope("two-throws");
+        for (int k = 0; k < 6; ++k)
+            s.point("p" + std::to_string(k), [k](sweep::Emit &e) {
+                if (k == 1 || k == 4)
+                    throw std::runtime_error("boom " +
+                                             std::to_string(k));
+                e.printf("point %d\n", k);
+            });
+    };
+    sweep::Sweep s("test-two-throws", rerunOpts(d, GetParam()));
+    build(s);
+    try {
+        s.renderToString();
+        ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "boom 1");
+    }
+    EXPECT_EQ(sweep::RunCache::scanDir(d).entries, 4u);
+}
+
+TEST_P(SweepStoreTiming, InterruptStopsClaimingAndRerunFinishes)
+{
+    // Point 0 raises SIGINT; every other point waits for that
+    // before it finishes. So at most one point per worker is in
+    // flight when the flag goes up, and every point claimed after
+    // it is skipped.
+    constexpr std::size_t kPoints = 16;
+    const unsigned jobs = GetParam();
+    ASSERT_LT(jobs, kPoints);
+    auto raised = std::make_shared<std::atomic<bool>>(false);
+    const auto build = [&](sweep::Sweep &s, bool signal) {
+        s.scope("interrupt-timing");
+        for (std::size_t k = 0; k < kPoints; ++k)
+            s.point("p" + std::to_string(k),
+                    [k, signal, raised](sweep::Emit &e) {
+                        if (signal && k == 0) {
+                            std::raise(SIGINT);
+                            raised->store(true);
+                        }
+                        while (signal && !raised->load())
+                            std::this_thread::sleep_for(
+                                std::chrono::microseconds(200));
+                        e.printf("point %zu\n", k);
+                    });
+    };
+    const std::string d = dir("interrupt-timing");
+    const sweep::Options o = rerunOpts(d, jobs);
+
+    sim::installInterruptHandlers();
+    sweep::Sweep::Report rep1;
+    std::string out1;
+    {
+        sweep::Sweep s("test-interrupt-timing", o);
+        build(s, true);
+        out1 = s.renderToString(&rep1);
+    }
+    sim::resetInterruptHandlers();
+    EXPECT_TRUE(rep1.interrupted);
+    EXPECT_EQ(out1, "");
+    EXPECT_GE(rep1.cacheStores, 1u);
+    EXPECT_LE(rep1.cacheStores, jobs);
+    EXPECT_EQ(sweep::RunCache::scanDir(d).entries, rep1.cacheStores);
+
+    sweep::Sweep::Report rep2;
+    std::string out2;
+    {
+        sweep::Sweep s("test-interrupt-timing", o);
+        build(s, false);
+        out2 = s.renderToString(&rep2);
+    }
+    EXPECT_TRUE(rep2.clean());
+    EXPECT_EQ(rep2.cacheHits, rep1.cacheStores);
+    EXPECT_EQ(rep2.cacheStores, kPoints - rep1.cacheStores);
+
+    sweep::Sweep ref("test-interrupt-timing", noCache());
+    build(ref, false);
+    EXPECT_EQ(out2, ref.renderToString());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoolSizes, SweepStoreTiming, testing::Values(1u, 2u, 4u, 8u),
+    [](const testing::TestParamInfo<unsigned> &info) {
+        return "jobs" + std::to_string(info.param);
+    });
+
+// ---------------------------------------------------------------
+// Reports and rendering around an interrupt.
+// ---------------------------------------------------------------
+
+TEST(SweepReport, CleanIgnoresADegradedCacheButNotInterruptsOrViolations)
+{
+    sweep::Sweep::Report r;
+    EXPECT_TRUE(r.clean());
+    r.cacheDegraded = true;  // outputs are still complete
+    EXPECT_TRUE(r.clean());
+
+    sweep::Sweep::Report cut;
+    cut.interrupted = true;
+    EXPECT_FALSE(cut.clean());
+
+    sweep::Sweep::Report bad;
+    bad.invariantDiags.push_back({"k", "inv", "where", "x=1"});
+    EXPECT_FALSE(bad.clean());
+}
+
+TEST(SweepRun, InterruptedRunWritesNothingToItsStream)
+{
+    const auto build = [](sweep::Sweep &s, bool signal) {
+        s.scope("interrupt-stream");
+        s.text("header\n");
+        for (int k = 0; k < 3; ++k)
+            s.point("p" + std::to_string(k),
+                    [k, signal](sweep::Emit &e) {
+                        if (signal && k == 0)
+                            std::raise(SIGINT);
+                        e.printf("point %d\n", k);
+                    });
+    };
+    sweep::Options o = noCache();
+    o.jobs = 1;
+
+    std::FILE *cutFile = std::tmpfile();
+    ASSERT_NE(cutFile, nullptr);
+    sim::installInterruptHandlers();
+    sweep::Sweep::Report rep;
+    {
+        sweep::Sweep s("test-interrupt-stream", o);
+        build(s, true);
+        rep = s.run(cutFile);
+    }
+    sim::resetInterruptHandlers();
+    EXPECT_TRUE(rep.interrupted);
+    EXPECT_EQ(std::ftell(cutFile), 0L);  // not even the header
+    std::fclose(cutFile);
+
+    // The same sweep uninterrupted streams exactly its string
+    // render.
+    std::FILE *full = std::tmpfile();
+    ASSERT_NE(full, nullptr);
+    {
+        sweep::Sweep s("test-interrupt-stream", o);
+        build(s, false);
+        rep = s.run(full);
+    }
+    EXPECT_FALSE(rep.interrupted);
+    std::string got(static_cast<std::size_t>(std::ftell(full)), '\0');
+    std::rewind(full);
+    ASSERT_EQ(std::fread(got.data(), 1, got.size(), full), got.size());
+    std::fclose(full);
+    sweep::Sweep ref("test-interrupt-stream", o);
+    build(ref, false);
+    EXPECT_EQ(got, ref.renderToString());
+    EXPECT_EQ(got, "header\npoint 0\npoint 1\npoint 2\n");
+}
+
+TEST(SweepRun, InterruptBeforeRunComputesNothing)
+{
+    // The flag is already up when the sweep starts: every claimed
+    // point returns without running (each would segfault), nothing
+    // is stored and nothing renders.
+    const std::string d = freshDir("interrupt-before-run");
+    sim::installInterruptHandlers();
+    std::raise(SIGINT);
+    ASSERT_TRUE(sim::interruptRequested());
+    sweep::Sweep::Report rep;
+    std::string out;
+    {
+        sweep::Sweep s("test-interrupt-before", rerunOpts(d, 4));
+        s.scope("interrupt-before");
+        for (int k = 0; k < 8; ++k)
+            s.point("p" + std::to_string(k), [](sweep::Emit &) {
+                volatile int *p = nullptr;
+                *p = 1;
+            });
+        out = s.renderToString(&rep);
+    }
+    sim::resetInterruptHandlers();
+    EXPECT_TRUE(rep.interrupted);
+    EXPECT_EQ(rep.points, 8u);
+    EXPECT_EQ(rep.cacheStores, 0u);
+    EXPECT_EQ(out, "");
+    EXPECT_EQ(sweep::RunCache::scanDir(d).entries, 0u);
+}
+
+// ---------------------------------------------------------------
+// The interrupt handler itself: one flag, SA_RESTART, and one shot
+// per signal (SA_RESETHAND).
+// ---------------------------------------------------------------
+
+TEST(InterruptHandlers, SigintSetsTheFlagAndResetClearsIt)
+{
+    sim::installInterruptHandlers();
+    EXPECT_FALSE(sim::interruptRequested());
+    std::raise(SIGINT);
+    EXPECT_TRUE(sim::interruptRequested());
+    sim::resetInterruptHandlers();
+    EXPECT_FALSE(sim::interruptRequested());
+}
+
+TEST(InterruptHandlers, SigtermSetsTheFlagToo)
+{
+    sim::installInterruptHandlers();
+    std::raise(SIGTERM);
+    EXPECT_TRUE(sim::interruptRequested());
+    sim::resetInterruptHandlers();
+    EXPECT_FALSE(sim::interruptRequested());
+}
+
+TEST(InterruptHandlers, InstallIsIdempotent)
+{
+    sim::installInterruptHandlers();
+    sim::installInterruptHandlers();
+    EXPECT_FALSE(sim::interruptRequested());
+    std::raise(SIGINT);  // one handler, one flag; the process lives
+    EXPECT_TRUE(sim::interruptRequested());
+    sim::resetInterruptHandlers();
+}
+
+TEST(InterruptHandlers, ReinstallAfterResetArmsAgain)
+{
+    sim::installInterruptHandlers();
+    std::raise(SIGINT);
+    sim::resetInterruptHandlers();
+    ASSERT_FALSE(sim::interruptRequested());
+
+    // The first SIGINT disarmed its handler; installing again
+    // re-arms it for the next run.
+    sim::installInterruptHandlers();
+    std::raise(SIGINT);
+    EXPECT_TRUE(sim::interruptRequested());
+    sim::resetInterruptHandlers();
+}
+
+TEST(InterruptHandlers, SecondSigintTakesTheDefaultAction)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            sim::installInterruptHandlers();
+            std::raise(SIGINT);
+            if (sim::interruptRequested())
+                std::fprintf(stderr, "first SIGINT caught\n");
+            std::raise(SIGINT);
+            std::_Exit(0);
+        },
+        testing::KilledBySignal(SIGINT), "first SIGINT caught");
+}
+
+TEST(InterruptHandlers, SecondSigtermTakesTheDefaultAction)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            sim::installInterruptHandlers();
+            std::raise(SIGTERM);
+            if (sim::interruptRequested())
+                std::fprintf(stderr, "first SIGTERM caught\n");
+            std::raise(SIGTERM);
+            std::_Exit(0);
+        },
+        testing::KilledBySignal(SIGTERM), "first SIGTERM caught");
+}
+
+TEST(InterruptHandlers, ResetRestoresTheDefaultAction)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            sim::installInterruptHandlers();
+            sim::resetInterruptHandlers();
+            std::fprintf(stderr, "handler removed\n");
+            std::raise(SIGINT);
+            std::_Exit(0);
+        },
+        testing::KilledBySignal(SIGINT), "handler removed");
+}
+
+TEST(InterruptHandlers, BlockedReadRestartsInsteadOfFailingWithEintr)
+{
+    // SA_RESTART: a read(2) blocked on an empty pipe when the
+    // SIGINT lands resumes and returns the byte written after it,
+    // instead of failing with EINTR.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    sim::installInterruptHandlers();
+    const pthread_t reader = ::pthread_self();
+    std::thread poker([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        ::pthread_kill(reader, SIGINT);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        const char c = 'x';
+        EXPECT_EQ(::write(fds[1], &c, 1), 1);
+    });
+    char got = 0;
+    const ssize_t n = ::read(fds[0], &got, 1);
+    const int err = errno;
+    poker.join();
+    EXPECT_EQ(n, 1) << std::strerror(err);
+    EXPECT_EQ(got, 'x');
+    EXPECT_TRUE(sim::interruptRequested());
+    sim::resetInterruptHandlers();
+    ::close(fds[0]);
+    ::close(fds[1]);
+}
+
+// ---------------------------------------------------------------
+// Invariant checker: collector plumbing and diagnostics.
+// ---------------------------------------------------------------
+
+TEST(Invariants, RecordCapAndScopeRestore)
+{
+    EXPECT_EQ(sim::currentInvariants(), nullptr);
+    sim::Invariants outer;
+    {
+        sim::InvariantScope a(&outer);
+        EXPECT_EQ(sim::currentInvariants(), &outer);
+        {
+            sim::InvariantScope b(nullptr);
+            EXPECT_EQ(sim::currentInvariants(), nullptr);
+        }
+        EXPECT_EQ(sim::currentInvariants(), &outer);
+
+        for (int i = 0; i < 100; ++i)
+            outer.record("test/cap", "loop",
+                         "i=" + std::to_string(i));
+    }
+    EXPECT_EQ(sim::currentInvariants(), nullptr);
+    EXPECT_TRUE(outer.failed());
+    EXPECT_EQ(outer.violations().size(),
+              sim::Invariants::kMaxRecorded);
+    EXPECT_EQ(outer.dropped(),
+              100u - sim::Invariants::kMaxRecorded);
+}
+
+TEST(Invariants, ApproxGeToleratesRoundoff)
+{
+    EXPECT_TRUE(sim::approxGe(1.0, 1.0));
+    EXPECT_TRUE(sim::approxGe(2.0, 1.0));
+    EXPECT_TRUE(sim::approxGe(1.0, 1.0 + 1e-12));
+    EXPECT_FALSE(sim::approxGe(1.0, 1.1));
+}
+
+namespace {
+
+/** One-point sweep whose body records a synthetic violation. */
+std::string
+renderViolating(const sweep::Options &opts,
+                sweep::Sweep::Report *rep)
+{
+    sweep::Sweep s("test-invariants", opts);
+    s.scope("iv");
+    s.point("bad", [](sweep::Emit &e) {
+        if (sim::Invariants *inv = sim::currentInvariants())
+            inv->record("test/synthetic", "renderViolating",
+                        "x=1");
+        e.text("bad ran\n");
+    });
+    return s.renderToString(rep);
+}
+
+}  // namespace
+
+TEST(Invariants, ViolationsSurfaceInProcess)
+{
+    sweep::Options o = noCache();
+    o.checkInvariants = true;
+    sweep::Sweep::Report rep;
+    const std::string out = renderViolating(o, &rep);
+    EXPECT_NE(out.find("bad ran\n"), std::string::npos);
+    EXPECT_FALSE(rep.clean());
+    ASSERT_EQ(rep.invariantDiags.size(), 1u);
+    EXPECT_EQ(rep.invariantDiags[0].invariant, "test/synthetic");
+    EXPECT_EQ(rep.invariantDiags[0].where, "renderViolating");
+    EXPECT_EQ(rep.invariantDiags[0].pointKey, "iv|bad");
+    EXPECT_EQ(rep.invariantDiags[0].values, "x=1");
+}
+
+TEST(Invariants, DisabledCheckerRecordsNothing)
+{
+    sweep::Options o = noCache();
+    o.checkInvariants = false;
+    sweep::Sweep::Report rep;
+    renderViolating(o, &rep);
+    EXPECT_TRUE(rep.clean());
+}
+
+TEST(Invariants, RealFiguresRunCleanWithCheckerOn)
+{
+    const figs::Figure *fig = figs::find("fig01");
+    ASSERT_NE(fig, nullptr);
+    sweep::Options o = noCache();
+    o.checkInvariants = true;
+    sweep::Sweep s(fig->binary, o);
+    s.scope(fig->binary);
+    fig->build(s);
+    sweep::Sweep::Report rep;
+    s.renderToString(&rep);
+    EXPECT_TRUE(rep.clean());
+    for (const auto &d : rep.invariantDiags)
+        ADD_FAILURE() << d.invariant << " at " << d.where << ": "
+                      << d.values;
+}
+
+// ---------------------------------------------------------------
+// Crashtest figure registration (used by the CI smoke job).
+// ---------------------------------------------------------------
+
+TEST(CrashTestFigure, FindableButHiddenFromSuite)
+{
+    EXPECT_NE(figs::find("crashtest"), nullptr);
+    EXPECT_NE(figs::find("crashtest_selftest"), nullptr);
+    for (const figs::Figure &f : figs::all())
+        EXPECT_STRNE(f.name, "crashtest");
+}
+
+// ---------------------------------------------------------------
+// Run-cache maintenance: scanDir / clearDir (melody cache).
+// ---------------------------------------------------------------
+
+TEST(RunCacheMaintenance, ScanAndClear)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = freshDir("cache-maint");
+
+    sweep::Options o = rerunOpts(dir, 0);
+    o.salt = "maint-salt";
+    sweep::Sweep::Report rep;
+    renderVictim(o, Victim::kOk, &rep);
+    ASSERT_GT(rep.cacheStores, 0u);
+
+    // Drop a foreign file in the directory: counted, never
+    // deleted.
+    const fs::path foreign = fs::path(dir) / "README.txt";
+    {
+        std::ofstream f(foreign);
+        f << "not a cache entry\n";
+    }
+
+    sweep::RunCache::DirStats st = sweep::RunCache::scanDir(dir);
+    EXPECT_EQ(st.entries, rep.cacheStores);
+    EXPECT_GT(st.bytes, 0u);
+    EXPECT_EQ(st.foreign, 1u);
+    ASSERT_EQ(st.perSalt.size(), 1u);
+    EXPECT_EQ(st.perSalt.begin()->first, "maint-salt");
+    EXPECT_EQ(st.perSalt.begin()->second, rep.cacheStores);
+
+    const std::uint64_t removed = sweep::RunCache::clearDir(dir);
+    EXPECT_EQ(removed, rep.cacheStores);
+    EXPECT_TRUE(fs::exists(foreign));
+
+    st = sweep::RunCache::scanDir(dir);
+    EXPECT_EQ(st.entries, 0u);
+    EXPECT_EQ(st.foreign, 1u);
+
+    // A missing directory scans as empty rather than erroring.
+    st = sweep::RunCache::scanDir(dir + "-missing");
+    EXPECT_EQ(st.entries, 0u);
+    EXPECT_EQ(st.bytes, 0u);
+}
+
+TEST(RunCacheMaintenance, ClearRacesLiveWriterSafely)
+{
+    // `melody cache clear` against a directory a sweep is actively
+    // writing into: the advisory flock serialises deletion against
+    // in-flight tmp-write+rename stores, so renders always come
+    // back byte-identical (a cleared entry is only ever a miss,
+    // never a torn read) and no store is lost mid-rename.
+    const std::string dir = freshDir("cache-race");
+    const std::string want = cleanVictimBytes();
+    ASSERT_FALSE(want.empty());
+
+    std::atomic<bool> stop{false};
+    std::thread clearer([&] {
+        while (!stop.load()) {
+            sweep::RunCache::clearDir(dir);
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(2));
+        }
+    });
+
+    sweep::Options o = rerunOpts(dir, 0);
+    o.salt = "race-salt";
+    for (int i = 0; i < 25; ++i) {
+        sweep::Sweep::Report rep;
+        EXPECT_EQ(renderVictim(o, Victim::kOk, &rep), want)
+            << "iteration " << i;
+        EXPECT_TRUE(rep.clean()) << "iteration " << i;
+    }
+
+    stop.store(true);
+    clearer.join();
+    sweep::RunCache::clearDir(dir);
+}
+
+// ---------------------------------------------------------------
+// Environment plumbing for the standalone figure binaries.
+// ---------------------------------------------------------------
+
+TEST(SweepEnv, SwitchesAndJobsParse)
+{
+    setenv("MELODY_SWEEP_CHECK_INVARIANTS", "1", 1);
+    EXPECT_TRUE(sweep::optionsFromEnv().checkInvariants);
+    setenv("MELODY_SWEEP_CHECK_INVARIANTS", "off", 1);
+    EXPECT_FALSE(sweep::optionsFromEnv().checkInvariants);
+    unsetenv("MELODY_SWEEP_CHECK_INVARIANTS");
+
+    // Each switch takes exactly 0|off|1|on. Anything else names
+    // the variable in a ConfigError instead of reading as "on".
+    for (const char *var :
+         {"MELODY_SWEEP_CACHE", "MELODY_SWEEP_CHECK_INVARIANTS"}) {
+        setenv(var, "on", 1);
+        EXPECT_NO_THROW(sweep::optionsFromEnv()) << var;
+        for (const char *bad : {"false", "no", "", "2"}) {
+            setenv(var, bad, 1);
+            try {
+                sweep::optionsFromEnv();
+                ADD_FAILURE() << var << "='" << bad << "' accepted";
+            } catch (const ConfigError &e) {
+                EXPECT_NE(std::string(e.what()).find(var),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        unsetenv(var);
+    }
+    setenv("MELODY_SWEEP_CACHE", "off", 1);
+    EXPECT_FALSE(sweep::optionsFromEnv().cache);
+    unsetenv("MELODY_SWEEP_CACHE");
+
+    setenv("MELODY_SWEEP_JOBS", "4294967295", 1);
+    EXPECT_EQ(sweep::optionsFromEnv().jobs, 4294967295u);
+    // A sign, a value past UINT_MAX and an empty string are
+    // configuration errors, never a wrapped or truncated count.
+    for (const char *bad : {"-1", "4294967296", ""}) {
+        setenv("MELODY_SWEEP_JOBS", bad, 1);
+        EXPECT_THROW(sweep::optionsFromEnv(), ConfigError)
+            << "MELODY_SWEEP_JOBS='" << bad << "'";
+    }
+    unsetenv("MELODY_SWEEP_JOBS");
 }

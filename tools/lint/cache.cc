@@ -20,7 +20,7 @@
 
 namespace melodylint {
 
-const char *const kCacheVersion = "melody-lint-cache 2";
+const char *const kCacheVersion = "melody-lint-cache 3";
 
 std::uint64_t
 fnv1a64(const std::string &s)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Flow-aware melody-lint rules built on the structural front end
- * (structure.hh): RAS status dataflow, fork-child hygiene, and
- * signal-handler async-signal-safety. See DESIGN.md §13 for the
+ * (structure.hh): RAS status dataflow and signal-handler
+ * async-signal-safety. See DESIGN.md §13 for the
  * catalog and the rationale behind each family's scope.
  */
 
@@ -168,179 +168,6 @@ ruleRasStatusFlowImpl(const std::string &path, const Tokens &t,
 }
 
 // ---------------------------------------------------------------
-// fork-child-hygiene
-// ---------------------------------------------------------------
-
-/** Token range of the brace block opened at token @p open. */
-bool
-blockRange(const FileStructure &fs, std::size_t open,
-           std::pair<std::size_t, std::size_t> *out)
-{
-    const auto it = fs.braces.find(open);
-    if (it == fs.braces.end())
-        return false;
-    *out = {open, it->second.close};
-    return true;
-}
-
-/** Collect `if (fork() == 0)` / `if (pid == 0)` then-blocks, where
- *  pid was assigned from fork() earlier in the TU. */
-std::vector<std::pair<std::size_t, std::size_t>>
-forkChildRegions(const Tokens &t, const FileStructure &fs)
-{
-    // Pass 1: variables assigned from fork().
-    std::set<std::string> forkVars;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (!isIdent(t, i, "fork") || !isPunct(t, i + 1, "("))
-            continue;
-        // Walk left over `::` to the assigned/declared name.
-        std::size_t j = i;
-        if (j > 0 && isPunct(t, j - 1, "::"))
-            --j;
-        if (j > 0 && isPunct(t, j - 1, "=") && j >= 2 &&
-            t[j - 2].kind == TokKind::kIdent)
-            forkVars.insert(t[j - 2].text);
-    }
-
-    // Pass 2: then-blocks of `if (<child-test>) {`.
-    std::vector<std::pair<std::size_t, std::size_t>> regions;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-        if (!isIdent(t, i, "if") || !isPunct(t, i + 1, "("))
-            continue;
-        const std::size_t close = matchParen(t, i + 1);
-        if (close == std::string::npos || !isPunct(t, close + 1, "{"))
-            continue;
-        bool childTest = false;
-        for (std::size_t k = i + 2; k + 2 < close + 1 && !childTest;
-             ++k) {
-            // `fork() == 0` (possibly `::fork`).
-            if (isIdent(t, k, "fork") && isPunct(t, k + 1, "(") &&
-                isPunct(t, k + 2, ")") && isPunct(t, k + 3, "==") &&
-                k + 4 <= close && t[k + 4].is("0"))
-                childTest = true;
-            // `pid == 0` / `0 == pid`.
-            if (t[k].kind == TokKind::kIdent &&
-                forkVars.count(t[k].text) &&
-                isPunct(t, k + 1, "==") && k + 2 <= close &&
-                t[k + 2].is("0"))
-                childTest = true;
-            if (t[k].is("0") && isPunct(t, k + 1, "==") &&
-                k + 2 <= close && t[k + 2].kind == TokKind::kIdent &&
-                forkVars.count(t[k + 2].text))
-                childTest = true;
-        }
-        std::pair<std::size_t, std::size_t> r;
-        if (childTest && blockRange(fs, close + 1, &r))
-            regions.push_back(r);
-    }
-    return regions;
-}
-
-/**
- * fork-child-hygiene — between fork() and _exit()/exec the child of
- * a multithreaded process may only rely on async-signal-safe state:
- * another thread may have held the malloc lock, a stdio buffer
- * lock, or a mutex at fork time, permanently. exit() additionally
- * runs atexit handlers and flushes inherited stdio buffers —
- * duplicating the parent's pending output. Scope: the two places
- * the one place this project forks (the sweep supervisor),
- * following same-TU calls out of the child block.
- */
-void
-ruleForkChildHygieneImpl(const std::string &path, const Tokens &t,
-                         const FileStructure &fs, Sink *sink)
-{
-    if (!pathHas(path, "sim/supervisor"))
-        return;
-
-    const auto regions = forkChildRegions(t, fs);
-    if (regions.empty())
-        return;
-    const auto reached = callClosure(fs, t, regions);
-
-    static const std::set<std::string> kStdio = {
-        "printf", "fprintf", "vprintf", "vfprintf", "puts",
-        "fputs",  "fputc",   "putchar", "fwrite",   "fflush",
-        "fopen",  "fclose",  "perror",
-    };
-    static const std::set<std::string> kMutexTypes = {
-        "lock_guard", "unique_lock", "scoped_lock", "shared_lock",
-    };
-
-    for (const auto &[begin, end] : reached) {
-        for (std::size_t i = begin; i <= end && i < t.size(); ++i) {
-            if (t[i].kind != TokKind::kIdent)
-                continue;
-            const std::string &name = t[i].text;
-            const int line = t[i].line;
-            const bool member =
-                i > 0 && (isPunct(t, i - 1, ".") ||
-                          isPunct(t, i - 1, "->"));
-
-            if (name == "throw") {
-                sink->emit(line, "fork-child-hygiene",
-                           Severity::kError,
-                           "throw in a fork-child region; stack "
-                           "unwinding may touch state another "
-                           "thread held locked at fork time — "
-                           "report through the status pipe and "
-                           "_exit()");
-                continue;
-            }
-            if ((name == "exit" || name == "quick_exit") &&
-                isPunct(t, i + 1, "(") && !member) {
-                sink->emit(line, "fork-child-hygiene",
-                           Severity::kError,
-                           "'" + name +
-                               "()' in a fork-child region runs "
-                               "atexit handlers and flushes the "
-                               "parent's inherited stdio buffers; "
-                               "use '_exit()'");
-                continue;
-            }
-            if ((name == "cout" || name == "cerr" ||
-                 name == "clog") &&
-                i > 0 && isPunct(t, i - 1, "::")) {
-                sink->emit(line, "fork-child-hygiene",
-                           Severity::kError,
-                           "std::" + name +
-                               " in a fork-child region; iostream "
-                               "locks/buffers are not fork-safe — "
-                               "write() to the status pipe instead");
-                continue;
-            }
-            if (kStdio.count(name) && isPunct(t, i + 1, "(") &&
-                !member) {
-                sink->emit(line, "fork-child-hygiene",
-                           Severity::kError,
-                           "stdio call '" + name +
-                               "()' in a fork-child region; stdio "
-                               "buffer locks are not fork-safe — "
-                               "use the fd-level retry wrappers");
-                continue;
-            }
-            if (kMutexTypes.count(name)) {
-                sink->emit(line, "fork-child-hygiene",
-                           Severity::kError,
-                           "'" + name +
-                               "' in a fork-child region; a mutex "
-                               "another thread held at fork time "
-                               "stays locked forever in the child");
-                continue;
-            }
-            if (name == "lock" && member && isPunct(t, i + 1, "(")) {
-                sink->emit(line, "fork-child-hygiene",
-                           Severity::kError,
-                           "mutex acquisition in a fork-child "
-                           "region; a mutex another thread held at "
-                           "fork time stays locked forever in the "
-                           "child");
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------
 // sig-async-safety
 // ---------------------------------------------------------------
 
@@ -471,13 +298,6 @@ ruleRasStatusFlow(const std::string &path, const Tokens &t,
                   const FileStructure &fs, Sink *sink)
 {
     ruleRasStatusFlowImpl(path, t, fs, sink);
-}
-
-void
-ruleForkChildHygiene(const std::string &path, const Tokens &t,
-                     const FileStructure &fs, Sink *sink)
-{
-    ruleForkChildHygieneImpl(path, t, fs, sink);
 }
 
 void

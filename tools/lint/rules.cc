@@ -324,63 +324,6 @@ ruleDetStaticLocal(const std::string &path, const Tokens &t,
     }
 }
 
-/**
- * srv-eintr-retry — the supervised sweep runner is a long-lived
- * process with signal handlers installed (graceful interrupt), so
- * every blocking syscall can return EINTR at any moment. A raw
- * call that forgets the retry is the classic rare-flake: it works
- * for months, then one ^C lands mid-read and a clean wind-down
- * becomes a torn payload. The blessed home for the retry loops is
- * src/sim/retry_io.hh; supervisor code must call those wrappers,
- * never the raw syscall.
- */
-void
-ruleSrvEintrRetry(const std::string &path, const Tokens &t,
-                  Sink *sink)
-{
-    const bool scoped = pathHas(path, "sim/supervisor") ||
-                        pathHas(path, "sim/io_fault");
-    if (!scoped || pathHas(path, "sim/retry_io."))
-        return;
-
-    static const std::set<std::string> kRaw = {
-        "read",  "write", "accept",  "accept4", "poll",
-        "ppoll", "select", "pselect", "waitpid",
-    };
-    // Keywords that can directly precede a call expression; any
-    // other preceding identifier means a declaration's return
-    // type (`ssize_t read(...)`) or a namespace qualifier.
-    static const std::set<std::string> kStmtKeywords = {
-        "return", "co_return", "throw", "else", "do", "case",
-    };
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].kind != TokKind::kIdent ||
-            !kRaw.count(t[i].text) || !isPunct(t, i + 1, "("))
-            continue;
-        // Member access (pipe.read(), s->poll()) is someone
-        // else's API, not the libc syscall.
-        if (i > 0 && (isPunct(t, i - 1, ".") ||
-                      isPunct(t, i - 1, "->")))
-            continue;
-        if (i > 0 && isPunct(t, i - 1, "::")) {
-            // `ns::read()` is not libc; only global-scope
-            // `::read()` is (the blessed sim::retry* wrappers
-            // have different names and never land here).
-            if (i > 1 && t[i - 2].kind == TokKind::kIdent &&
-                !kStmtKeywords.count(t[i - 2].text))
-                continue;
-        } else if (i > 0 && t[i - 1].kind == TokKind::kIdent &&
-                   !kStmtKeywords.count(t[i - 1].text)) {
-            continue;  // declaration, preceded by its return type
-        }
-        sink->emit(t[i].line, "srv-eintr-retry", Severity::kError,
-                   "raw '" + t[i].text +
-                       "()' in a supervisor path; a signal "
-                       "can EINTR it mid-drain — use the retrying "
-                       "wrappers in src/sim/retry_io.hh");
-    }
-}
-
 // ---------------------------------------------------------------
 // Family 2: RAS-status hygiene.
 // ---------------------------------------------------------------
@@ -722,7 +665,6 @@ lintSource(const std::string &path, const std::string &content,
     ruleDetBannedCall(path, lexed.tokens, &sink);
     ruleDetUnorderedIter(path, lexed.tokens, &sink);
     ruleDetStaticLocal(path, lexed.tokens, &sink);
-    ruleSrvEintrRetry(path, lexed.tokens, &sink);
     ruleRasIgnoredStatus(path, lexed.tokens, &sink);
     ruleRasPlainCall(path, lexed.tokens, &sink);
     ruleErrFatalUserInput(path, lexed.tokens, &sink);
@@ -733,7 +675,6 @@ lintSource(const std::string &path, const std::string &content,
     // Flow- and project-aware rules on the structural front end.
     const FileStructure fs = analyzeStructure(lexed.tokens);
     ruleRasStatusFlow(path, lexed.tokens, fs, &sink);
-    ruleForkChildHygiene(path, lexed.tokens, fs, &sink);
     ruleSigAsyncSafety(path, lexed.tokens, fs, &sink);
     ruleArchLayering(path, lexed.tokens, fs, &sink);
     if (includesOut)

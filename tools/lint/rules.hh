@@ -88,8 +88,6 @@ class Sink
 
 void ruleRasStatusFlow(const std::string &path, const Tokens &t,
                        const FileStructure &fs, Sink *sink);
-void ruleForkChildHygiene(const std::string &path, const Tokens &t,
-                          const FileStructure &fs, Sink *sink);
 void ruleSigAsyncSafety(const std::string &path, const Tokens &t,
                         const FileStructure &fs, Sink *sink);
 

@@ -11,9 +11,9 @@
  *    or block scope (so "local declaration" and "scope exit" are
  *    meaningful);
  *  - function definitions with their body token ranges and simple
- *    names (so a rule can follow a call from a fork-child region or
- *    a signal-handler registration into the callee's body within
- *    the same translation unit);
+ *    names (so a rule can follow a call from a signal-handler
+ *    registration into the callee's body within the same
+ *    translation unit);
  *  - the quoted-include list with line numbers (the raw material
  *    for the repo-wide include graph and the layering rule).
  *
@@ -82,7 +82,7 @@ FileStructure analyzeStructure(const std::vector<Token> &tokens);
 
 /**
  * Transitive same-TU call closure: starting from @p roots (token
- * ranges, e.g. a fork-child block or a signal handler body), add
+ * ranges, e.g. a signal handler body), add
  * the body range of every function defined in this TU whose name is
  * called from an already-reached range, until a fixed point.
  * Returns the reached ranges (roots first), and optionally the set

@@ -9,9 +9,8 @@
  *   melody sweep <wl>                   one workload across setups
  *   melody sweep [opts] <fig...>|all    figure suite via the sweep
  *                                       engine (parallel + cached);
- *                                       --isolate forks crash-
- *                                       isolated workers; rerun to
- *                                       continue a killed run
+ *                                       rerun to continue a killed
+ *                                       or ^C'd run
  *   melody cache stats|clear            inspect/purge the run cache
  *   melody period <wl> <mem> [N]        period-based breakdown
  *   melody advise <wl> <mem>            §5.7 tiering advice
@@ -22,11 +21,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <system_error>
@@ -66,7 +65,6 @@ usage()
         "  melody slowdown <workload> <server> <memory>\n"
         "  melody sweep <workload>\n"
         "  melody sweep [--jobs N] [--no-cache] [--cache-dir D]\n"
-        "               [--isolate] [--retries N] [--timeout-ms N]\n"
         "               [--check-invariants] [--progress]\n"
         "               <figure...>|all\n"
         "  melody sweep --list\n"
@@ -217,20 +215,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
             if (i + 1 == args.size())
                 throw ConfigError("--cache-dir needs a value");
             opts.cacheDir = args[++i];
-        } else if (a == "--isolate") {
-            opts.isolate = true;
-        } else if (a == "--retries") {
-            if (i + 1 == args.size())
-                throw ConfigError("--retries needs a value");
-            opts.maxAttempts = parseUnsigned(args[++i].c_str(),
-                                             "--retries",
-                                             UINT_MAX - 1) +
-                               1;
-        } else if (a == "--timeout-ms") {
-            if (i + 1 == args.size())
-                throw ConfigError("--timeout-ms needs a value");
-            opts.timeoutMs = parseUnsigned(args[++i].c_str(),
-                                           "--timeout-ms");
         } else if (a == "--check-invariants") {
             opts.checkInvariants = true;
         } else if (a == "--progress") {
@@ -251,13 +235,9 @@ cmdSweepFigures(const std::vector<std::string> &args)
     if (picked.empty())
         throw ConfigError("no figures selected "
                           "(melody sweep --list)");
-    // Graceful ^C/SIGTERM for crash-isolated runs: the supervisor
-    // stops dispatching, reaps in-flight workers (their results
-    // reach the run cache), fails every unstarted point as
-    // "interrupted" and still prints the failure table
-    // (src/sim/interrupt.hh).
-    if (opts.isolate)
-        sim::installInterruptHandlers();
+    // ^C/SIGTERM stops claiming points; the ones already finished
+    // are in the run cache (src/sim/interrupt.hh).
+    sim::installInterruptHandlers();
 
     // One engine run for the whole selection; each figure keeps its
     // own cache scope so entries are shared with the standalone
@@ -267,15 +247,21 @@ cmdSweepFigures(const std::vector<std::string> &args)
         s.scope(f->binary);
         f->build(s);
     }
-    const sweep::Sweep::Report rep = s.run(stdout);
+    sweep::Sweep::Report rep;
+    try {
+        rep = s.run(stdout);
+    } catch (const std::exception &e) {
+        // A throwing point is a simulator bug, not a user error:
+        // no usage text, exit 1. Points that finished before it
+        // are already stored.
+        std::fprintf(stderr, "melody sweep: error: %s\n", e.what());
+        return 1;
+    }
     std::fprintf(stderr,
                  "melody sweep: %zu figure(s), %zu point(s), "
                  "%zu cache hit(s), %zu store(s), %zu corrupt\n",
                  picked.size(), rep.points, rep.cacheHits,
                  rep.cacheStores, rep.corruptEntries);
-    if (rep.retries)
-        std::fprintf(stderr, "melody sweep: %llu retry(ies)\n",
-                     static_cast<unsigned long long>(rep.retries));
     // Degradation diagnostic: outputs above are complete and
     // correct (hence exit code untouched), but the operator should
     // know persistence went read-only.
@@ -284,20 +270,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
                      "melody sweep: run cache DEGRADED to "
                      "read-only (persistent store failure); "
                      "results recompute next run\n");
-    // Degraded-run reporting: surviving figures already rendered
-    // above; summarize what was lost and exit nonzero so scripts
-    // notice.
-    if (!rep.failures.empty()) {
-        std::fprintf(stderr,
-                     "melody sweep: %zu point(s) FAILED:\n",
-                     rep.failures.size());
-        std::fprintf(stderr, "  %-6s %-10s %s\n", "point",
-                     "attempts", "key (cause)");
-        for (const auto &f : rep.failures)
-            std::fprintf(stderr, "  %-6zu %-10u %s (%s)\n",
-                         f.point, f.attempts, f.key.c_str(),
-                         f.cause.c_str());
-    }
     if (!rep.invariantDiags.empty()) {
         std::fprintf(stderr,
                      "melody sweep: %zu invariant violation(s):\n",
@@ -327,7 +299,7 @@ cmdSweepFigures(const std::vector<std::string> &args)
                          static_cast<unsigned long long>(
                              sim::iofault::droppedLogLines()));
     }
-    if (sim::interruptRequested()) {
+    if (rep.interrupted) {
         std::fprintf(stderr, "melody sweep: interrupted; %s\n",
                      opts.cache && !rep.cacheDegraded
                          ? "finished points are in the run cache — "
@@ -598,8 +570,7 @@ main(int argc, char **argv)
             if (std::strcmp(argv[i], "--io-faults") == 0) {
                 // Any subcommand's host I/O can be made to fail
                 // deterministically (DESIGN.md §15). Equivalent to
-                // MELODY_IO_FAULTS, which forked workers also
-                // inherit.
+                // MELODY_IO_FAULTS.
                 if (i + 1 == argc)
                     throw ConfigError("--io-faults needs a value");
                 sim::iofault::install(argv[++i]);
