@@ -1,10 +1,8 @@
 /**
  * @file
  * Registry of all figure/table benches, each expressed as a build
- * function that declares its output onto a sweep::Sweep. The same
- * build functions back the standalone bench binaries (via
- * figureMain + bench/fig_main.cc) and the `melody sweep` suite
- * runner, so both share cache entries and emit identical bytes.
+ * function that declares its output onto a sweep::Sweep. `melody
+ * sweep` is the one entry point that runs them.
  */
 
 #ifndef MELODY_BENCH_FIGURES_HH
@@ -22,7 +20,10 @@ struct Figure
 {
     /** Short CLI alias (e.g. "fig03"). */
     const char *name;
-    /** Standalone binary name (e.g. "fig03_loaded_latency"). */
+    /**
+     * Cache-key scope (e.g. "fig03_loaded_latency"); also accepted
+     * as a CLI alias. Renaming it orphans the figure's cached runs.
+     */
     const char *binary;
     /** One-line description for `melody sweep --list`. */
     const char *title;
@@ -35,13 +36,6 @@ const std::vector<Figure> &all();
 
 /** Find by alias or binary name; nullptr if unknown. */
 const Figure *find(const std::string &nameOrBinary);
-
-/**
- * main() body of a standalone figure binary: builds the figure's
- * sweep with environment options (MELODY_SWEEP_JOBS etc.), scoped
- * to @p binary, and streams it to stdout.
- */
-int figureMain(const char *binary);
 
 // Build functions, defined in the per-figure bench sources.
 void buildFig01(cxlsim::sweep::Sweep &);

@@ -133,17 +133,12 @@ def check_build_type(data, allow_debug):
 
 def run_suite(melody, jobs, cache_dir, figures, extra=()):
     """One timed `melody sweep` run; returns (seconds, stdout)."""
-    env = dict(os.environ)
-    env["MELODY_SWEEP_CACHE_DIR"] = cache_dir
-    env.pop("MELODY_SWEEP_JOBS", None)
-    env.pop("MELODY_SWEEP_CACHE", None)
-    cmd = ([melody, "sweep", "--jobs", str(jobs)] + list(extra) +
-           figures)
+    cmd = ([melody, "sweep", "--cache-dir", cache_dir,
+            "--jobs", str(jobs)] + list(extra) + figures)
     print(f"running: {' '.join(cmd)}", file=sys.stderr)
     start = time.monotonic()
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, env=env,
-                          check=True)
+                          stderr=subprocess.DEVNULL, check=True)
     return time.monotonic() - start, proc.stdout
 
 

@@ -209,9 +209,10 @@ clearCountersAndLog()
     g_logDropped = 0;
 }
 
-/** Arm from the environment at process start, so tests and bench
- *  binaries pick injection up without CLI plumbing. A malformed
- *  value warns instead of aborting every binary on the machine. */
+/** Arm from the environment at process start, so tests and the
+ *  microbenchmarks pick injection up without CLI plumbing. A
+ *  malformed value warns instead of aborting every binary on the
+ *  machine. */
 const bool g_envArmed = [] {
     const char *spec = std::getenv("MELODY_IO_FAULTS");
     if (!spec || !*spec)

@@ -29,8 +29,8 @@ class ConfigError : public std::runtime_error
 };
 
 /**
- * Parse a user-supplied unsigned option value (CLI flag or
- * environment variable named @p what). Only plain decimal digits in
+ * Parse a user-supplied unsigned option value (the CLI flag or
+ * argument named @p what). Only plain decimal digits in
  * [0, @p max] are accepted: strtoul alone would wrap "-1" to
  * ULONG_MAX and silently truncate values past UINT_MAX.
  * @throws ConfigError on anything else, including "".

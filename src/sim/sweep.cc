@@ -151,48 +151,6 @@ parseHexDoubles(std::string_view s)
 }
 
 // -----------------------------------------------------------------
-// Options
-// -----------------------------------------------------------------
-
-namespace {
-
-/**
- * Apply on/off environment switch @p var to @p flag when set.
- * Only 0|off|1|on are accepted: a value like "false" or "no" is a
- * ConfigError, never silently read as "on".
- */
-void
-envSwitch(const char *var, bool *flag)
-{
-    const char *v = std::getenv(var);
-    if (!v)
-        return;
-    const std::string_view s = v;
-    if (s == "0" || s == "off")
-        *flag = false;
-    else if (s == "1" || s == "on")
-        *flag = true;
-    else
-        throw ConfigError(std::string(var) +
-                          " must be 0|off|1|on, got '" + v + "'");
-}
-
-}  // namespace
-
-Options
-optionsFromEnv()
-{
-    Options o;
-    if (const char *jobs = std::getenv("MELODY_SWEEP_JOBS"))
-        o.jobs = parseUnsigned(jobs, "MELODY_SWEEP_JOBS");
-    envSwitch("MELODY_SWEEP_CACHE", &o.cache);
-    if (const char *dir = std::getenv("MELODY_SWEEP_CACHE_DIR"))
-        o.cacheDir = dir;
-    envSwitch("MELODY_SWEEP_CHECK_INVARIANTS", &o.checkInvariants);
-    return o;
-}
-
-// -----------------------------------------------------------------
 // Sweep
 // -----------------------------------------------------------------
 

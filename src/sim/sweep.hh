@@ -108,7 +108,7 @@ class Emit
 /** Decode an Emit::hexDoubles slot (whitespace-separated floats). */
 std::vector<double> parseHexDoubles(std::string_view s);
 
-/** Execution knobs, normally taken from the environment/CLI. */
+/** Execution knobs; `melody sweep` sets them from its flags. */
 struct Options
 {
     /** Worker threads for the point fan-out; 0 = hardware. */
@@ -131,17 +131,6 @@ struct Options
      */
     bool progress = false;
 };
-
-/**
- * Options with MELODY_SWEEP_JOBS / MELODY_SWEEP_CACHE /
- * MELODY_SWEEP_CACHE_DIR / MELODY_SWEEP_CHECK_INVARIANTS applied
- * over the defaults — how the standalone bench binaries pick up
- * configuration without flags. The two switches accept exactly
- * 0|off|1|on; any other
- * switch value, or a malformed MELODY_SWEEP_JOBS, throws
- * ConfigError naming the variable.
- */
-Options optionsFromEnv();
 
 /** Declared output sequence + point set of one bench (or suite). */
 class Sweep
@@ -204,10 +193,9 @@ class Sweep
 
     /**
      * Set the cache-key scope for subsequently declared points.
-     * The suite runner sets this to each figure's binary name so
-     * CLI and standalone runs share cache entries; standalone
-     * figure mains get it from figureMain(). Defaults to the
-     * sweep name.
+     * `melody sweep` sets this to each figure's Figure::binary, so
+     * a figure's entries are shared by every selection that
+     * includes it. Defaults to the sweep name.
      */
     void scope(std::string scope);
 

@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <regex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -1186,48 +1187,18 @@ TEST(RunCacheMaintenance, ClearRacesLiveWriterSafely)
 }
 
 // ---------------------------------------------------------------
-// Environment plumbing for the standalone figure binaries.
+// Figure registry: `melody sweep` resolves figures by alias or by
+// Figure::binary, and the binary string scopes each figure's cache
+// entries, so both must name exactly one figure.
 // ---------------------------------------------------------------
 
-TEST(SweepEnv, SwitchesAndJobsParse)
+TEST(FigureRegistry, NamesAndBinariesAreUniqueAndResolve)
 {
-    setenv("MELODY_SWEEP_CHECK_INVARIANTS", "1", 1);
-    EXPECT_TRUE(sweep::optionsFromEnv().checkInvariants);
-    setenv("MELODY_SWEEP_CHECK_INVARIANTS", "off", 1);
-    EXPECT_FALSE(sweep::optionsFromEnv().checkInvariants);
-    unsetenv("MELODY_SWEEP_CHECK_INVARIANTS");
-
-    // Each switch takes exactly 0|off|1|on. Anything else names
-    // the variable in a ConfigError instead of reading as "on".
-    for (const char *var :
-         {"MELODY_SWEEP_CACHE", "MELODY_SWEEP_CHECK_INVARIANTS"}) {
-        setenv(var, "on", 1);
-        EXPECT_NO_THROW(sweep::optionsFromEnv()) << var;
-        for (const char *bad : {"false", "no", "", "2"}) {
-            setenv(var, bad, 1);
-            try {
-                sweep::optionsFromEnv();
-                ADD_FAILURE() << var << "='" << bad << "' accepted";
-            } catch (const ConfigError &e) {
-                EXPECT_NE(std::string(e.what()).find(var),
-                          std::string::npos)
-                    << e.what();
-            }
-        }
-        unsetenv(var);
+    std::set<std::string> seen;
+    for (const figs::Figure &f : figs::all()) {
+        EXPECT_TRUE(seen.insert(f.name).second) << f.name;
+        EXPECT_TRUE(seen.insert(f.binary).second) << f.binary;
+        EXPECT_EQ(figs::find(f.name), &f) << f.name;
+        EXPECT_EQ(figs::find(f.binary), &f) << f.binary;
     }
-    setenv("MELODY_SWEEP_CACHE", "off", 1);
-    EXPECT_FALSE(sweep::optionsFromEnv().cache);
-    unsetenv("MELODY_SWEEP_CACHE");
-
-    setenv("MELODY_SWEEP_JOBS", "4294967295", 1);
-    EXPECT_EQ(sweep::optionsFromEnv().jobs, 4294967295u);
-    // A sign, a value past UINT_MAX and an empty string are
-    // configuration errors, never a wrapped or truncated count.
-    for (const char *bad : {"-1", "4294967296", ""}) {
-        setenv("MELODY_SWEEP_JOBS", bad, 1);
-        EXPECT_THROW(sweep::optionsFromEnv(), ConfigError)
-            << "MELODY_SWEEP_JOBS='" << bad << "'";
-    }
-    unsetenv("MELODY_SWEEP_JOBS");
 }

@@ -84,8 +84,6 @@ struct Report
     /** Violations silenced by lint:allow (== suppressions.size()
      *  for tree scans; kept as a plain count for summaries). */
     int suppressed = 0;
-    /** Files served from the content-hash cache (tree scans). */
-    int cacheHits = 0;
     /** Wall-clock of the scan, for the CI perf canary. */
     double elapsedMs = 0.0;
 
@@ -113,28 +111,14 @@ lintSource(const std::string &path, const std::string &content,
            std::vector<SuppressionNote> *notesOut = nullptr,
            std::vector<struct IncludeDecl> *includesOut = nullptr);
 
-/** Knobs for tree scans (CLI: --jobs / --no-cache / --cache). */
-struct TreeOptions
-{
-    /** Reuse per-file results keyed by content hash. */
-    bool useCache = false;
-    /** Cache file path; empty picks ".melody-lint-cache". */
-    std::string cachePath;
-    /** Worker threads; 0 = hardware concurrency. */
-    unsigned jobs = 0;
-};
-
 /**
  * Recursively lint every C/C++ source under each root (file roots
  * are linted directly). Directories named lint_fixtures, build*,
- * .git, CMakeFiles and results are skipped. Files are linted in
- * parallel and reported in sorted path order, so output is
- * deterministic for any jobs count; a project phase then builds
- * the include graph over all scanned files and appends the
+ * .git, CMakeFiles and results are skipped. Files are linted and
+ * reported in sorted path order; a project phase then builds the
+ * include graph over all scanned files and appends the
  * arch-include-cycle diagnostics.
  */
-Report lintTree(const std::vector<std::string> &roots,
-                const TreeOptions &options);
 Report lintTree(const std::vector<std::string> &roots);
 
 /** Machine-readable report (stable keys, sorted diagnostics). */

@@ -2,20 +2,17 @@
  * @file
  * melody-lint CLI.
  *
- *   melody_lint [--json <path>] [--quiet] [--no-cache]
- *               [--cache <path>] [--jobs <n>] <path>...
+ *   melody_lint [--json <path>] [--quiet] <path>...
  *
  * Paths may be files or directories (recursed). Diagnostics print
  * as  path:line: severity: [rule-id] message  — the format editors
- * and CI annotators already parse. Per-file results are cached by
- * content hash in .melody-lint-cache (gitignored) so warm scans
- * only re-lint changed files; --no-cache forces a cold run. Exit
- * status: 0 clean (warnings allowed), 1 rule errors found, 2
- * usage/IO error.
+ * and CI annotators already parse. Every run lints every file and
+ * writes nothing but the optional JSON report. Exit status: 0
+ * clean (warnings allowed), 1 rule errors found, 2 usage/IO
+ * error.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -29,8 +26,6 @@ main(int argc, char **argv)
     std::vector<std::string> roots;
     std::string jsonPath;
     bool quiet = false;
-    melodylint::TreeOptions options;
-    options.useCache = true;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -40,27 +35,11 @@ main(int argc, char **argv)
                 return 2;
             }
             jsonPath = argv[i];
-        } else if (arg == "--cache") {
-            if (++i >= argc) {
-                std::cerr << "melody-lint: --cache needs a path\n";
-                return 2;
-            }
-            options.cachePath = argv[i];
-        } else if (arg == "--no-cache") {
-            options.useCache = false;
-        } else if (arg == "--jobs") {
-            if (++i >= argc) {
-                std::cerr << "melody-lint: --jobs needs a count\n";
-                return 2;
-            }
-            options.jobs = static_cast<unsigned>(
-                std::strtoul(argv[i], nullptr, 10));
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "usage: melody_lint [--json <path>] "
-                         "[--quiet] [--no-cache] [--cache <path>] "
-                         "[--jobs <n>] <path>...\n";
+                         "[--quiet] <path>...\n";
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "melody-lint: unknown option " << arg
@@ -72,13 +51,12 @@ main(int argc, char **argv)
     }
     if (roots.empty()) {
         std::cerr << "usage: melody_lint [--json <path>] [--quiet] "
-                     "[--no-cache] [--cache <path>] [--jobs <n>] "
                      "<path>...\n";
         return 2;
     }
 
     const melodylint::Report report =
-        melodylint::lintTree(roots, options);
+        melodylint::lintTree(roots);
 
     for (const auto &d : report.diags)
         std::cout << d.path << ":" << d.line << ": "
@@ -102,8 +80,7 @@ main(int argc, char **argv)
                   << " files, " << report.errorCount()
                   << " errors, " << report.warningCount()
                   << " warnings, " << report.suppressed
-                  << " suppressed, " << report.cacheHits
-                  << " cached, " << ms << " ms\n";
+                  << " suppressed, " << ms << " ms\n";
     }
 
     return report.errorCount() > 0 ? 1 : 0;

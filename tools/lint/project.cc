@@ -1,8 +1,8 @@
 /**
  * @file
  * Architecture rules: the layer order from DESIGN.md §13 enforced
- * per include edge (arch-layering, per-file and therefore
- * cacheable) and include-cycle detection over the repo-wide graph
+ * per include edge (arch-layering, per-file) and include-cycle
+ * detection over the repo-wide graph
  * (arch-include-cycle, driver project phase).
  */
 
@@ -125,7 +125,7 @@ layerName(int layer)
  * refactor safe: sim must stay ignorant of mem, mem of cpu, and
  * everything of the front ends. The layer of an include is derived
  * from its written path (includes are written src/-relative), so
- * the rule stays per-file and cacheable.
+ * the rule stays per-file.
  */
 void
 ruleArchLayering(const std::string &path, const Tokens &t,

@@ -3,8 +3,8 @@
  * Project-level analysis for melody-lint: the repo-wide include
  * graph and its cycle check. Per-file rules see one TU at a time;
  * the driver collects every scanned file's include list (cheap —
- * the lists come out of the per-file pass, cached ones included)
- * and runs this phase once over the whole set.
+ * the lists come out of the per-file pass) and runs this phase once
+ * over the whole set.
  */
 
 #ifndef MELODY_LINT_PROJECT_HH

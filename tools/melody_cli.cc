@@ -196,7 +196,7 @@ cmdSweep(const std::string &wl)
 int
 cmdSweepFigures(const std::vector<std::string> &args)
 {
-    sweep::Options opts = sweep::optionsFromEnv();
+    sweep::Options opts;
     std::vector<const figs::Figure *> picked;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
@@ -240,8 +240,8 @@ cmdSweepFigures(const std::vector<std::string> &args)
     sim::installInterruptHandlers();
 
     // One engine run for the whole selection; each figure keeps its
-    // own cache scope so entries are shared with the standalone
-    // bench binaries.
+    // own cache scope, so its entries are shared by every selection
+    // that includes it.
     sweep::Sweep s("melody-sweep", opts);
     for (const auto *f : picked) {
         s.scope(f->binary);
@@ -314,7 +314,7 @@ cmdSweepFigures(const std::vector<std::string> &args)
 int
 cmdCache(const std::vector<std::string> &args)
 {
-    std::string dir = "results/.runcache";
+    std::string dir = sweep::Options{}.cacheDir;
     std::string action;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
