@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the simulator itself:
  * event-queue throughput, cache lookups, cache warm-up, demand
- * loads with prefetchers, DRAM channel accesses, CXL device round
- * trips, and end-to-end workload simulation rate.
+ * loads with prefetchers, single-core block steps, DRAM channel
+ * accesses, CXL device round trips, and end-to-end workload
+ * simulation rate.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "cpu/cache.hh"
+#include "cpu/core.hh"
 #include "cpu/hierarchy.hh"
 #include "cpu/multicore.hh"
 #include "core/platform.hh"
@@ -68,7 +70,10 @@ BM_Preload(benchmark::State &state)
 {
     // Warm-up of a fit-sized 8-thread workload on EMR2S: every 8 MB
     // partition fits the per-core budget, so each core preloads its
-    // whole partition into its L2 and the shared L3.
+    // whole partition into its L2 and the shared L3. Cache::fill
+    // writes a set on its first probe, so each iteration also takes
+    // a fixed set of demand loads over the preloaded lines.
+    constexpr int kLoads = 20000;
     auto w = workloads::byName("605.mcf_s");
     w.threads = 8;
     w.workingSetBytes = 64ULL << 20;
@@ -83,10 +88,28 @@ BM_Preload(benchmark::State &state)
         ranges.push_back(k->preloadRange(budget));
         lines += ranges.back().lines;
     }
+    struct Load
+    {
+        unsigned core;
+        Addr addr;
+    };
+    std::vector<Load> loads;
+    Rng rng(9);
+    for (int i = 0; i < kLoads; ++i) {
+        const auto c = static_cast<unsigned>(rng.below(ranges.size()));
+        const cpu::LineRange &r = ranges[c];
+        loads.push_back(
+            {c, r.base + rng.below(r.lines) * kCacheLineBytes});
+    }
     for (auto _ : state) {
         cpu::MemoryHierarchy h(plat.cpu(), 8, be.get());
         h.preload(ranges);
-        benchmark::ClobberMemory();
+        Tick now = 0;
+        for (const Load &l : loads) {
+            now += nsToTicks(1);
+            benchmark::DoNotOptimize(
+                h.demandLoad(l.core, l.addr, 1, now).readyAt);
+        }
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(lines));
@@ -124,6 +147,28 @@ BM_DemandLoadPrefetch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DemandLoadPrefetch);
+
+static void
+BM_CoreStep(benchmark::State &state)
+{
+    // One core of a warmed single-thread 605.mcf_s on EMR2S/Local:
+    // each iteration is one Core::step, a basic block through the
+    // caches, prefetchers and backend. The kernel never runs out.
+    auto w = workloads::byName("605.mcf_s");
+    w.threads = 1;
+    w.blocksPerCore = 1ULL << 40;
+    melody::Platform plat("EMR2S", "Local");
+    auto be = plat.makeBackend(10);
+    auto kernels = workloads::makeKernels(w);
+    cpu::MemoryHierarchy h(plat.cpu(), 1, be.get());
+    h.preload({kernels[0]->preloadRange(
+        cpu::MultiCore::preloadBudget(plat.cpu(), 1))});
+    cpu::Core core(plat.cpu(), w.exec, &h, 0, kernels[0].get());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(core.step());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CoreStep);
 
 static void
 BM_DramChannelAccess(benchmark::State &state)

@@ -1,6 +1,7 @@
 #include "cache.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -11,7 +12,7 @@ Cache::Cache(std::uint64_t size_bytes, unsigned ways)
     : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways)
 {
     SIM_ASSERT(sets_ >= 1, "cache too small");
-    SIM_ASSERT(ways_ >= 1 && ways_ <= 255, "ways out of range");
+    SIM_ASSERT(ways_ >= 1 && ways_ < kCold, "ways out of range");
     const std::size_t n = sets_ * ways_;
     // calloc: lazily-zeroed pages make constructing a 100s-of-MB
     // LLC O(1) instead of an eager multi-ms memset per run.
@@ -24,9 +25,13 @@ Cache::Cache(std::uint64_t size_bytes, unsigned ways)
 int
 Cache::findWay(std::size_t set, Addr line_addr) const
 {
+    unsigned m = mru_[set];
+    if (m == kCold) [[unlikely]] {
+        materialize(set);
+        m = mru_[set];
+    }
     const Addr key = tagWord(line_addr);
     const Addr *t = &tags_[set * ways_];
-    const unsigned m = mru_[set];
     if (t[m] == key)
         return static_cast<int>(m);
     for (unsigned w = 0; w < ways_; ++w)
@@ -133,36 +138,51 @@ Cache::fill(std::span<const LineRange> ranges, StallTag home)
                        byBase[i].base,
                    "fill ranges overlap");
 
-    const std::uint64_t capacity = sets_ * ways_;
     for (const LineRange &r : ranges) {
-        const std::uint64_t first = r.base / kCacheLineBytes;
-        // Line i of the range is followed in its set by lines i +
-        // sets_, i + 2*sets_, ...: it survives the range iff fewer
-        // than ways_ of those exist, i.e. iff i >= lines - capacity.
-        // Each t in [lo, lo + sets_) is the first survivor of a
-        // distinct set.
-        const std::uint64_t lo =
-            r.lines > capacity ? r.lines - capacity : 0;
-        const std::uint64_t end = std::min(r.lines, lo + sets_);
-        for (std::uint64_t t = lo; t < end; ++t) {
-            const std::size_t set = (first + t) % sets_;
-            Addr *tg = &tags_[set * ways_];
-            Meta *mb = &meta_[set * ways_];
-            // Earlier ranges left this set's last line in its MRU
-            // way, so the FIFO continues one way further; t / sets_
-            // lines of this range precede line t in the set.
-            const unsigned m = mru_[set];
-            std::uint64_t w = (tg[m] != 0 ? m + 1 : 0) + t / sets_;
-            w %= ways_;
-            for (std::uint64_t i = t; i < r.lines; i += sets_) {
-                tg[w] = tagWord((first + i) * kCacheLineBytes);
-                mb[w] = Meta{0, stamp_ + i + 1, home, false};
-                mru_[set] = static_cast<std::uint8_t>(w);
-                w = w + 1 == ways_ ? 0 : w + 1;
-            }
-        }
+        if (r.lines > 0)
+            fills_.push_back({r.base / kCacheLineBytes, r.lines, stamp_});
         stamp_ += r.lines;
     }
+    fillHome_ = home;
+    std::memset(mru_.get(), kCold, sets_);
+}
+
+void
+Cache::materialize(std::size_t set) const
+{
+    // Line i of a fill range lands in set (first + i) % sets_, so
+    // the range's lines in this set are i0, i0 + sets_, ...
+    const auto firstInSet = [&](const FillRange &r) {
+        return (set + sets_ - r.first % sets_) % sets_;
+    };
+    const auto countInSet = [&](const FillRange &r, std::uint64_t i0) {
+        return r.lines > i0 ? (r.lines - 1 - i0) / sets_ + 1 : 0;
+    };
+    std::uint64_t total = 0;
+    for (const FillRange &r : fills_)
+        total += countInSet(r, firstInSet(r));
+
+    // The set filled FIFO: its j-th line went to way j % ways_, and
+    // only the last ways_ lines survive.
+    const std::uint64_t evicted = total > ways_ ? total - ways_ : 0;
+    Addr *tg = &tags_[set * ways_];
+    Meta *mb = &meta_[set * ways_];
+    std::uint64_t j = 0;
+    for (const FillRange &r : fills_) {
+        const std::uint64_t i0 = firstInSet(r);
+        const std::uint64_t n = countInSet(r, i0);
+        const std::uint64_t k0 = evicted > j ? evicted - j : 0;
+        std::uint64_t w = (j + k0) % ways_;
+        for (std::uint64_t k = k0; k < n; ++k) {
+            const std::uint64_t i = i0 + k * sets_;
+            tg[w] = tagWord((r.first + i) * kCacheLineBytes);
+            mb[w] = Meta{0, r.stampBefore + i + 1, fillHome_, false};
+            w = w + 1 == ways_ ? 0 : w + 1;
+        }
+        j += n;
+    }
+    mru_[set] = static_cast<std::uint8_t>(total > 0 ? (total - 1) % ways_
+                                                    : 0);
 }
 
 void

@@ -18,9 +18,14 @@
  * cachelines instead of ten), with an MRU-way first probe; the cold
  * per-line metadata (readyAt, LRU stamp, home, dirty) lives in a
  * parallel array that is only touched after a tag match. The tag
- * array is calloc'd so multi-hundred-MB LLCs cost no up-front
- * zeroing — the OS hands out lazily-zeroed pages and first-touch
- * cost is spread across the run.
+ * array is calloc'd, so constructing a multi-hundred-MB LLC touches
+ * no page of it.
+ *
+ * Warm-up is deferred: fill() only records its line ranges and marks
+ * every set cold with a reserved MRU byte. The first probe of a cold
+ * set writes that set's warmed state, computed from the ranges alone,
+ * so the state never depends on which sets a run touches first, and
+ * the pages of sets no access reaches are never faulted in.
  */
 
 #ifndef CXLSIM_CPU_CACHE_HH
@@ -32,6 +37,7 @@
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "cpu/counters.hh"
 #include "sim/types.hh"
@@ -71,7 +77,7 @@ class Cache
   public:
     /**
      * @param size_bytes Capacity.
-     * @param ways       Associativity.
+     * @param ways       Associativity, at most 254.
      */
     Cache(std::uint64_t size_bytes, unsigned ways);
 
@@ -102,10 +108,11 @@ class Cache
      * what insert() would leave line by line: on a fresh cache with
      * distinct lines every set fills FIFO, so a set's j-th line
      * lands in way j % ways with LRU stamp (global insert index +
-     * 1), and only the last ways lines of each set survive. Only
-     * the survivors are written. Requires a fresh cache (no
-     * insert() or lookup() yet) and pairwise-disjoint, line-aligned
-     * ranges.
+     * 1), and only the last ways lines of each set survive. The
+     * ranges are only recorded here; each set's survivors are
+     * written on the first probe of that set. Requires a fresh cache
+     * (no insert() or lookup() yet) and pairwise-disjoint,
+     * line-aligned ranges.
      */
     void fill(std::span<const LineRange> ranges, StallTag home);
 
@@ -126,7 +133,7 @@ class Cache
     /**
      * Cold per-line state; read only after a tag match, so the
      * backing array is deliberately left uninitialized (trivial
-     * type, written by insert() or fill() before any read).
+     * type, written by insert() or materialize() before any read).
      */
     struct Meta
     {
@@ -150,8 +157,28 @@ class Cache
         return (line_addr / kCacheLineBytes) % sets_;
     }
 
-    /** Way holding @p line_addr in @p set, or -1. MRU-first probe. */
+    /** mru_ value of a set whose fill() state is not written yet. */
+    static constexpr unsigned kCold = 255;
+
+    /** A recorded fill() range: lines first.. and the stamp before. */
+    struct FillRange
+    {
+        std::uint64_t first;
+        std::uint64_t lines;
+        std::uint64_t stampBefore;
+    };
+
+    /**
+     * Way holding @p line_addr in @p set, or -1. MRU-first probe;
+     * materializes a cold set first.
+     */
     int findWay(std::size_t set, Addr line_addr) const;
+
+    /**
+     * Write the warmed state of cold @p set from fills_: the last
+     * ways_ of its fill lines, FIFO. O(fills_.size() + ways_).
+     */
+    void materialize(std::size_t set) const;
 
     struct FreeDeleter
     {
@@ -160,13 +187,17 @@ class Cache
 
     std::uint64_t sets_;
     unsigned ways_;
+    // Mutable: a const probe (contains()) may materialize a cold set.
     /** sets_*ways_ probe words: tagWord(addr) or 0 when invalid. */
-    std::unique_ptr<Addr[], FreeDeleter> tags_;
+    mutable std::unique_ptr<Addr[], FreeDeleter> tags_;
     /** sets_*ways_ cold entries, parallel to tags_. */
-    std::unique_ptr<Meta[], FreeDeleter> meta_;
-    /** Per-set most-recently-hit way (probe hint only). */
-    std::unique_ptr<std::uint8_t[], FreeDeleter> mru_;
+    mutable std::unique_ptr<Meta[], FreeDeleter> meta_;
+    /** Per-set most-recently-hit way (probe hint), or kCold. */
+    mutable std::unique_ptr<std::uint8_t[], FreeDeleter> mru_;
     std::uint64_t stamp_ = 0;
+    /** fill()'s non-empty ranges, in fill order, and their home. */
+    std::vector<FillRange> fills_;
+    StallTag fillHome_ = StallTag::kL3;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

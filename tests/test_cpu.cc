@@ -192,43 +192,53 @@ expectSameState(Cache &got, Cache &want,
     EXPECT_EQ(got.pendingHits(), want.pendingHits());
 }
 
+struct Geometry
+{
+    const char *name;
+    std::uint64_t bytes;
+    unsigned ways;
+    std::uint64_t sets;
+};
+
+const Geometry kFillGeometries[] = {
+    {"EMR L2", 2048 * 1024, 16, 2048},
+    // Non-power-of-two set count, odd way count.
+    {"SKX L3", 13800ULL * 1024, 11, 20072},
+    {"toy", 4 * 4 * kCacheLineBytes, 4, 4},
+};
+
+/** One fill() per case, ranges in core order. */
+std::vector<std::vector<LineRange>>
+fillCases(const Geometry &g)
+{
+    const std::uint64_t cap = g.sets * g.ways;
+    const auto at = [](std::uint64_t line) {
+        return line * kCacheLineBytes;
+    };
+    return {
+        {{at(3), 0}},
+        {{0, g.sets - 1}},
+        {{0, cap}},
+        {{at(5), cap * 7 / 2}},
+        // Four disjoint ranges of mixed sizes sharing one cache;
+        // core order is not address order. The first overflows
+        // the cache, and the later three are too small to evict
+        // all of it, so the survivors mix all four ranges.
+        {{at(7), 2 * cap + 1},
+         {at(10 * cap + 3), cap / 3 + 1},
+         {at(20 * cap), 7},
+         {at(4 * cap), g.sets + 5}},
+        // Two one-line ranges: every set but 1 and 3 stays empty.
+        {{at(1), 1}, {at(2 * g.sets + 3), 1}},
+    };
+}
+
 }  // namespace
 
 TEST(Cache, FillMatchesInsertLoop)
 {
-    struct Geometry
-    {
-        const char *name;
-        std::uint64_t bytes;
-        unsigned ways;
-        std::uint64_t sets;
-    };
-    const Geometry geometries[] = {
-        {"EMR L2", 2048 * 1024, 16, 2048},
-        // Non-power-of-two set count, odd way count.
-        {"SKX L3", 13800ULL * 1024, 11, 20072},
-        {"toy", 4 * 4 * kCacheLineBytes, 4, 4},
-    };
-    for (const Geometry &g : geometries) {
-        const std::uint64_t cap = g.sets * g.ways;
-        const auto at = [](std::uint64_t line) {
-            return line * kCacheLineBytes;
-        };
-        // One fill per case, ranges in core order.
-        const std::vector<std::vector<LineRange>> cases = {
-            {{at(3), 0}},
-            {{0, g.sets - 1}},
-            {{0, cap}},
-            {{at(5), cap * 7 / 2}},
-            // Four disjoint ranges of mixed sizes sharing one cache;
-            // core order is not address order. The first overflows
-            // the cache, and the later three are too small to evict
-            // all of it, so the survivors mix all four ranges.
-            {{at(7), 2 * cap + 1},
-             {at(10 * cap + 3), cap / 3 + 1},
-             {at(20 * cap), 7},
-             {at(4 * cap), g.sets + 5}},
-        };
+    for (const Geometry &g : kFillGeometries) {
+        const auto cases = fillCases(g);
         for (std::size_t i = 0; i < cases.size(); ++i) {
             SCOPED_TRACE(std::string(g.name) + ", case " +
                          std::to_string(i));
@@ -240,6 +250,87 @@ TEST(Cache, FillMatchesInsertLoop)
             expectSameState(got, want, cases[i], 17 + i);
         }
     }
+}
+
+TEST(Cache, DeferredFillAnyTouchOrder)
+{
+    // fill() writes a set on its first probe. Probing the sets in
+    // reverse and in a shuffled order, with a lookup that both
+    // caches take, must leave the same state as the insert() loop.
+    for (const Geometry &g : kFillGeometries) {
+        const auto cases = fillCases(g);
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            for (const bool shuffled : {false, true}) {
+                SCOPED_TRACE(std::string(g.name) + ", case " +
+                             std::to_string(i) +
+                             (shuffled ? ", shuffled" : ", reverse"));
+                std::vector<std::uint64_t> order(g.sets);
+                for (std::uint64_t s = 0; s < g.sets; ++s)
+                    order[s] = g.sets - 1 - s;
+                Rng rng(31 + i);
+                if (shuffled)
+                    for (std::uint64_t s = g.sets - 1; s > 0; --s)
+                        std::swap(order[s], order[rng.below(s + 1)]);
+
+                Cache got(g.bytes, g.ways);
+                Cache want(g.bytes, g.ways);
+                got.fill(cases[i], StallTag::kL3);
+                insertLoop(&want, cases[i], StallTag::kL3);
+                for (const std::uint64_t s : order) {
+                    // Line s + k*sets lies in set s, inside or
+                    // beyond the filled ranges.
+                    const Addr a =
+                        (s + rng.below(2 * g.ways) * g.sets) *
+                        kCacheLineBytes;
+                    ASSERT_EQ(got.lookup(a, 1, nullptr, nullptr),
+                              want.lookup(a, 1, nullptr, nullptr))
+                        << "set " << s;
+                }
+                expectSameState(got, want, cases[i], 53 + i);
+            }
+        }
+    }
+}
+
+TEST(Cache, ColdSetFirstTouchByMarkDirtyOrInvalidate)
+{
+    // 4 sets x 4 ways; 35 lines leave lines 19..34 resident.
+    const std::uint64_t sets = 4;
+    const unsigned ways = 4;
+    const LineRange range[] = {{0, 35}};
+    Cache got(sets * ways * kCacheLineBytes, ways);
+    Cache want(sets * ways * kCacheLineBytes, ways);
+    got.fill(range, StallTag::kL3);
+    insertLoop(&want, range, StallTag::kL3);
+
+    // First touches: set 1 by markDirty of a resident line, set 2 by
+    // invalidate of a resident line, set 3 by markDirty of an
+    // evicted line (a no-op).
+    const Addr dirtied = 25 * kCacheLineBytes;
+    const Addr dropped = 30 * kCacheLineBytes;
+    for (Cache *c : {&got, &want}) {
+        c->markDirty(dirtied);
+        c->invalidate(dropped);
+        c->markDirty(3 * kCacheLineBytes);
+    }
+    EXPECT_FALSE(got.contains(dropped));
+
+    // Evicting all of set 1 must write back exactly the dirtied line.
+    int dirtyEvictions = 0;
+    for (unsigned j = 0; j < ways; ++j) {
+        const Addr a = (100 * sets + 1 + j * sets) * kCacheLineBytes;
+        const Eviction e = got.insert(a, 0, StallTag::kDram, false);
+        const Eviction w = want.insert(a, 0, StallTag::kDram, false);
+        EXPECT_EQ(e.valid, w.valid);
+        EXPECT_EQ(e.dirty, w.dirty);
+        EXPECT_EQ(e.lineAddr, w.lineAddr);
+        if (e.dirty) {
+            ++dirtyEvictions;
+            EXPECT_EQ(e.lineAddr, dirtied);
+        }
+    }
+    EXPECT_EQ(dirtyEvictions, 1);
+    expectSameState(got, want, range, 71);
 }
 
 TEST(Cache, FillRejectsOverlapOrUsedCache)
@@ -258,6 +349,25 @@ TEST(Cache, FillRejectsOverlapOrUsedCache)
     EXPECT_EQ(looked.lookup(0, 0, nullptr, nullptr),
               LookupResult::kMiss);
     EXPECT_DEATH(looked.fill(one, StallTag::kL3), "fresh");
+    // Filled but never probed: every set is still cold.
+    Cache filled(64 * 1024, 8);
+    filled.fill(one, StallTag::kL3);
+    EXPECT_DEATH(filled.fill(one, StallTag::kL3), "fresh");
+}
+
+TEST(Cache, WaysLeaveTheColdMarkFree)
+{
+    // A set's MRU byte holds a way index or the reserved cold mark
+    // 255, so 254 ways is the most a cache may have.
+    EXPECT_DEATH(Cache(255 * kCacheLineBytes, 255), "ways out of range");
+
+    const LineRange range[] = {{0, 2 * 254 + 7}};
+    Cache got(254 * kCacheLineBytes, 254);
+    Cache want(254 * kCacheLineBytes, 254);
+    ASSERT_EQ(got.sets(), 1u);
+    got.fill(range, StallTag::kL3);
+    insertLoop(&want, range, StallTag::kL3);
+    expectSameState(got, want, range, 89);
 }
 
 TEST(StridePrefetcher, TrainsOnConstantStride)
