@@ -29,11 +29,12 @@ class SamplingBackend : public mem::MemoryBackend
     {
     }
 
-    Tick
-    access(Addr a, mem::ReqType t, Tick now) override
+    mem::AccessResult
+    accessEx(Addr a, mem::ReqType t, Tick now) override
     {
         note(t);
-        const Tick done = inner_->access(a, t, now);
+        const mem::AccessResult r = inner_->accessEx(a, t, now);
+        const Tick done = r.done;
         if (t == mem::ReqType::kDemandLoad) {
             latency_.add(now, ticksToNs(done - now));
             hist_.record(ticksToNs(done - now));
@@ -46,7 +47,7 @@ class SamplingBackend : public mem::MemoryBackend
             winStart_ = now;
             bytes_ = 0;
         }
-        return done;
+        return r;
     }
 
     const std::string &name() const override { return inner_->name(); }

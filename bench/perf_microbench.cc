@@ -1,10 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator itself:
- * event-queue throughput, cache lookups, cache warm-up, demand
- * loads with prefetchers, single-core block steps, DRAM channel
- * accesses, CXL device round trips, and end-to-end workload
- * simulation rate.
+ * cache lookups, cache warm-up, demand loads with prefetchers,
+ * single-core block steps, DRAM channel accesses, CXL device
+ * round trips, and end-to-end workload simulation rate.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,29 +21,12 @@
 #include "cxl/device.hh"
 #include "cxl/device_profile.hh"
 #include "dram/channel.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/sweep.hh"
 #include "workloads/suite.hh"
 #include "workloads/synthetic_kernel.hh"
 
 using namespace cxlsim;
-
-static void
-BM_EventQueue(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue q;
-        int sink = 0;
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(static_cast<Tick>((i * 7919) % 100000),
-                       [&sink] { ++sink; });
-        q.run();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueue);
 
 static void
 BM_CacheLookup(benchmark::State &state)
@@ -194,7 +176,7 @@ BM_CxlDeviceRead(benchmark::State &state)
     Rng rng(4);
     Tick now = 0;
     for (auto _ : state) {
-        const Tick done = dev.read(rng.below(1 << 22) * 64, now);
+        const Tick done = dev.readEx(rng.below(1 << 22) * 64, now).done;
         now = done + nsToTicks(5);
         benchmark::DoNotOptimize(done);
     }

@@ -145,7 +145,7 @@ CxlController::updateUtilization(Tick now)
     lastArrival_ = now;
 }
 
-ServiceOutcome
+ras::AccessResult
 CxlController::serviceEx(Addr addr, bool is_write, Tick arrival)
 {
     if (ras_) {

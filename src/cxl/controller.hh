@@ -38,21 +38,13 @@ struct ControllerStats
     double hiccupNs = 0.0;
 };
 
-/** Completion tick + RAS status of one serviced request.
- *  [[nodiscard]] for the same reason as mem::AccessResult: a
- *  dropped outcome is a silently-ignored fault. */
-struct [[nodiscard]] ServiceOutcome
-{
-    Tick done;
-    ras::Status status;
-};
-
 /**
  * Request queue + scheduler + DDR channels of one CXL device.
  *
- * service() is called in arrival order with the tick the request
+ * serviceEx() is called in arrival order with the tick the request
  * clears the link; it returns the tick the data is ready to leave
- * the device (read) or is durably accepted (write).
+ * the device (read) or is durably accepted (write), plus the RAS
+ * completion status.
  *
  * With RAS enabled (enableRas), the controller additionally runs
  * the media-error process (correctable ECC, poison-returning
@@ -67,14 +59,7 @@ class CxlController
     CxlController(const DeviceProfile &profile, std::uint64_t seed);
 
     /** Service one 64B request; see class comment. */
-    Tick
-    service(Addr addr, bool is_write, Tick arrival)
-    {
-        return serviceEx(addr, is_write, arrival).done;
-    }
-
-    /** As service(), but with the RAS completion status. */
-    ServiceOutcome serviceEx(Addr addr, bool is_write, Tick arrival);
+    ras::AccessResult serviceEx(Addr addr, bool is_write, Tick arrival);
 
     /**
      * Arm fault injection: media-error process, health monitor and

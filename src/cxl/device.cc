@@ -77,15 +77,15 @@ CxlDevice::throughSwitches(unsigned bytes, link::Dir dir, Tick now)
 {
     if (dir == link::Dir::kToDevice) {
         for (auto &sw : switches_)
-            now = sw->send(bytes, dir, now);
+            now = sw->sendEx(bytes, dir, now).at;
     } else {
         for (auto it = switches_.rbegin(); it != switches_.rend(); ++it)
-            now = (*it)->send(bytes, dir, now);
+            now = (*it)->sendEx(bytes, dir, now).at;
     }
     return now;
 }
 
-ServiceOutcome
+ras::AccessResult
 CxlDevice::readEx(Addr addr, Tick host_issue)
 {
     Tick t = throughSwitches(kReadRequestBytes, link::Dir::kToDevice,
@@ -98,7 +98,7 @@ CxlDevice::readEx(Addr addr, Tick host_issue)
         ctrl_.noteLinkDown();
         return {req.at, ras::Status::kRetryable};
     }
-    const ServiceOutcome so =
+    const ras::AccessResult so =
         ctrl_.serviceEx(addr, /*is_write=*/false, req.at);
     if (so.status == ras::Status::kTimeout)
         return so;  // device down: no data ever comes back
@@ -112,7 +112,7 @@ CxlDevice::readEx(Addr addr, Tick host_issue)
     return {t, so.status};
 }
 
-ServiceOutcome
+ras::AccessResult
 CxlDevice::writeEx(Addr addr, Tick host_issue)
 {
     // Writes are posted: the command header reaches the controller
@@ -134,7 +134,7 @@ CxlDevice::writeEx(Addr addr, Tick host_issue)
         host_issue +
         nsToTicks(profile_.linkCfg.propagationNs *
                   static_cast<double>(1 + switches_.size()));
-    const ServiceOutcome so =
+    const ras::AccessResult so =
         ctrl_.serviceEx(addr, /*is_write=*/true, cmdArrive);
     if (so.status == ras::Status::kTimeout)
         return so;  // no completion: host timer expires

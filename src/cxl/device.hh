@@ -29,8 +29,9 @@ constexpr unsigned kCompletionBytes = 8;
 /**
  * One CXL memory expander as seen from a host root port.
  *
- * read()/write() take the tick the request leaves the host's
- * uncore and return the tick the response reaches it.
+ * readEx()/writeEx() take the tick the request leaves the host's
+ * uncore and return the tick the response reaches it, plus the
+ * RAS completion status.
  */
 class CxlDevice
 {
@@ -44,26 +45,16 @@ class CxlDevice
     CxlDevice(const DeviceProfile &profile, std::uint64_t seed,
               unsigned switch_hops = 0);
 
-    /** 64B read: request down, DRAM access, data back. */
-    Tick read(Addr addr, Tick host_issue)
-    {
-        return readEx(addr, host_issue).done;
-    }
+    /** 64B read: request down, DRAM access, data back. Status is
+     *  Retryable when a flit was lost to replay exhaustion, Timeout
+     *  when the device is down, Poisoned on an uncorrectable media
+     *  error. */
+    ras::AccessResult readEx(Addr addr, Tick host_issue);
 
-    /** 64B write: data down, DRAM write, completion (NDR) back. */
-    Tick write(Addr addr, Tick host_issue)
-    {
-        return writeEx(addr, host_issue).done;
-    }
-
-    /** As read(), plus the RAS completion status: Retryable when a
-     *  flit was lost to replay exhaustion, Timeout when the device
-     *  is down, Poisoned on an uncorrectable media error. */
-    ServiceOutcome readEx(Addr addr, Tick host_issue);
-
-    /** As write(); a poisoned write target is recorded, not
-     *  surfaced (writes overwrite the bad line). */
-    ServiceOutcome writeEx(Addr addr, Tick host_issue);
+    /** 64B write: data down, DRAM write, completion (NDR) back. A
+     *  poisoned write target is recorded, not surfaced (writes
+     *  overwrite the bad line). */
+    ras::AccessResult writeEx(Addr addr, Tick host_issue);
 
     /**
      * Arm the fault plan on this device: CRC/LLR faults on the
@@ -92,11 +83,6 @@ class CxlDevice
   private:
     link::SendResult sendLinkEx(unsigned bytes, link::Dir dir,
                                 Tick now);
-    Tick
-    sendLink(unsigned bytes, link::Dir dir, Tick now)
-    {
-        return sendLinkEx(bytes, dir, now).at;
-    }
     Tick throughSwitches(unsigned bytes, link::Dir dir, Tick now);
 
     DeviceProfile profile_;

@@ -34,6 +34,7 @@ PooledCxlDevice::retire(unsigned head, Tick completion)
 Tick
 PooledCxlDevice::earliestAdmission(unsigned head, Tick now)
 {
+    SIM_ASSERT(head < links_.size(), "pool head out of range");
     if (policy_ == PoolArbitration::kNone)
         return now;
     constexpr Tick kHorizon = 2 * kTicksPerUs;
@@ -118,9 +119,10 @@ PooledCxlDevice::addRasTo(ras::RasStats *out) const
     ctrl_.addRasTo(out);
 }
 
-ServiceOutcome
+ras::AccessResult
 PooledCxlDevice::readEx(unsigned head, Addr addr, Tick host_issue)
 {
+    SIM_ASSERT(head < links_.size(), "pool head out of range");
     ++stats_[head].reads;
     const auto req = links_[head]->sendEx(
         kReadRequestBytes, link::Dir::kToDevice, host_issue);
@@ -129,7 +131,7 @@ PooledCxlDevice::readEx(unsigned head, Addr addr, Tick host_issue)
         return {req.at, ras::Status::kRetryable};
     }
     const Tick entry = arbitrate(head, req.at);
-    const ServiceOutcome so =
+    const ras::AccessResult so =
         ctrl_.serviceEx(addr, /*is_write=*/false, entry);
     if (so.status == ras::Status::kTimeout)
         return so;
@@ -143,9 +145,10 @@ PooledCxlDevice::readEx(unsigned head, Addr addr, Tick host_issue)
     return {data.at, so.status};
 }
 
-ServiceOutcome
+ras::AccessResult
 PooledCxlDevice::writeEx(unsigned head, Addr addr, Tick host_issue)
 {
+    SIM_ASSERT(head < links_.size(), "pool head out of range");
     ++stats_[head].writes;
     const auto data = links_[head]->sendEx(
         kDataBytes, link::Dir::kToDevice, host_issue);
@@ -156,7 +159,7 @@ PooledCxlDevice::writeEx(unsigned head, Addr addr, Tick host_issue)
     const Tick cmd =
         host_issue + nsToTicks(profile_.linkCfg.propagationNs);
     const Tick entry = arbitrate(head, cmd);
-    const ServiceOutcome so =
+    const ras::AccessResult so =
         ctrl_.serviceEx(addr, /*is_write=*/true, entry);
     if (so.status == ras::Status::kTimeout)
         return so;

@@ -83,22 +83,13 @@ class PooledCxlDevice
      */
     Tick earliestAdmission(unsigned head, Tick now);
 
-    /** 64B read from @p head; returns host-visible completion. */
-    Tick read(unsigned head, Addr addr, Tick host_issue)
-    {
-        return readEx(head, addr, host_issue).done;
-    }
-
-    /** 64B write from @p head. */
-    Tick write(unsigned head, Addr addr, Tick host_issue)
-    {
-        return writeEx(head, addr, host_issue).done;
-    }
-
-    /** As read()/write(), with the RAS completion status (the
-     *  shared controller's health gates every head at once). */
-    ServiceOutcome readEx(unsigned head, Addr addr, Tick host_issue);
-    ServiceOutcome writeEx(unsigned head, Addr addr, Tick host_issue);
+    /** 64B read/write from @p head; returns the host-visible
+     *  completion and its RAS status (the shared controller's
+     *  health gates every head at once). */
+    ras::AccessResult readEx(unsigned head, Addr addr,
+                             Tick host_issue);
+    ras::AccessResult writeEx(unsigned head, Addr addr,
+                              Tick host_issue);
 
     /** Arm the fault plan on each head link + shared controller. */
     void enableRas(const ras::FaultPlan &plan, unsigned device,

@@ -58,8 +58,10 @@ struct LinkConfig
     double turnaroundNs = 20.0;
 };
 
-/** Arrival tick plus transport outcome of one transfer. */
-struct SendResult
+/** Arrival tick plus transport outcome of one transfer.
+ *  [[nodiscard]] like ras::AccessResult: a dropped result is a
+ *  silently-ignored lost flit. */
+struct [[nodiscard]] SendResult
 {
     /** Tick the flit (or its loss) is known at the far end. */
     Tick at;
@@ -75,14 +77,9 @@ class DuplexLink
 
     /**
      * Transfer @p bytes in direction @p dir starting no earlier
-     * than @p now; returns arrival tick at the far end.
+     * than @p now; returns the arrival tick at the far end and
+     * whether the flit was lost (CRC/LLR).
      */
-    Tick send(unsigned bytes, Dir dir, Tick now)
-    {
-        return sendEx(bytes, dir, now).at;
-    }
-
-    /** As send(), but also report transport failure (CRC/LLR). */
     SendResult sendEx(unsigned bytes, Dir dir, Tick now);
 
     /** Arm the CRC/replay fault process with a dedicated stream. */
@@ -111,11 +108,6 @@ class HalfDuplexLink
 {
   public:
     explicit HalfDuplexLink(const LinkConfig &cfg) : cfg_(cfg) {}
-
-    Tick send(unsigned bytes, Dir dir, Tick now)
-    {
-        return sendEx(bytes, dir, now).at;
-    }
 
     SendResult sendEx(unsigned bytes, Dir dir, Tick now);
 

@@ -9,6 +9,11 @@
  * §3.1); the RegionRouter below additionally supports the §5.7
  * tuning use case, where specific hot objects are pinned back to
  * local DRAM.
+ *
+ * A backend implements one entry point, accessEx(), which returns
+ * the completion tick and RAS status together; the status-less
+ * access() is a forwarder in the base class, so every caller sees
+ * the same path and the same faults.
  */
 
 #ifndef CXLSIM_MEM_BACKEND_HH
@@ -25,15 +30,9 @@
 
 namespace cxlsim::mem {
 
-/** Completion tick + RAS status of one backend access. The struct
- *  is [[nodiscard]]: dropping it silently swallows poison/timeout
- *  (melody-lint's ras-ignored-status rule rejects the (void) escape
- *  hatch too). */
-struct [[nodiscard]] AccessResult
-{
-    Tick done;
-    ras::Status status = ras::Status::kOk;
-};
+/** Completion tick + RAS status of one backend access (the one
+ *  [[nodiscard]] completion type of the whole memory path). */
+using AccessResult = ras::AccessResult;
 
 /** Byte/request counters every backend keeps. */
 struct BackendStats
@@ -61,24 +60,27 @@ class MemoryBackend
     virtual ~MemoryBackend() = default;
 
     /**
-     * Issue a 64B request and return its completion tick.
+     * Issue a 64B request and return its completion tick and RAS
+     * status. This is the one function a backend implements.
      *
      * @param addr Line-aligned physical address.
      * @param type Request class (affects read/write direction).
      * @param now  Issue tick (request leaves the LLC/uncore).
      */
-    virtual Tick access(Addr addr, ReqType type, Tick now) = 0;
+    virtual AccessResult accessEx(Addr addr, ReqType type,
+                                  Tick now) = 0;
 
     /**
-     * As access(), plus the RAS completion status. Fault-free
-     * backends (local DRAM) use this default — always kOk;
-     * RAS-capable backends override BOTH access() and accessEx()
-     * so either entry point observes faults.
+     * accessEx() without the status, for fire-and-forget or
+     * fault-free traffic (LLC writebacks, tiering migration,
+     * MLC/Mio). Virtual only because the benchmark's forwarding
+     * TimingBackend (perfbench/timing_backend.hh) overrides it;
+     * no backend in the simulator does.
      */
-    virtual AccessResult
-    accessEx(Addr addr, ReqType type, Tick now)
+    virtual Tick
+    access(Addr addr, ReqType type, Tick now)
     {
-        return {access(addr, type, now), ras::Status::kOk};
+        return accessEx(addr, type, now).done;
     }
 
     /**

@@ -27,18 +27,18 @@ CxlBackend::accessEx(Addr addr, ReqType type, Tick now)
     Tick issue = now + overhead;
     double backoffNs = rp.backoffNs;
     for (unsigned attempt = 0;; ++attempt) {
-        const cxl::ServiceOutcome so =
+        const AccessResult r =
             isRead(type) ? device_.readEx(addr, issue)
                          : device_.writeEx(addr, issue);
-        if (so.status == ras::Status::kOk ||
-            so.status == ras::Status::kPoisoned)
-            return {so.done, so.status};
+        if (r.status == ras::Status::kOk ||
+            r.status == ras::Status::kPoisoned)
+            return r;
 
         // No (usable) completion arrived: the host's completion
         // timer expires, then it backs off and re-issues — or
         // gives up once the retry budget is spent.
         const Tick expired =
-            std::max(so.done, issue + nsToTicks(rp.timeoutNs));
+            std::max(r.done, issue + nsToTicks(rp.timeoutNs));
         if (attempt >= rp.maxRetries) {
             ++hostStats_.hostTimeouts;
             return {expired, ras::Status::kTimeout};

@@ -47,11 +47,6 @@ class CxlBackend : public MemoryBackend
   public:
     explicit CxlBackend(const CxlBackendConfig &cfg);
 
-    Tick
-    access(Addr addr, ReqType type, Tick now) override
-    {
-        return accessEx(addr, type, now).done;
-    }
     AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
     void rasReport(std::vector<ras::RasReportEntry> *out)
         const override;

@@ -23,11 +23,6 @@ class InterleavedBackend : public MemoryBackend
     InterleavedBackend(std::string name,
                        std::vector<BackendPtr> targets);
 
-    Tick
-    access(Addr addr, ReqType type, Tick now) override
-    {
-        return accessEx(addr, type, now).done;
-    }
     AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
     void
     rasReport(std::vector<ras::RasReportEntry> *out) const override

@@ -38,7 +38,7 @@ class LocalDramBackend : public MemoryBackend
   public:
     explicit LocalDramBackend(const LocalDramConfig &cfg);
 
-    Tick access(Addr addr, ReqType type, Tick now) override;
+    AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
     const std::string &name() const override { return cfg_.name; }
 
     /** Theoretical peak bandwidth across channels, GB/s. */

@@ -23,8 +23,8 @@ NumaBackend::accessEx(Addr addr, ReqType type, Tick now)
 
     Tick t = now + jitter_.sample(now);
     // Outbound: a small request for reads, the full line for writes.
-    t = upi_.send(read ? kRequestBytes : kDataBytes,
-                  link::Dir::kToDevice, t);
+    t = upi_.sendEx(read ? kRequestBytes : kDataBytes,
+                    link::Dir::kToDevice, t).at;
     const AccessResult r = target_->accessEx(addr, type, t);
     if (r.status == ras::Status::kTimeout) {
         // Nothing comes back over the hop — the timeout already
@@ -32,8 +32,8 @@ NumaBackend::accessEx(Addr addr, ReqType type, Tick now)
         return r;
     }
     // Inbound: data for reads, an ack for writes.
-    t = upi_.send(read ? kDataBytes : kAckBytes,
-                  link::Dir::kFromDevice, r.done);
+    t = upi_.sendEx(read ? kDataBytes : kAckBytes,
+                    link::Dir::kFromDevice, r.done).at;
     return {t + nsToTicks(cfg_.extraNs), r.status};
 }
 

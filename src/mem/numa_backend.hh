@@ -41,11 +41,6 @@ class NumaBackend : public MemoryBackend
     NumaBackend(std::string name, BackendPtr target,
                 const NumaHopConfig &cfg);
 
-    Tick
-    access(Addr addr, ReqType type, Tick now) override
-    {
-        return accessEx(addr, type, now).done;
-    }
     AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
     void
     rasReport(std::vector<ras::RasReportEntry> *out) const override

@@ -40,11 +40,6 @@ class RegionRouter : public MemoryBackend
     /** Re-route timed-out slow-backend requests to the fast one. */
     void enableFailover(bool on = true) { failover_ = on; }
 
-    Tick
-    access(Addr addr, ReqType type, Tick now) override
-    {
-        return accessEx(addr, type, now).done;
-    }
     AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
     void rasReport(std::vector<ras::RasReportEntry> *out)
         const override;

@@ -83,11 +83,6 @@ class TieringBackend : public MemoryBackend
     /** Serve timed-out slow-tier requests from the fast tier. */
     void enableFailover(bool on = true) { failover_ = on; }
 
-    Tick
-    access(Addr addr, ReqType type, Tick now) override
-    {
-        return accessEx(addr, type, now).done;
-    }
     AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
     void rasReport(std::vector<ras::RasReportEntry> *out)
         const override;

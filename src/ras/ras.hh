@@ -61,6 +61,16 @@ statusName(Status s)
     return "?";
 }
 
+/** Completion tick + status of one request at any layer of the
+ *  memory path (controller, device, backend). [[nodiscard]]:
+ *  dropping it silently swallows poison/timeout (melody-lint's
+ *  ras-ignored-status rule rejects the (void) escape hatch too). */
+struct [[nodiscard]] AccessResult
+{
+    Tick done;
+    Status status = Status::kOk;
+};
+
 /** Health state of one CXL device, coarsest to the host's view. */
 enum class DeviceHealth : std::uint8_t {
     kHealthy = 0,

@@ -4,9 +4,9 @@
  *
  * Validation-heavy simulators treat self-checking as a first-class
  * feature: a counter-nesting violation (paper Figure 10 requires
- * P1 ⊇ P3 ⊇ P4 ⊇ P5) or a non-monotonic event queue silently
- * corrupts every figure built on top of it. The hooks sprinkled
- * through src/cpu, src/cxl and the event kernel validate those
+ * P1 ⊇ P3 ⊇ P4 ⊇ P5) or a controller completing a request before
+ * it arrived silently corrupts every figure built on top of it.
+ * The hooks sprinkled through src/cpu and src/cxl validate those
  * contracts at runtime and report violations as *structured
  * diagnostics* (invariant name, component, offending values)
  * instead of raw aborts, so a sweep can finish, attribute the
@@ -26,8 +26,6 @@
  *   counters/l3-subset      pf+demand L3 misses <= LLC miss count
  *   counters/conservation   backend reads/writes == hierarchy
  *                           demand+prefetch+RFO / writeback counts
- *   eventq/monotonic-time   executed event tick >= now()
- *   eventq/schedule-past    schedule() target tick >= now()
  *   cxl/completion-order    serviceEx completion >= arrival
  *   cxl/utilization-bounds  controller utilization in [0, 1]
  *   queue/pf-occupancy      prefetch in-flight queues <= budget
@@ -51,7 +49,7 @@ struct InvariantViolation
 {
     /** Catalog name, e.g. "counters/nesting". */
     std::string invariant;
-    /** Component instance, e.g. "core 3" or "EventQueue". */
+    /** Component instance, e.g. "core 3" or "CxlController". */
     std::string where;
     /** Formatted offending values, e.g. "p1=10.0 p3=11.2". */
     std::string values;

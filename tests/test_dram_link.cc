@@ -163,8 +163,8 @@ TEST(DuplexLink, DirectionsIndependent)
 {
     LinkConfig cfg{.gbpsPerDir = 32.0, .propagationNs = 10.0};
     DuplexLink l(cfg);
-    const Tick r1 = l.send(64, Dir::kFromDevice, 0);
-    const Tick w1 = l.send(64, Dir::kToDevice, 0);
+    const Tick r1 = l.sendEx(64, Dir::kFromDevice, 0).at;
+    const Tick w1 = l.sendEx(64, Dir::kToDevice, 0).at;
     // Neither waited for the other: both = ser + prop.
     const Tick expect = serializationTicks(64, 32.0) + nsToTicks(10);
     EXPECT_EQ(r1, expect);
@@ -175,8 +175,8 @@ TEST(DuplexLink, SerializationQueues)
 {
     LinkConfig cfg{.gbpsPerDir = 32.0, .propagationNs = 0.0};
     DuplexLink l(cfg);
-    const Tick first = l.send(64, Dir::kFromDevice, 0);
-    const Tick second = l.send(64, Dir::kFromDevice, 0);
+    const Tick first = l.sendEx(64, Dir::kFromDevice, 0).at;
+    const Tick second = l.sendEx(64, Dir::kFromDevice, 0).at;
     EXPECT_EQ(second, 2 * first);
     EXPECT_EQ(l.stats().transfers[1], 2u);
     EXPECT_EQ(l.stats().bytes[1], 128u);
@@ -189,7 +189,7 @@ TEST(DuplexLink, BandwidthCapProperty)
     const int n = 50000;
     Tick last = 0;
     for (int i = 0; i < n; ++i)
-        last = l.send(64, Dir::kFromDevice, 0);
+        last = l.sendEx(64, Dir::kFromDevice, 0).at;
     const double gbps = n * 64.0 / ticksToNs(last);
     EXPECT_NEAR(gbps, 24.0, 0.5);
 }
@@ -200,10 +200,10 @@ TEST(HalfDuplexLink, TurnaroundOnDirectionFlip)
                    .propagationNs = 0.0,
                    .turnaroundNs = 8.0};
     HalfDuplexLink l(cfg);
-    const Tick a = l.send(64, Dir::kToDevice, 0);
-    const Tick b = l.send(64, Dir::kToDevice, a);
+    const Tick a = l.sendEx(64, Dir::kToDevice, 0).at;
+    const Tick b = l.sendEx(64, Dir::kToDevice, a).at;
     const Tick sameDirDelta = b - a;
-    const Tick c = l.send(64, Dir::kFromDevice, b);
+    const Tick c = l.sendEx(64, Dir::kFromDevice, b).at;
     const Tick flipDelta = c - b;
     EXPECT_NEAR(ticksToNs(flipDelta - sameDirDelta), 8.0, 0.01);
 }
@@ -217,8 +217,8 @@ TEST(HalfDuplexLink, SharedMediumSerializesBothDirections)
     const int n = 20000;
     Tick last = 0;
     for (int i = 0; i < n; ++i)
-        last = l.send(64, i % 2 ? Dir::kToDevice : Dir::kFromDevice,
-                      0);
+        last = l.sendEx(64, i % 2 ? Dir::kToDevice : Dir::kFromDevice,
+                        0).at;
     const double gbps = n * 64.0 / ticksToNs(last);
     // Both directions share 21 GB/s (unlike a duplex link's 42).
     EXPECT_NEAR(gbps, 21.0, 0.5);

@@ -243,12 +243,12 @@ class GridBackend : public mem::MemoryBackend
         : grid_(grid), regionBytes_(regionBytes)
     {}
 
-    Tick
-    access(Addr addr, mem::ReqType type, Tick now) override
+    mem::AccessResult
+    accessEx(Addr addr, mem::ReqType type, Tick now) override
     {
         note(type);
         issues.emplace_back(now, addr / regionBytes_);
-        return completion(now);
+        return {completion(now), ras::Status::kOk};
     }
 
     Tick completion(Tick now) const { return (now / grid_ + 2) * grid_; }

@@ -120,10 +120,12 @@ TEST(LinkProperties, ByteAccountingExact)
     for (int i = 0; i < 1000; ++i) {
         const unsigned bytes = 8 + rng.below(120);
         if (rng.chance(0.5)) {
-            l.send(bytes, link::Dir::kToDevice, i * 100);
+            EXPECT_FALSE(
+                l.sendEx(bytes, link::Dir::kToDevice, i * 100).lost);
             to += bytes;
         } else {
-            l.send(bytes, link::Dir::kFromDevice, i * 100);
+            EXPECT_FALSE(
+                l.sendEx(bytes, link::Dir::kFromDevice, i * 100).lost);
             from += bytes;
         }
     }

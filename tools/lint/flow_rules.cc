@@ -51,8 +51,7 @@ isPlainCall(const Tokens &t, std::size_t i)
 bool
 isStatusType(const std::string &name)
 {
-    return name == "Status" || name == "AccessResult" ||
-           name == "ServiceOutcome";
+    return name == "Status" || name == "AccessResult";
 }
 
 /** True when the identifier occurrence at @p i is a *read* of the
@@ -73,9 +72,9 @@ occurrenceIsRead(const Tokens &t, std::size_t i)
 }
 
 /**
- * ras-status-flow — a ras::Status / AccessResult / ServiceOutcome
- * bound to a local that is never read, branched on, passed or
- * returned before its scope exits is a dropped status: the fault it
+ * ras-status-flow — a ras::Status / AccessResult bound to a local
+ * that is never read, branched on, passed or returned before its
+ * scope exits is a dropped status: the fault it
  * may carry (poison, timeout, uncorrectable) vanishes exactly like
  * the call-site drops ras-ignored-status catches — one binding
  * later. Reassigning the variable does not count as a read.

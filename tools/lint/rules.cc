@@ -351,7 +351,7 @@ ruleRasIgnoredStatus(const std::string &path, const Tokens &t,
             continue;
 
         // A declaration, not a call: the name is preceded by its
-        // return type (`ServiceOutcome readEx(...)`) or a
+        // return type (`AccessResult readEx(...)`) or a
         // declarator (`*`, `&`).
         if (i > 0 && (t[i - 1].kind == TokKind::kIdent ||
                       isPunct(t, i - 1, "*") ||
@@ -393,8 +393,8 @@ ruleRasIgnoredStatus(const std::string &path, const Tokens &t,
 
 /**
  * ras-plain-call — the RAS-aware layers must not call the
- * status-less compatibility wrappers on a backend/device: they
- * exist for fault-free callers (CPU model, tests), and using them
+ * status-less MemoryBackend::access() forwarder: it exists for
+ * fire-and-forget callers (LLC writebacks, MLC/Mio), and using it
  * inside src/mem//src/cxl reintroduces status-dropping one level
  * down.
  */
