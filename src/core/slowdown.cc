@@ -82,8 +82,7 @@ SlowdownStudy::slowdownWithRun(const workloads::WorkloadProfile &w,
 std::vector<double>
 SlowdownStudy::slowdownBatch(
     const std::vector<workloads::WorkloadProfile> &ws,
-    const std::string &server, const std::string &memory,
-    unsigned threads)
+    const std::string &server, const std::string &memory)
 {
     std::vector<double> out(ws.size());
     parallelFor(
@@ -91,7 +90,7 @@ SlowdownStudy::slowdownBatch(
         [&](std::size_t i) {
             out[i] = slowdown(ws[i], server, memory);
         },
-        threads);
+        0);
     return out;
 }
 

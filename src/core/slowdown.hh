@@ -60,13 +60,13 @@ class SlowdownStudy
 
     /**
      * Slowdowns of many workloads on one setup, computed in
-     * parallel (each run is independent and deterministic).
-     * Results are returned in input order.
+     * parallel on parallelFor's default pool (each run is
+     * independent and deterministic). Results are returned in
+     * input order.
      */
     std::vector<double> slowdownBatch(
         const std::vector<cxlsim::workloads::WorkloadProfile> &ws,
-        const std::string &server, const std::string &memory,
-        unsigned threads = 0);
+        const std::string &server, const std::string &memory);
 
   private:
     std::uint64_t seed_;

@@ -10,7 +10,6 @@
 #include <system_error>
 #include <utility>
 
-#include "sim/io_fault.hh"
 #include "sim/logging.hh"
 #include "stats/rows.hh"
 
@@ -60,23 +59,23 @@ class ScopedFlock
     bool held_;
 };
 
-/** Read a whole file; false if unreadable. Injected read faults
- *  (sim/io_fault.hh) surface as clean misses or truncations the
- *  checksum catches — never as wrong payload bytes. */
+/** Read a whole file; false if unreadable. A read error (an entry
+ *  path that is a directory reads as EISDIR) is a clean miss; a
+ *  truncated file is caught by the checksum — never wrong payload
+ *  bytes. */
 bool
 readFile(const std::string &path, std::string *out)
 {
-    namespace iof = sim::iofault;
-    std::FILE *f = iof::xfopen(path.c_str(), "rb");
+    std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return false;
     std::string data;
     char buf[1 << 14];
     std::size_t n;
-    while ((n = iof::xfread(buf, 1, sizeof(buf), f)) > 0)
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
         data.append(buf, n);
     const bool ok = !std::ferror(f);
-    iof::xfclose(f);
+    std::fclose(f);
     if (!ok)
         return false;
     *out = std::move(data);
@@ -118,9 +117,8 @@ RunCache::lockFd()
         // description: flock holds are per open file description,
         // and a shared inherited one would self-deadlock nothing
         // but would also protect nothing.
-        lockFd_ = sim::iofault::xopen(
-            (dir_ + "/" + kLockName).c_str(),
-            O_CREAT | O_RDWR | O_CLOEXEC, 0666);
+        lockFd_ = ::open((dir_ + "/" + kLockName).c_str(),
+                         O_CREAT | O_RDWR | O_CLOEXEC, 0666);
     }
     return lockFd_;
 }
@@ -276,7 +274,6 @@ RunCache::store(const std::string &key,
                 const std::vector<std::string> &rows)
 {
     namespace fs = std::filesystem;
-    namespace iof = sim::iofault;
     if (degraded_) {
         // Read-only pass-through: persistent write failure already
         // tripped; don't burn syscalls re-proving the disk is full.
@@ -309,13 +306,13 @@ RunCache::store(const std::string &key,
     // rather than disabling the cache.
     ScopedFlock lock(lockFd(), LOCK_SH);
     bool ok = false;
-    if (std::FILE *f = iof::xfopen(tmp.c_str(), "wb")) {
-        ok = iof::xfwrite(data.data(), 1, data.size(), f) ==
+    if (std::FILE *f = std::fopen(tmp.c_str(), "wb")) {
+        ok = std::fwrite(data.data(), 1, data.size(), f) ==
              data.size();
-        ok = (iof::xfclose(f) == 0) && ok;
+        ok = (std::fclose(f) == 0) && ok;
     }
     if (ok)
-        ok = iof::xrename(tmp.c_str(), path.c_str()) == 0;
+        ok = std::rename(tmp.c_str(), path.c_str()) == 0;
     if (!ok) {
         // Every failure branch — open, short write, close, rename —
         // lands here, so the pid-unique temp is always unlinked and

@@ -6,8 +6,9 @@
  * figure-level determinism for a few real benches, reruns that take
  * every point a crashed, failed or interrupted run finished from the
  * run cache, store timing at every pool size, the ^C handler,
- * runtime invariant plumbing, and the cache stats/clear maintenance
- * entry points.
+ * runtime invariant plumbing, the cache stats/clear maintenance
+ * entry points, and every run-cache failure branch reached through
+ * a filesystem state that really fails.
  */
 
 #include <pthread.h>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -40,6 +42,7 @@
 #include "sim/logging.hh"
 #include "sim/run_cache.hh"
 #include "sim/sweep.hh"
+#include "stats/rows.hh"
 
 using namespace cxlsim;
 
@@ -142,28 +145,30 @@ TEST(Sweep, CorruptedEntriesFallBackToRecompute)
     const std::string dir = freshDir("sweep-corrupt");
     const std::string a = renderSynthetic(cacheAt(dir));
 
-    // Truncate one entry and scribble over another: both must be
-    // detected, recomputed, and re-stored with identical output.
-    // Only .rcache files are entries — the dir also holds the
-    // cross-process lock file.
+    // Truncate one entry inside its header, scribble over another
+    // and cut the last payload byte off a third (a short read): all
+    // must be detected, recomputed, and re-stored with identical
+    // output. Only .rcache files are entries — the dir also holds
+    // the cross-process lock file.
     std::vector<fs::path> entries;
     for (const auto &e : fs::directory_iterator(dir))
         if (e.path().extension() == ".rcache")
             entries.push_back(e.path());
-    ASSERT_GE(entries.size(), 2u);
+    ASSERT_GE(entries.size(), 3u);
     std::sort(entries.begin(), entries.end());
     fs::resize_file(entries[0], 4);
     {
         std::ofstream f(entries[1], std::ios::binary);
         f << "melody-runcache 1\nnot a real entry\n";
     }
+    fs::resize_file(entries[2], fs::file_size(entries[2]) - 1);
 
     sweep::Sweep::Report rep;
     const std::string b = renderSynthetic(cacheAt(dir), &rep);
     EXPECT_EQ(a, b);
-    EXPECT_EQ(rep.corruptEntries, 2u);
-    EXPECT_EQ(rep.cacheHits, rep.points - 2);
-    EXPECT_EQ(rep.cacheStores, 2u);
+    EXPECT_EQ(rep.corruptEntries, 3u);
+    EXPECT_EQ(rep.cacheHits, rep.points - 3);
+    EXPECT_EQ(rep.cacheStores, 3u);
 
     // The re-stored entries are valid again.
     sweep::Sweep::Report again;
@@ -1185,6 +1190,667 @@ TEST(RunCacheMaintenance, ClearRacesLiveWriterSafely)
     clearer.join();
     sweep::RunCache::clearDir(dir);
 }
+
+// ---------------------------------------------------------------
+// Run-cache failure paths (DESIGN.md §15), each reached through a
+// filesystem state that really fails, also as root:
+//
+//   fopen   the cache dir sits under a regular file   (ENOTDIR)
+//   fwrite  this process's temp is a symlink to        (ENOSPC)
+//   fclose    /dev/full: a 64 KiB payload fails in fwrite, a
+//             few bytes fail when fclose flushes them
+//   rename  the entry path is a directory              (EISDIR)
+//   fread   the entry path is a directory              (EISDIR)
+//   short   the entry file is truncated   (checksum: corrupt miss)
+//   lock    `.melody-cache.lock` is a directory  (store unlocked)
+//
+// A failure may cost a store or a hit, but never changes a byte,
+// never leaves a `.tmp` and never leaves a torn entry that verifies.
+// ---------------------------------------------------------------
+
+namespace {
+
+namespace fs = std::filesystem;
+
+/** The file RunCache(dir, salt) keeps @p key in (as pathFor). */
+fs::path
+entryPath(const fs::path &dir, const std::string &salt,
+          const std::string &key)
+{
+    const std::uint64_t h =
+        stats::fnv1a64(key, stats::fnv1a64(salt));
+    return dir / (stats::hex64(h) + ".rcache");
+}
+
+/** The temp this process writes @p entry through. */
+fs::path
+tmpPath(const fs::path &entry)
+{
+    return entry.string() + "." + std::to_string(::getpid()) +
+           ".tmp";
+}
+
+/** fopen fails: a regular file where @p dir's parent should be. */
+void
+blockDir(const fs::path &dir)
+{
+    fs::create_directories(dir.parent_path().parent_path());
+    std::ofstream(dir.parent_path()) << "not a directory\n";
+}
+
+/** fwrite/fclose fail: the temp for @p entry is a symlink to
+ *  /dev/full. The failed store unlinks it, lifting the fault. */
+void
+tempToDevFull(const fs::path &entry)
+{
+    fs::create_directories(entry.parent_path());
+    fs::create_symlink("/dev/full", tmpPath(entry));
+}
+
+/** rename and fread fail: @p entry is a directory. */
+void
+entryIsDir(const fs::path &entry)
+{
+    fs::remove(entry);
+    fs::create_directories(entry);
+}
+
+/** Undo blockDir and entryIsDir under @p dir. */
+void
+liftFaults(const fs::path &dir)
+{
+    if (fs::is_regular_file(dir.parent_path()))
+        fs::remove(dir.parent_path());
+    std::vector<fs::path> dirs;
+    std::error_code ec;
+    for (const auto &e : fs::directory_iterator(dir, ec))
+        if (e.is_directory())
+            dirs.push_back(e.path());
+    for (const auto &d : dirs)
+        fs::remove_all(d);
+}
+
+/** Scratch root per test; the cache dir sits two levels down, so a
+ *  case can put a regular file where its parent should be. */
+class RunCacheFailure : public testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        // Parameterized test names carry a '/'; keep one flat dir.
+        std::string name = testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name();
+        std::replace(name.begin(), name.end(), '/', '_');
+        root_ = freshDir(("rcfail-" + name).c_str());
+        fs::create_directories(root_);
+    }
+
+    void
+    TearDown() override
+    {
+        std::error_code ec;
+        fs::remove_all(root_, ec);
+    }
+
+    fs::path
+    dir() const
+    {
+        return root_ / "parent" / "rc";
+    }
+
+    fs::path root_;
+};
+
+/**
+ * Three points p0..p2 in scope "rcfail", each printing its key and
+ * then @p pad filler bytes. With @p runnable >= 0 every other point
+ * segfaults if executed, which proves a rerun took it from the run
+ * cache.
+ */
+void
+buildFailurePoints(sweep::Sweep *s, std::size_t pad = 0,
+                   int runnable = -1)
+{
+    s->scope("rcfail");
+    for (int i = 0; i < 3; ++i) {
+        const std::string key = "p" + std::to_string(i);
+        s->point(key, [key, pad,
+                       trap = runnable >= 0 && i != runnable](
+                          sweep::Emit &e) {
+            if (trap) {
+                volatile int *p = nullptr;
+                *p = 1;
+            }
+            e.printf("%s-out\n", key.c_str());
+            if (pad)
+                e.text(std::string(pad, 'x') + "\n");
+        });
+    }
+}
+
+/** What buildFailurePoints renders. */
+std::string
+failurePointBytes(std::size_t pad = 0)
+{
+    std::string out;
+    for (int i = 0; i < 3; ++i) {
+        out += "p" + std::to_string(i) + "-out\n";
+        if (pad)
+            out += std::string(pad, 'x') + "\n";
+    }
+    return out;
+}
+
+/** The run-cache keys of buildFailurePoints' points. */
+std::vector<std::string>
+failurePointKeys()
+{
+    return {"rcfail|p0", "rcfail|p1", "rcfail|p2"};
+}
+
+constexpr std::size_t k64KiB = 64 * 1024;
+
+}  // namespace
+
+TEST_F(RunCacheFailure, ReadOnlyAfterPersistentFailure)
+{
+    const std::vector<std::string> rows = {"row-a\n"};
+    sweep::RunCache cache(dir().string(), "salt1");
+    cache.store("healthy", rows);  // pre-degradation entry
+    ASSERT_EQ(cache.stats().stores, 1u);
+
+    for (int i = 0; i < 4; ++i)
+        tempToDevFull(
+            entryPath(dir(), "salt1", "k" + std::to_string(i)));
+    for (int i = 0; i < 3; ++i)
+        cache.store("k" + std::to_string(i), rows);
+    EXPECT_EQ(cache.stats().storeFailures, 3u);
+    EXPECT_TRUE(cache.degraded());
+
+    // A degraded store touches nothing: k3's symlink stays armed.
+    cache.store("k3", rows);
+    EXPECT_EQ(cache.stats().storesSuppressed, 1u);
+    EXPECT_EQ(cache.stats().storeFailures, 3u);
+    const fs::path k3tmp = tmpPath(entryPath(dir(), "salt1", "k3"));
+    EXPECT_TRUE(fs::is_symlink(k3tmp));
+    fs::remove(k3tmp);
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+
+    // Read-only pass-through: the surviving entry still serves.
+    std::vector<std::string> got;
+    EXPECT_TRUE(cache.lookup("healthy", 1, &got));
+    EXPECT_EQ(got, rows);
+    EXPECT_TRUE(cache.degraded());  // sticky for the run
+    EXPECT_EQ(sweep::RunCache::scanDir(dir().string()).entries, 1u);
+
+    // A dir that cannot be created degrades the same way.
+    const fs::path blocked = root_ / "blocked" / "rc";
+    blockDir(blocked);
+    sweep::RunCache none(blocked.string(), "salt1");
+    for (int i = 0; i < 4; ++i)
+        none.store("k" + std::to_string(i), rows);
+    EXPECT_EQ(none.stats().storeFailures, 3u);
+    EXPECT_EQ(none.stats().storesSuppressed, 1u);
+    EXPECT_TRUE(none.degraded());
+    EXPECT_FALSE(none.lookup("k0", 1, &got));
+    EXPECT_EQ(none.stats().corrupt, 0u);
+}
+
+// ---------------------------------------------------------------
+// One failed store per branch: the failure is counted, the temp is
+// unlinked and no entry is left, so a later lookup is a clean miss.
+// ---------------------------------------------------------------
+
+namespace {
+
+struct StoreFailureBranch
+{
+    const char *name;
+    /** Filler bytes in the stored row (64 KiB fails in fwrite). */
+    std::size_t pad;
+    void (*arm)(const fs::path &dir, const fs::path &entry);
+};
+
+void
+PrintTo(const StoreFailureBranch &b, std::ostream *os)
+{
+    *os << b.name;
+}
+
+class RunCacheFailureBranch
+    : public RunCacheFailure,
+      public testing::WithParamInterface<StoreFailureBranch>
+{};
+
+}  // namespace
+
+TEST_P(RunCacheFailureBranch, TmpUnlinkedAndNoEntryLeft)
+{
+    const StoreFailureBranch &b = GetParam();
+    const fs::path entry = entryPath(dir(), "salt1", "key");
+    b.arm(dir(), entry);
+    const std::vector<std::string> rows = {
+        "row\n" + std::string(b.pad, 'x')};
+    sweep::RunCache cache(dir().string(), "salt1");
+    cache.store("key", rows);
+    EXPECT_EQ(cache.stats().storeFailures, 1u);
+    EXPECT_EQ(cache.stats().stores, 0u);
+    EXPECT_FALSE(cache.degraded());
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+    // The failed store never left an entry: a later lookup is a
+    // clean miss.
+    EXPECT_FALSE(fs::is_regular_file(entry));
+    std::vector<std::string> got;
+    sweep::RunCache check(dir().string(), "salt1");
+    EXPECT_FALSE(check.lookup("key", 1, &got));
+    EXPECT_EQ(check.stats().misses, 1u);
+    EXPECT_EQ(check.stats().corrupt, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Branches, RunCacheFailureBranch,
+    testing::Values(
+        StoreFailureBranch{"fopen", 0,
+                           [](const fs::path &d, const fs::path &) {
+                               blockDir(d);
+                           }},
+        StoreFailureBranch{"fwrite", k64KiB,
+                           [](const fs::path &, const fs::path &e) {
+                               tempToDevFull(e);
+                           }},
+        StoreFailureBranch{"fclose", 0,
+                           [](const fs::path &, const fs::path &e) {
+                               tempToDevFull(e);
+                           }},
+        StoreFailureBranch{"rename", 0,
+                           [](const fs::path &, const fs::path &e) {
+                               entryIsDir(e);
+                           }}),
+    [](const testing::TestParamInfo<StoreFailureBranch> &info) {
+        return std::string(info.param.name);
+    });
+
+// Only consecutive failures degrade the cache: a store that
+// succeeds in between resets the count.
+TEST_F(RunCacheFailure, SuccessfulStoreResetsTheFailureStreak)
+{
+    const std::vector<std::string> rows = {"row\n"};
+    sweep::RunCache cache(dir().string(), "salt1");
+    for (const char *k : {"f0", "f1", "f2", "f3"})
+        tempToDevFull(entryPath(dir(), "salt1", k));
+    cache.store("f0", rows);
+    cache.store("f1", rows);
+    cache.store("ok", rows);
+    cache.store("f2", rows);
+    cache.store("f3", rows);
+    EXPECT_EQ(cache.stats().storeFailures, 4u);
+    EXPECT_EQ(cache.stats().stores, 1u);
+    EXPECT_FALSE(cache.degraded());
+
+    // A third failure in a row does trip it.
+    tempToDevFull(entryPath(dir(), "salt1", "f4"));
+    cache.store("f4", rows);
+    EXPECT_TRUE(cache.degraded());
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+}
+
+// The failed store unlinked its /dev/full symlink, which lifts the
+// fault: retrying the same key stores and serves it.
+TEST_F(RunCacheFailure, RetryAfterFailedStoreSucceeds)
+{
+    const std::vector<std::string> rows = {"row-a\n", "row-b\n"};
+    const fs::path entry = entryPath(dir(), "salt1", "key");
+    tempToDevFull(entry);
+    sweep::RunCache cache(dir().string(), "salt1");
+    cache.store("key", rows);
+    EXPECT_EQ(cache.stats().storeFailures, 1u);
+    EXPECT_FALSE(fs::exists(fs::symlink_status(tmpPath(entry))));
+
+    cache.store("key", rows);
+    EXPECT_EQ(cache.stats().stores, 1u);
+    std::vector<std::string> got;
+    EXPECT_TRUE(cache.lookup("key", 2, &got));
+    EXPECT_EQ(got, rows);
+}
+
+// A store that fails over an existing entry leaves that entry
+// whole: it still verifies and serves the rows it was written with.
+TEST_F(RunCacheFailure, FailedOverwriteKeepsThePreviousEntry)
+{
+    const std::vector<std::string> before = {"before\n"};
+    const fs::path entry = entryPath(dir(), "salt1", "key");
+    sweep::RunCache cache(dir().string(), "salt1");
+    cache.store("key", before);
+    ASSERT_TRUE(fs::is_regular_file(entry));
+
+    tempToDevFull(entry);
+    cache.store("key", {"after\n" + std::string(k64KiB, 'x')});
+    EXPECT_EQ(cache.stats().storeFailures, 1u);
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+
+    sweep::RunCache check(dir().string(), "salt1");
+    std::vector<std::string> got;
+    EXPECT_TRUE(check.lookup("key", 1, &got));
+    EXPECT_EQ(got, before);
+    EXPECT_EQ(check.stats().corrupt, 0u);
+}
+
+// A cache dir removed under a live cache is recreated by the next
+// store rather than failing it.
+TEST_F(RunCacheFailure, StoreRecreatesARemovedDir)
+{
+    const std::vector<std::string> rows = {"row\n"};
+    sweep::RunCache cache(dir().string(), "salt1");
+    cache.store("a", rows);
+    fs::remove_all(dir());
+    cache.store("b", rows);
+    EXPECT_EQ(cache.stats().stores, 2u);
+    EXPECT_EQ(cache.stats().storeFailures, 0u);
+    std::vector<std::string> got;
+    EXPECT_FALSE(cache.lookup("a", 1, &got));
+    EXPECT_TRUE(cache.lookup("b", 1, &got));
+}
+
+// Reads never count toward the store-failure streak: a dir that
+// cannot exist misses cleanly, degrades nothing and creates
+// nothing.
+TEST_F(RunCacheFailure, LookupsUnderAnUncreatableDirMissCleanly)
+{
+    blockDir(dir());
+    sweep::RunCache cache(dir().string(), "salt1");
+    std::vector<std::string> got;
+    for (int i = 0; i < 5; ++i)
+        EXPECT_FALSE(cache.lookup("k" + std::to_string(i), 1, &got));
+    EXPECT_EQ(cache.stats().misses, 5u);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+    EXPECT_EQ(cache.stats().storeFailures, 0u);
+    EXPECT_FALSE(cache.degraded());
+    EXPECT_TRUE(fs::is_regular_file(dir().parent_path()));
+}
+
+// fread fails with EISDIR on an entry path that is a directory: a
+// clean miss, not a corrupt entry.
+TEST_F(RunCacheFailure, DirectoryAtTheEntryPathIsACleanMiss)
+{
+    entryIsDir(entryPath(dir(), "salt1", "key"));
+    sweep::RunCache cache(dir().string(), "salt1");
+    std::vector<std::string> got;
+    EXPECT_FALSE(cache.lookup("key", 1, &got));
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+    EXPECT_TRUE(got.empty());
+}
+
+// A truncated entry is a corrupt miss; storing the recomputed rows
+// replaces it with one that verifies.
+TEST_F(RunCacheFailure, ShortReadIsACorruptMissThatAStoreRepairs)
+{
+    const std::vector<std::string> rows = {"payload\n"};
+    const fs::path entry = entryPath(dir(), "salt1", "key");
+    {
+        sweep::RunCache cache(dir().string(), "salt1");
+        cache.store("key", rows);
+    }
+    fs::resize_file(entry, fs::file_size(entry) - 1);
+
+    sweep::RunCache cache(dir().string(), "salt1");
+    std::vector<std::string> got;
+    EXPECT_FALSE(cache.lookup("key", 1, &got));
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_TRUE(got.empty());
+
+    cache.store("key", rows);
+    EXPECT_TRUE(cache.lookup("key", 1, &got));
+    EXPECT_EQ(got, rows);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+}
+
+// A lock file that cannot be opened costs the lock, not the cache:
+// stores still land and serve.
+TEST_F(RunCacheFailure, UnopenableLockFileStillStores)
+{
+    fs::create_directories(dir() / ".melody-cache.lock");
+    const std::vector<std::string> rows = {"row\n"};
+    sweep::RunCache cache(dir().string(), "salt1");
+    cache.store("a", rows);
+    cache.store("b", rows);
+    EXPECT_EQ(cache.stats().stores, 2u);
+    EXPECT_EQ(cache.stats().storeFailures, 0u);
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+    std::vector<std::string> got;
+    EXPECT_TRUE(cache.lookup("a", 1, &got));
+    EXPECT_EQ(sweep::RunCache::scanDir(dir().string()).entries, 2u);
+}
+
+// `cache stats` on a dir that cannot exist: an empty cache, and
+// nothing is created.
+TEST_F(RunCacheFailure, ScanOfAnUncreatableDirIsEmpty)
+{
+    blockDir(dir());
+    const sweep::RunCache::DirStats ds =
+        sweep::RunCache::scanDir(dir().string());
+    EXPECT_EQ(ds.entries, 0u);
+    EXPECT_EQ(ds.bytes, 0u);
+    EXPECT_EQ(ds.foreign, 0u);
+    EXPECT_TRUE(ds.perSalt.empty());
+    EXPECT_TRUE(fs::is_regular_file(dir().parent_path()));
+}
+
+// `cache clear` on a dir that cannot exist removes nothing and
+// creates nothing, not even the lock file.
+TEST_F(RunCacheFailure, ClearOfAnUncreatableDirRemovesNothing)
+{
+    blockDir(dir());
+    EXPECT_EQ(sweep::RunCache::clearDir(dir().string()), 0u);
+    EXPECT_TRUE(fs::is_regular_file(dir().parent_path()));
+}
+
+// A directory squatting on an entry path is neither an entry nor a
+// foreign file, and `cache clear` leaves it to the user.
+TEST_F(RunCacheFailure, DirectoryAtAnEntryPathIsNotCountedOrCleared)
+{
+    sweep::RunCache cache(dir().string(), "salt1");
+    cache.store("good", {"row\n"});
+    const fs::path squat = entryPath(dir(), "salt1", "squat");
+    entryIsDir(squat);
+
+    const sweep::RunCache::DirStats ds =
+        sweep::RunCache::scanDir(dir().string());
+    EXPECT_EQ(ds.entries, 1u);
+    EXPECT_EQ(ds.foreign, 0u);
+    EXPECT_EQ(sweep::RunCache::clearDir(dir().string()), 1u);
+    EXPECT_TRUE(fs::is_directory(squat));
+}
+
+// A dropped store costs the rerun exactly that point.
+TEST_F(RunCacheFailure, RerunRecomputesOnlyTheDroppedStore)
+{
+    sweep::Options opts = cacheAt(dir().string());
+    opts.jobs = 1;
+    opts.salt = "rcfail-rerun";
+    const std::vector<std::string> keys = failurePointKeys();
+
+    // Run 1: p1's store hits ENOSPC. One failed store does not
+    // degrade the cache.
+    tempToDevFull(entryPath(dir(), opts.salt, keys[1]));
+    std::string out1;
+    {
+        sweep::Sweep s("rcfail-rerun", opts);
+        buildFailurePoints(&s);
+        sweep::Sweep::Report rep;
+        out1 = s.renderToString(&rep);
+        EXPECT_TRUE(rep.clean());  // outputs complete regardless
+        EXPECT_EQ(rep.cacheStores, 2u);
+        EXPECT_FALSE(rep.cacheDegraded);
+    }
+    EXPECT_EQ(out1, failurePointBytes());
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+
+    // Run 2: p0 and p2 segfault if executed, so a clean report
+    // proves the rerun computed only p1, with identical bytes.
+    sweep::Sweep s("rcfail-rerun", opts);
+    buildFailurePoints(&s, 0, /*runnable=*/1);
+    sweep::Sweep::Report rep;
+    const std::string out2 = s.renderToString(&rep);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.cacheHits, 2u);
+    EXPECT_EQ(rep.cacheStores, 1u);
+    EXPECT_EQ(out2, out1);
+}
+
+// ---------------------------------------------------------------
+// A persistent failure met while the sweep's points are served or
+// stored: the bytes stay complete and correct, no `.tmp` is left,
+// and once the fault is lifted a rerun finds nothing torn.
+// ---------------------------------------------------------------
+
+namespace {
+
+struct PersistentFailureCase
+{
+    const char *name;
+    /** Puts the failing state in place for @p keys. */
+    void (*arm)(const fs::path &dir, const std::string &salt,
+                const std::vector<std::string> &keys);
+    /** Populate the cache first, so lookups meet the fault. */
+    bool warm;
+    /** Arm only p1's entry: a fault on one key costs that point's
+     *  store or hit and degrades nothing. */
+    bool oneKey;
+    /** Filler bytes per point (64 KiB fails in fwrite). */
+    std::size_t pad;
+    std::size_t hits, stores, corrupt;
+    bool degraded;
+};
+
+void
+PrintTo(const PersistentFailureCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+void
+armBlockDir(const fs::path &dir, const std::string &,
+            const std::vector<std::string> &)
+{
+    blockDir(dir);
+}
+
+void
+armDevFull(const fs::path &dir, const std::string &salt,
+           const std::vector<std::string> &keys)
+{
+    for (const auto &k : keys)
+        tempToDevFull(entryPath(dir, salt, k));
+}
+
+void
+armEntryDirs(const fs::path &dir, const std::string &salt,
+             const std::vector<std::string> &keys)
+{
+    for (const auto &k : keys)
+        entryIsDir(entryPath(dir, salt, k));
+}
+
+void
+armTruncated(const fs::path &dir, const std::string &salt,
+             const std::vector<std::string> &keys)
+{
+    for (const auto &k : keys) {
+        const fs::path e = entryPath(dir, salt, k);
+        fs::resize_file(e, fs::file_size(e) - 2);
+    }
+}
+
+void
+armLockDir(const fs::path &dir, const std::string &,
+           const std::vector<std::string> &)
+{
+    fs::create_directories(dir / ".melody-cache.lock");
+}
+
+class RunCacheFailureSweep
+    : public RunCacheFailure,
+      public testing::WithParamInterface<PersistentFailureCase>
+{};
+
+}  // namespace
+
+TEST_P(RunCacheFailureSweep, OutputIntactAndRerunFindsNothingTorn)
+{
+    const PersistentFailureCase &c = GetParam();
+    sweep::Options opts = cacheAt(dir().string());
+    opts.jobs = 1;
+    opts.salt = "rcfail-persistent";
+    const std::string want = failurePointBytes(c.pad);
+    const auto render = [&](sweep::Sweep::Report *rep) {
+        sweep::Sweep s("rcfail-persistent", opts);
+        buildFailurePoints(&s, c.pad);
+        return s.renderToString(rep);
+    };
+    if (c.warm) {
+        sweep::Sweep::Report rep;
+        ASSERT_EQ(render(&rep), want);
+        ASSERT_EQ(rep.cacheStores, 3u);
+    }
+
+    const std::vector<std::string> keys = failurePointKeys();
+    c.arm(dir(), opts.salt,
+          c.oneKey ? std::vector<std::string>{keys[1]} : keys);
+    sweep::Sweep::Report rep;
+    EXPECT_EQ(render(&rep), want);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.cacheHits, c.hits);
+    EXPECT_EQ(rep.cacheStores, c.stores);
+    EXPECT_EQ(rep.corruptEntries, c.corrupt);
+    EXPECT_EQ(rep.cacheDegraded, c.degraded);
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+
+    liftFaults(dir());
+    sweep::Sweep::Report again;
+    EXPECT_EQ(render(&again), want);
+    EXPECT_TRUE(again.clean());
+    EXPECT_EQ(again.corruptEntries, 0u);
+    // What the faulted run served or stored is still there.
+    EXPECT_EQ(again.cacheHits, c.hits + c.stores);
+    EXPECT_EQ(again.cacheHits + again.cacheStores, 3u);
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Triggers, RunCacheFailureSweep,
+    testing::Values(
+        // warm oneKey pad hits stores corrupt degraded
+        PersistentFailureCase{"fopen_enotdir", armBlockDir, false,
+                              false, 0, 0, 0, 0, true},
+        PersistentFailureCase{"fclose_enospc", armDevFull, false,
+                              false, 0, 0, 0, 0, true},
+        PersistentFailureCase{"fwrite_enospc", armDevFull, false,
+                              false, k64KiB, 0, 0, 0, true},
+        PersistentFailureCase{"rename_eisdir", armEntryDirs, false,
+                              false, 0, 0, 0, 0, true},
+        PersistentFailureCase{"fread_eisdir", armEntryDirs, true,
+                              false, 0, 0, 0, 0, true},
+        PersistentFailureCase{"short_read", armTruncated, true, false,
+                              0, 0, 3, 3, false},
+        PersistentFailureCase{"lock_eisdir", armLockDir, false, false,
+                              0, 0, 3, 0, false},
+        PersistentFailureCase{"fclose_enospc_one_key", armDevFull,
+                              false, true, 0, 0, 2, 0, false},
+        PersistentFailureCase{"fwrite_enospc_one_key", armDevFull,
+                              false, true, k64KiB, 0, 2, 0, false},
+        PersistentFailureCase{"rename_eisdir_one_key", armEntryDirs,
+                              false, true, 0, 0, 2, 0, false},
+        PersistentFailureCase{"fread_eisdir_one_key", armEntryDirs,
+                              true, true, 0, 2, 0, 0, false},
+        PersistentFailureCase{"short_read_one_key", armTruncated, true,
+                              true, 0, 2, 1, 1, false}),
+    [](const testing::TestParamInfo<PersistentFailureCase> &info) {
+        return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------
 // Figure registry: `melody sweep` resolves figures by alias or by

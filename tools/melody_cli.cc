@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +35,6 @@
 #include "bench/figures.hh"
 #include "core/mio.hh"
 #include "sim/interrupt.hh"
-#include "sim/io_fault.hh"
 #include "core/mlc.hh"
 #include "core/platform.hh"
 #include "core/slowdown.hh"
@@ -78,9 +78,6 @@ usage()
         "CXL-A..D CXL-X+NUMA CXL-X+Switch[2] CXL-Dx2\n"
         "faultplan: crc=<p>,ce=<p>,ue=<p>,scrub=<dur>,"
         "offline@<t>[:devN],failover,... (see src/ras/fault_plan.hh)\n"
-        "global: --io-faults SPEC  deterministic host-I/O fault\n"
-        "        injection (e.g. \"seed=7 write:enospc@0.01\";\n"
-        "        MELODY_IO_FAULTS equivalent; DESIGN.md §15)\n"
         "sweep --progress draws a done/ETA status line on\n"
         "        stderr; stdout bytes are unchanged.\n");
     return 2;
@@ -198,6 +195,14 @@ cmdSweepFigures(const std::vector<std::string> &args)
 {
     sweep::Options opts;
     std::vector<const figs::Figure *> picked;
+    // A figure selected twice (`fig01 fig01_spectrum`, `all fig01`)
+    // renders once, where it was first picked: a second build would
+    // repeat every point key in its cache scope.
+    const auto pick = [&picked](const figs::Figure *f) {
+        if (std::find(picked.begin(), picked.end(), f) ==
+            picked.end())
+            picked.push_back(f);
+    };
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
         if (a == "--list") {
@@ -221,7 +226,7 @@ cmdSweepFigures(const std::vector<std::string> &args)
             opts.progress = true;
         } else if (a == "all") {
             for (const auto &f : figs::all())
-                picked.push_back(&f);
+                pick(&f);
         } else {
             const auto *f = figs::find(a);
             if (!f && a.rfind("--", 0) == 0)
@@ -229,7 +234,7 @@ cmdSweepFigures(const std::vector<std::string> &args)
             if (!f)
                 throw ConfigError("unknown figure '" + a +
                                   "' (melody sweep --list)");
-            picked.push_back(f);
+            pick(f);
         }
     }
     if (picked.empty())
@@ -278,26 +283,6 @@ cmdSweepFigures(const std::vector<std::string> &args)
             std::fprintf(stderr, "  %s at %s: %s [point %s]\n",
                          d.invariant.c_str(), d.where.c_str(),
                          d.values.c_str(), d.pointKey.c_str());
-    }
-    // With --io-faults / MELODY_IO_FAULTS armed, emit the injected-
-    // failure log: same seed + --jobs 1 reproduces it byte for
-    // byte, which is what CI's replay leg compares.
-    if (sim::iofault::enabled()) {
-        const auto lines = sim::iofault::logLines();
-        std::fprintf(
-            stderr,
-            "melody sweep: io-fault injection active (%s): %llu "
-            "fault(s) injected\n",
-            sim::iofault::activeSpec().c_str(),
-            static_cast<unsigned long long>(
-                sim::iofault::injectedCount()));
-        for (const auto &l : lines)
-            std::fprintf(stderr, "%s\n", l.c_str());
-        if (sim::iofault::droppedLogLines())
-            std::fprintf(stderr,
-                         "io-fault: ... %llu more (log capped)\n",
-                         static_cast<unsigned long long>(
-                             sim::iofault::droppedLogLines()));
     }
     if (rep.interrupted) {
         std::fprintf(stderr, "melody sweep: interrupted; %s\n",
@@ -361,28 +346,36 @@ cmdCache(const std::vector<std::string> &args)
                     n == 1 ? "y" : "ies",
                     salt == sweep::kSweepSalt ? " (current)"
                                               : " (stale)");
-    // Writability probe: a full disk / read-only mount means every
-    // sweep against this directory will run cache-DEGRADED. Only
-    // an *existing* directory is probed (a missing one is just a
-    // cold cache), and the extra line only appears on failure —
-    // healthy output bytes are unchanged.
-    if (std::filesystem::exists(dir)) {
-        namespace iof = sim::iofault;
+    // Writability probe: a full disk, a read-only mount or a path
+    // that cannot be created means every sweep against this
+    // directory will run cache-DEGRADED. An existing directory is
+    // probed with a temp file; a missing one (a cold cache) is
+    // judged by its nearest existing ancestor, which must be a
+    // directory, and nothing is created. The extra line only
+    // appears on failure — healthy output bytes are unchanged.
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    bool writable = true;
+    if (fs::exists(dir, ec)) {
         const std::string probe =
             dir + "/.melody-probe." + std::to_string(::getpid()) +
             ".tmp";
-        bool writable = false;
-        if (std::FILE *f = iof::xfopen(probe.c_str(), "wb")) {
-            writable = iof::xfwrite("m", 1, 1, f) == 1;
-            writable = (iof::xfclose(f) == 0) && writable;
+        writable = false;
+        if (std::FILE *f = std::fopen(probe.c_str(), "wb")) {
+            writable = std::fwrite("m", 1, 1, f) == 1;
+            writable = (std::fclose(f) == 0) && writable;
         }
-        std::error_code ec;
-        std::filesystem::remove(probe, ec);
-        if (!writable)
-            std::printf("  DEGRADED: directory is not writable; "
-                        "sweeps will run read-only (results "
-                        "recomputed, never cached)\n");
+        fs::remove(probe, ec);
+    } else {
+        fs::path up = fs::absolute(dir, ec);
+        while (!fs::exists(up, ec) && up != up.parent_path())
+            up = up.parent_path();
+        writable = fs::is_directory(up, ec);
     }
+    if (!writable)
+        std::printf("  DEGRADED: directory is not writable; "
+                    "sweeps will run read-only (results "
+                    "recomputed, never cached)\n");
     return 0;
 }
 
@@ -562,23 +555,9 @@ dispatch(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+    int rc;
     try {
-        // --io-faults is global (any subcommand honours it), so
-        // strip it before dispatch.
-        std::vector<char *> args;
-        for (int i = 0; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--io-faults") == 0) {
-                // Any subcommand's host I/O can be made to fail
-                // deterministically (DESIGN.md §15). Equivalent to
-                // MELODY_IO_FAULTS.
-                if (i + 1 == argc)
-                    throw ConfigError("--io-faults needs a value");
-                sim::iofault::install(argv[++i]);
-                continue;
-            }
-            args.push_back(argv[i]);
-        }
-        return dispatch(static_cast<int>(args.size()), args.data());
+        rc = dispatch(argc, argv);
     } catch (const ConfigError &e) {
         // User-input errors end with a message + usage, never an
         // abort: scripts can distinguish bad flags (exit 2) from
@@ -586,4 +565,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "melody: error: %s\n", e.what());
         return usage();
     }
+    // Output that never reached stdout (a full disk, a closed
+    // pipe) is a lost figure, not a user error: exit 1, no usage.
+    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+        std::fprintf(stderr, "melody: error: writing stdout: %s\n",
+                     std::strerror(errno));
+        return 1;
+    }
+    return rc;
 }
