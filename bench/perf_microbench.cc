@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator itself:
- * cache lookups, cache warm-up, demand loads with prefetchers,
- * single-core block steps, DRAM channel accesses, CXL device
- * round trips, and end-to-end workload simulation rate.
+ * cache lookups (one cache, and the hit path of eight L2s), cache
+ * warm-up, demand loads with prefetchers, single-core block steps,
+ * DRAM channel accesses, CXL device round trips, and end-to-end
+ * workload simulation rate.
  */
 
 #include <benchmark/benchmark.h>
@@ -46,6 +47,49 @@ BM_CacheLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheLookup);
+
+static void
+BM_L2HitPath(benchmark::State &state)
+{
+    // The L2 lookup after an L1 miss, over the eight per-core L2s of
+    // an 8-thread EMR2S run: each is preloaded with a range it holds
+    // whole, and seeded random probes of those lines all hit. Unlike
+    // BM_CacheLookup's single 2 MB cache, the eight together outgrow
+    // the host's L2, as a multi-core simulation's do.
+    constexpr unsigned kCores = 8;
+    const cpu::CacheGeometry l2 =
+        melody::Platform("EMR2S", "Local").cpu().l2;
+    std::vector<cpu::Cache> caches;
+    caches.reserve(kCores);
+    const std::uint64_t lines = l2.sizeBytes / kCacheLineBytes;
+    for (unsigned c = 0; c < kCores; ++c) {
+        caches.emplace_back(l2.sizeBytes, l2.ways);
+        const cpu::LineRange range{(Addr{c} + 1) << 32, lines};
+        caches.back().fill({&range, 1}, cpu::StallTag::kL2);
+    }
+    struct Probe
+    {
+        unsigned core;
+        Addr addr;
+    };
+    std::vector<Probe> probes(1 << 16);
+    Rng rng(5);
+    for (Probe &p : probes) {
+        p.core = static_cast<unsigned>(rng.below(kCores));
+        p.addr = ((Addr{p.core} + 1) << 32) +
+                 rng.below(lines) * kCacheLineBytes;
+    }
+    Tick ready;
+    cpu::StallTag home;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Probe &p = probes[i++ & (probes.size() - 1)];
+        benchmark::DoNotOptimize(
+            caches[p.core].lookup(p.addr, 1000, &ready, &home));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_L2HitPath);
 
 static void
 BM_Preload(benchmark::State &state)

@@ -1,63 +1,163 @@
 #include "cache.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
 
 namespace cxlsim::cpu {
 
+static_assert(static_cast<unsigned>(StallTag::kDram) < 4,
+              "a home tag takes two Meta bits");
+
+namespace {
+
+/**
+ * The largest cache storage this thread has released, still mapped.
+ * Every run builds and drops its own hierarchy, so without it each
+ * run would fault in the pages of its LLC afresh; with it, a worker
+ * thread faults them in once. Reuse is safe because nothing is read
+ * from storage before a set's first probe writes it.
+ */
+struct SpareMapping
+{
+    void *p = nullptr;
+    std::size_t bytes = 0;
+
+    SpareMapping() = default;
+    SpareMapping(const SpareMapping &) = delete;
+    SpareMapping &operator=(const SpareMapping &) = delete;
+
+    ~SpareMapping()
+    {
+        if (p)
+            ::munmap(p, bytes);
+    }
+};
+
+thread_local SpareMapping spare;
+
+}  // namespace
+
 Cache::Cache(std::uint64_t size_bytes, unsigned ways)
-    : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways)
+    : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways),
+      rankStride_((ways + kRankBlock - 1) / kRankBlock * kRankBlock)
 {
     SIM_ASSERT(sets_ >= 1, "cache too small");
     SIM_ASSERT(ways_ >= 1 && ways_ < kCold, "ways out of range");
     const std::size_t n = sets_ * ways_;
-    // calloc: lazily-zeroed pages make constructing a 100s-of-MB
-    // LLC O(1) instead of an eager multi-ms memset per run.
-    tags_.reset(static_cast<Addr *>(std::calloc(n, sizeof(Addr))));
-    meta_.reset(static_cast<Meta *>(std::malloc(n * sizeof(Meta))));
-    mru_.reset(static_cast<std::uint8_t *>(std::calloc(sets_, 1)));
-    SIM_ASSERT(tags_ && meta_ && mru_, "cache allocation failed");
+    const auto lines = [](std::size_t bytes) {
+        return (bytes + 63) / 64 * 64;
+    };
+    const std::size_t tagBytes = lines(n * sizeof(std::uint32_t));
+    const std::size_t metaBytes = lines(n * sizeof(Meta));
+    const std::size_t rankBytes = lines(sets_ * rankStride_);
+    const std::size_t bytes = tagBytes + metaBytes + rankBytes + sets_;
+    // One private anonymous mapping holds every array. Nothing in it
+    // is written here but the MRU bytes: every set starts cold and
+    // its first probe writes it, so a run faults in only the pages
+    // of the sets it reaches. The thread's spare mapping is taken
+    // whenever it is large enough; a hierarchy builds its LLC first,
+    // so that is the cache that takes it.
+    void *p;
+    std::size_t mapped = bytes;
+    if (spare.bytes >= bytes) {
+        p = std::exchange(spare.p, nullptr);
+        mapped = std::exchange(spare.bytes, 0);
+    } else {
+        p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        SIM_ASSERT(p != MAP_FAILED, "cache allocation failed");
+    }
+    storage_ = {p, Recycler{mapped}};
+    auto *at = static_cast<std::byte *>(p);
+    tags_ = reinterpret_cast<std::uint32_t *>(at);
+    meta_ = reinterpret_cast<Meta *>(at + tagBytes);
+    ranks_ = reinterpret_cast<std::uint8_t *>(at + tagBytes + metaBytes);
+    mru_ = ranks_ + rankBytes;
+    std::memset(mru_, kCold, sets_);
+}
+
+void
+Cache::Recycler::operator()(void *p) const
+{
+    // The thread keeps the larger of this mapping and its spare.
+    if (bytes < spare.bytes) {
+        ::munmap(p, bytes);
+        return;
+    }
+    if (spare.p)
+        ::munmap(spare.p, spare.bytes);
+    spare.p = p;
+    spare.bytes = bytes;
 }
 
 int
-Cache::findWay(std::size_t set, Addr line_addr) const
+Cache::findWay(std::size_t set, std::uint32_t tag, Addr line_addr) const
 {
     unsigned m = mru_[set];
     if (m == kCold) [[unlikely]] {
         materialize(set);
         m = mru_[set];
     }
-    const Addr key = tagWord(line_addr);
-    const Addr *t = &tags_[set * ways_];
-    if (t[m] == key)
+    const std::size_t base = set * ways_;
+    const std::uint32_t *t = &tags_[base];
+    if (tag == kWide) [[unlikely]] {
+        // Tags cannot tell wide lines apart; their addresses can.
+        for (unsigned w = 0; w < ways_; ++w)
+            if (t[w] == kWide && wide_.at(base + w) == line_addr)
+                return static_cast<int>(w);
+        return -1;
+    }
+    if (t[m] == tag)
         return static_cast<int>(m);
     for (unsigned w = 0; w < ways_; ++w)
-        if (t[w] == key)
+        if (t[w] == tag)
             return static_cast<int>(w);
     return -1;
+}
+
+void
+Cache::touch(std::size_t set, unsigned w)
+{
+    // Every valid way more recent than w ages by one; empty ways
+    // and the row's padding hold kNoRank, above any rank, and stay
+    // put. Whole blocks, so the compiler can age a block at once.
+    const unsigned stride = rankStride_;
+    std::uint8_t *r = &ranks_[set * stride];
+    const std::uint8_t old = r[w];
+    if (old != 0) {
+        for (std::uint8_t *blk = r; blk != r + stride; blk += kRankBlock)
+            for (unsigned x = 0; x < kRankBlock; ++x)
+                blk[x] += blk[x] < old;
+        r[w] = 0;
+    }
+    mru_[set] = static_cast<std::uint8_t>(w);
 }
 
 LookupResult
 Cache::lookup(Addr line_addr, Tick now, Tick *ready_at, StallTag *home)
 {
-    const std::size_t set = setIndex(line_addr);
-    const int w = findWay(set, line_addr);
+    std::uint32_t tag;
+    const std::size_t set = locate(line_addr, &tag);
+    const int w = findWay(set, tag, line_addr);
     if (w < 0) {
         ++misses_;
         return LookupResult::kMiss;
     }
-    mru_[set] = static_cast<std::uint8_t>(w);
-    Meta &m = meta_[set * ways_ + static_cast<unsigned>(w)];
-    m.lruStamp = ++stamp_;
-    if (m.readyAt > now) {
+    touch(set, static_cast<unsigned>(w));
+    const Meta m = meta_[set * ways_ + static_cast<unsigned>(w)];
+    if (readyOf(m) > now) {
         ++pendingHits_;
         if (ready_at)
-            *ready_at = m.readyAt;
+            *ready_at = readyOf(m);
         if (home)
-            *home = m.home;
+            *home = homeOf(m);
         return LookupResult::kPending;
     }
     ++hits_;
@@ -67,60 +167,63 @@ Cache::lookup(Addr line_addr, Tick now, Tick *ready_at, StallTag *home)
 bool
 Cache::contains(Addr line_addr) const
 {
-    return findWay(setIndex(line_addr), line_addr) >= 0;
+    std::uint32_t tag;
+    const std::size_t set = locate(line_addr, &tag);
+    return findWay(set, tag, line_addr) >= 0;
 }
 
 Eviction
 Cache::insert(Addr line_addr, Tick ready_at, StallTag home, bool dirty)
 {
+    SIM_ASSERT(ready_at < Tick{1} << (64 - kReadyShift),
+               "readyAt overflows its Meta bits");
+    inserted_ = true;
     Eviction ev;
-    const std::size_t set = setIndex(line_addr);
-    Addr *t = &tags_[set * ways_];
-    Meta *mb = &meta_[set * ways_];
+    std::uint32_t tag;
+    const std::size_t set = locate(line_addr, &tag);
+    const std::size_t base = set * ways_;
 
-    if (const int w = findWay(set, line_addr); w >= 0) {
+    if (const int w = findWay(set, tag, line_addr); w >= 0) {
         // Refill of a present line: refresh fill state.
-        Meta &m = mb[w];
-        m.readyAt = ready_at;
-        m.home = home;
-        m.dirty = m.dirty || dirty;
-        m.lruStamp = ++stamp_;
-        mru_[set] = static_cast<std::uint8_t>(w);
+        Meta &m = meta_[base + static_cast<unsigned>(w)];
+        m = packMeta(ready_at, home, dirtyOf(m) || dirty);
+        touch(set, static_cast<unsigned>(w));
         return ev;
     }
 
-    int victim = -1;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (t[w] == 0) {
-            victim = static_cast<int>(w);
-            break;
-        }
-        // Plain LRU victim selection (pending fills are treated
-        // like any other line: a squashed in-flight prefetch).
-        if (victim < 0 || mb[w].lruStamp < mb[victim].lruStamp)
-            victim = static_cast<int>(w);
-    }
+    // Plain LRU (pending fills are treated like any other line: a
+    // squashed in-flight prefetch). The valid ranks are 0..n-1, so
+    // with an empty way (kNoRank) none reaches ways_ - 1: the first
+    // way at or above it is the first empty way, else the LRU way.
+    const std::uint8_t *r = &ranks_[set * rankStride_];
+    const unsigned lru = ways_ - 1;
+    unsigned victim = 0;
+    while (r[victim] < lru)
+        ++victim;
 
-    if (t[victim] != 0) {
-        ev.valid = true;
-        ev.dirty = mb[victim].dirty;
-        ev.lineAddr = t[victim] & ~static_cast<Addr>(1);
+    const std::size_t i = base + victim;
+    if (tags_[i] == kWide) {
+        ev = {true, dirtyOf(meta_[i]), wide_.at(i)};
+        wide_.erase(i);
+    } else if (tags_[i] != kEmpty) {
+        ev = {true, dirtyOf(meta_[i]),
+              ((tags_[i] - 1) * sets_ + set) * kCacheLineBytes};
     }
-    t[victim] = tagWord(line_addr);
-    mb[victim].readyAt = ready_at;
-    mb[victim].home = home;
-    mb[victim].dirty = dirty;
-    mb[victim].lruStamp = ++stamp_;
-    mru_[set] = static_cast<std::uint8_t>(victim);
+    tags_[i] = tag;
+    if (tag == kWide)
+        wide_[i] = line_addr;
+    meta_[i] = packMeta(ready_at, home, dirty);
+    touch(set, victim);
     return ev;
 }
 
 void
 Cache::fill(std::span<const LineRange> ranges, StallTag home)
 {
-    // No insert() (stamp_) and no lookup() (stamp_ on a hit,
-    // misses_ otherwise) yet: every way is empty.
-    SIM_ASSERT(stamp_ == 0 && misses_ == 0, "fill() needs a fresh cache");
+    // No insert(), no lookup() (misses_: a fresh cache holds nothing
+    // to hit) and no non-empty fill() yet: every way is empty.
+    SIM_ASSERT(!inserted_ && misses_ == 0 && fills_.empty(),
+               "fill() needs a fresh cache");
     std::vector<LineRange> byBase;
     byBase.reserve(ranges.size());
     for (const LineRange &r : ranges) {
@@ -138,13 +241,12 @@ Cache::fill(std::span<const LineRange> ranges, StallTag home)
                        byBase[i].base,
                    "fill ranges overlap");
 
-    for (const LineRange &r : ranges) {
+    for (const LineRange &r : ranges)
         if (r.lines > 0)
-            fills_.push_back({r.base / kCacheLineBytes, r.lines, stamp_});
-        stamp_ += r.lines;
-    }
+            fills_.push_back({r.base / kCacheLineBytes, r.lines});
     fillHome_ = home;
-    std::memset(mru_.get(), kCold, sets_);
+    // contains() may have written empty sets already.
+    std::memset(mru_, kCold, sets_);
 }
 
 void
@@ -162,21 +264,31 @@ Cache::materialize(std::size_t set) const
     for (const FillRange &r : fills_)
         total += countInSet(r, firstInSet(r));
 
-    // The set filled FIFO: its j-th line went to way j % ways_, and
-    // only the last ways_ lines survive.
+    const std::size_t base = set * ways_;
+    std::fill_n(&tags_[base], ways_, kEmpty);
+    std::uint8_t *rank = &ranks_[set * rankStride_];
+    std::fill_n(rank, rankStride_, kNoRank);
+    // The set filled FIFO: its j-th line went to way j % ways_ with
+    // rank total - 1 - j, and only the last ways_ lines survive.
     const std::uint64_t evicted = total > ways_ ? total - ways_ : 0;
-    Addr *tg = &tags_[set * ways_];
-    Meta *mb = &meta_[set * ways_];
+    const Meta resident = packMeta(0, fillHome_, false);
     std::uint64_t j = 0;
     for (const FillRange &r : fills_) {
         const std::uint64_t i0 = firstInSet(r);
         const std::uint64_t n = countInSet(r, i0);
         const std::uint64_t k0 = evicted > j ? evicted - j : 0;
         std::uint64_t w = (j + k0) % ways_;
-        for (std::uint64_t k = k0; k < n; ++k) {
-            const std::uint64_t i = i0 + k * sets_;
-            tg[w] = tagWord((r.first + i) * kCacheLineBytes);
-            mb[w] = Meta{0, r.stampBefore + i + 1, fillHome_, false};
+        // Successive lines of one set differ by sets_, their tags by 1.
+        std::uint64_t high = (r.first + i0 + k0 * sets_) / sets_;
+        for (std::uint64_t k = k0; k < n; ++k, ++high) {
+            if (high < kWide - 1) {
+                tags_[base + w] = static_cast<std::uint32_t>(high + 1);
+            } else {
+                tags_[base + w] = kWide;
+                wide_[base + w] = (high * sets_ + set) * kCacheLineBytes;
+            }
+            rank[w] = static_cast<std::uint8_t>(total - 1 - (j + k));
+            meta_[base + w] = resident;
             w = w + 1 == ways_ ? 0 : w + 1;
         }
         j += n;
@@ -188,17 +300,31 @@ Cache::materialize(std::size_t set) const
 void
 Cache::markDirty(Addr line_addr)
 {
-    const std::size_t set = setIndex(line_addr);
-    if (const int w = findWay(set, line_addr); w >= 0)
-        meta_[set * ways_ + static_cast<unsigned>(w)].dirty = true;
+    std::uint32_t tag;
+    const std::size_t set = locate(line_addr, &tag);
+    if (const int w = findWay(set, tag, line_addr); w >= 0)
+        meta_[set * ways_ + static_cast<unsigned>(w)] |= 1;
 }
 
 void
 Cache::invalidate(Addr line_addr)
 {
-    const std::size_t set = setIndex(line_addr);
-    if (const int w = findWay(set, line_addr); w >= 0)
-        tags_[set * ways_ + static_cast<unsigned>(w)] = 0;
+    std::uint32_t tag;
+    const std::size_t set = locate(line_addr, &tag);
+    const int w = findWay(set, tag, line_addr);
+    if (w < 0)
+        return;
+    // Close the gap: the valid ways older than w move up one, so the
+    // valid ranks stay 0..n-1.
+    std::uint8_t *r = &ranks_[set * rankStride_];
+    const std::uint8_t old = r[w];
+    for (unsigned x = 0; x < ways_; ++x)
+        r[x] -= r[x] > old && r[x] != kNoRank;
+    r[w] = kNoRank;
+    const std::size_t i = set * ways_ + static_cast<unsigned>(w);
+    if (tags_[i] == kWide)
+        wide_.erase(i);
+    tags_[i] = kEmpty;
 }
 
 }  // namespace cxlsim::cpu

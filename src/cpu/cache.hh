@@ -12,18 +12,24 @@
  * catches a pending L2-streamer line stalls on "L2" (or LLC on
  * SPR/EMR) even though the data is actually in flight from CXL.
  *
- * Storage layout is split for the host machine's benefit: the probe
- * path scans a compact one-word-per-way tag array (tag | valid bit
- * packed into a single 8-byte word, so a 16-way set is two host
- * cachelines instead of ten), with an MRU-way first probe; the cold
- * per-line metadata (readyAt, LRU stamp, home, dirty) lives in a
- * parallel array that is only touched after a tag match. The tag
- * array is calloc'd, so constructing a multi-hundred-MB LLC touches
- * no page of it.
+ * Storage is sized for the host machine's caches: 13 bytes per
+ * simulated line plus one per set. The probe path scans a 64-byte
+ * aligned array of 4-byte set-relative tags (line / sets + 1, so 0
+ * is an empty way and a 16-way set is one host cacheline), with an
+ * MRU-way first probe. A line whose tag does not fit in 32 bits gets
+ * the reserved tag kWide and keeps its full address in a small side
+ * table, read only when the probed line is itself that wide. LRU
+ * order is a 1-byte rank per way (0 = most recent), and readyAt,
+ * home and dirty pack into one 8-byte word read only after a tag
+ * match.
  *
- * Warm-up is deferred: fill() only records its line ranges and marks
- * every set cold with a reserved MRU byte. The first probe of a cold
- * set writes that set's warmed state, computed from the ranges alone,
+ * The arrays share one anonymous mapping, which a dropped cache
+ * leaves to its thread for the next cache that fits in it, so a
+ * worker faults its LLC's pages in once rather than every run.
+ *
+ * Every set starts cold, marked by a reserved MRU byte, and its
+ * first probe writes it. fill() only records its line ranges; that
+ * first write computes the set's warmed state from the ranges alone,
  * so the state never depends on which sets a run touches first, and
  * the pages of sets no access reaches are never faulted in.
  */
@@ -33,10 +39,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <span>
-#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "cpu/counters.hh"
@@ -106,9 +111,9 @@ class Cache
      * Install every line of @p ranges, in order, as resident (ready
      * at tick 0), clean and homed at @p home. The state is exactly
      * what insert() would leave line by line: on a fresh cache with
-     * distinct lines every set fills FIFO, so a set's j-th line
-     * lands in way j % ways with LRU stamp (global insert index +
-     * 1), and only the last ways lines of each set survive. The
+     * distinct lines every set fills FIFO, so a set's j-th of total
+     * lines lands in way j % ways with LRU rank total - 1 - j, and
+     * only the last ways lines of each set survive. The
      * ranges are only recorded here; each set's survivors are
      * written on the first probe of that set. Requires a fresh cache
      * (no insert() or lookup() yet) and pairwise-disjoint,
@@ -130,74 +135,98 @@ class Cache
     unsigned ways() const { return ways_; }
 
   private:
-    /**
-     * Cold per-line state; read only after a tag match, so the
-     * backing array is deliberately left uninitialized (trivial
-     * type, written by insert() or materialize() before any read).
-     */
-    struct Meta
-    {
-        Tick readyAt;
-        std::uint64_t lruStamp;
-        StallTag home;
-        bool dirty;
-    };
-    static_assert(std::is_trivial_v<Meta>,
-                  "Meta must be trivial: its array is never "
-                  "value-initialized");
-
-    // Line addresses have the low log2(kCacheLineBytes) bits clear,
-    // so bit 0 doubles as the valid flag and 0 means "empty way".
-    static_assert(kCacheLineBytes >= 2, "need a spare low bit");
-
-    static Addr tagWord(Addr line_addr) { return line_addr | 1; }
-
-    std::size_t setIndex(Addr line_addr) const
-    {
-        return (line_addr / kCacheLineBytes) % sets_;
-    }
-
-    /** mru_ value of a set whose fill() state is not written yet. */
+    /** Tag of an empty way; a line's tag is line / sets + 1 >= 1. */
+    static constexpr std::uint32_t kEmpty = 0;
+    /** Tag of a line whose tag does not fit below it; see wide_. */
+    static constexpr std::uint32_t kWide = 0xffffffff;
+    /** Rank of an empty way: above every valid rank (< ways). */
+    static constexpr std::uint8_t kNoRank = 255;
+    /** Ranks of a set are padded to whole blocks of this many. */
+    static constexpr unsigned kRankBlock = 16;
+    /** mru_ value of a set not written yet. */
     static constexpr unsigned kCold = 255;
 
-    /** A recorded fill() range: lines first.. and the stamp before. */
+    /** Per-line fill state: readyAt << 3 | home << 1 | dirty. */
+    using Meta = std::uint64_t;
+    static constexpr unsigned kReadyShift = 3;
+
+    static Meta packMeta(Tick ready_at, StallTag home, bool dirty)
+    {
+        return ready_at << kReadyShift |
+               static_cast<Meta>(home) << 1 | static_cast<Meta>(dirty);
+    }
+    static Tick readyOf(Meta m) { return m >> kReadyShift; }
+    static StallTag homeOf(Meta m)
+    {
+        return static_cast<StallTag>(m >> 1 & 3);
+    }
+    static bool dirtyOf(Meta m) { return (m & 1) != 0; }
+
+    /** Set of @p line_addr, and its tag there in @p tag. */
+    std::size_t locate(Addr line_addr, std::uint32_t *tag) const
+    {
+        const std::uint64_t line = line_addr / kCacheLineBytes;
+        const std::uint64_t high = line / sets_;
+        *tag = high < kWide - 1 ? static_cast<std::uint32_t>(high + 1)
+                                : kWide;
+        return static_cast<std::size_t>(line - high * sets_);
+    }
+
+    /** A recorded fill() range: lines first, first + 1, ... */
     struct FillRange
     {
         std::uint64_t first;
         std::uint64_t lines;
-        std::uint64_t stampBefore;
     };
 
     /**
-     * Way holding @p line_addr in @p set, or -1. MRU-first probe;
-     * materializes a cold set first.
+     * Way holding @p line_addr (tag @p tag) in @p set, or -1.
+     * MRU-first probe; writes a cold set first.
      */
-    int findWay(std::size_t set, Addr line_addr) const;
+    int findWay(std::size_t set, std::uint32_t tag, Addr line_addr) const;
+
+    /** Make way @p w of @p set the most recently used. */
+    void touch(std::size_t set, unsigned w);
 
     /**
-     * Write the warmed state of cold @p set from fills_: the last
-     * ways_ of its fill lines, FIFO. O(fills_.size() + ways_).
+     * Write the state of cold @p set: empty, then the last ways_ of
+     * its fill lines, FIFO. O(fills_.size() + ways_).
      */
     void materialize(std::size_t set) const;
 
-    struct FreeDeleter
+    /** Releases the anonymous mapping that holds every array: it
+     *  becomes the thread's spare, for the next cache it builds, or
+     *  is unmapped. */
+    struct Recycler
     {
-        void operator()(void *p) const { std::free(p); }
+        std::size_t bytes;
+        void operator()(void *p) const;
     };
 
     std::uint64_t sets_;
     unsigned ways_;
-    // Mutable: a const probe (contains()) may materialize a cold set.
-    /** sets_*ways_ probe words: tagWord(addr) or 0 when invalid. */
-    mutable std::unique_ptr<Addr[], FreeDeleter> tags_;
-    /** sets_*ways_ cold entries, parallel to tags_. */
-    mutable std::unique_ptr<Meta[], FreeDeleter> meta_;
+    /** ways_ rounded up to whole kRankBlock blocks. */
+    unsigned rankStride_;
+    std::unique_ptr<void, Recycler> storage_;
+    // The arrays below live in storage_, unwritten until a set's
+    // first probe writes its slice (a const contains() may do so).
+    /** sets_*ways_ tags, 64-byte aligned: kEmpty, kWide or high+1. */
+    std::uint32_t *tags_;
+    /** sets_*ways_ packed Meta words; read only after a tag match. */
+    Meta *meta_;
+    /** sets_*rankStride_ LRU ranks: a permutation of 0..n-1 over a
+     *  set's n valid ways, kNoRank on its empty ways and padding. */
+    std::uint8_t *ranks_;
     /** Per-set most-recently-hit way (probe hint), or kCold. */
-    mutable std::unique_ptr<std::uint8_t[], FreeDeleter> mru_;
-    std::uint64_t stamp_ = 0;
+    std::uint8_t *mru_;
+    /** Full line address of every way whose tag is kWide, by
+     *  set * ways_ + way. */
+    mutable std::unordered_map<std::size_t, Addr> wide_;
     /** fill()'s non-empty ranges, in fill order, and their home. */
     std::vector<FillRange> fills_;
     StallTag fillHome_ = StallTag::kL3;
+    /** Whether insert() has run (fill() needs a fresh cache). */
+    bool inserted_ = false;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

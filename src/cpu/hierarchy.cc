@@ -12,7 +12,8 @@ MemoryHierarchy::PerCore::PerCore(const CpuProfile &p)
     : l1(p.l1.sizeBytes, p.l1.ways), l2(p.l2.sizeBytes, p.l2.ways),
       l1pf(p.l1pf), l2pf(p.l2pf)
 {
-    scratch.reserve(64);
+    l1pfCands.reserve(64);
+    l2pfCands.reserve(64);
 }
 
 MemoryHierarchy::MemoryHierarchy(const CpuProfile &profile,
@@ -239,13 +240,12 @@ void
 MemoryHierarchy::runL1Prefetcher(PerCore &pc, unsigned stream_id,
                                  Addr line, Tick now)
 {
-    pc.l1pf.observe(stream_id, line, &pc.scratch);
-    if (pc.scratch.empty())
+    pc.l1pf.observe(stream_id, line, &pc.l1pfCands);
+    if (pc.l1pfCands.empty())
         return;
     purge(&pc.l1pfInflight, now);
-    // Copy: nested prefetcher calls reuse the scratch buffer.
-    const std::vector<Addr> cands = pc.scratch;
-    for (Addr target : cands) {
+    // The nested runL2Prefetcher calls below fill l2pfCands only.
+    for (Addr target : pc.l1pfCands) {
         if (pc.l1pfInflight.size() >= profile_.l1pf.budget)
             break;
         if (pc.l1.contains(target))
@@ -340,11 +340,10 @@ MemoryHierarchy::runL2Prefetcher(PerCore &pc, Addr line, Tick now)
             ? effBudget -
                   static_cast<unsigned>(pc.l2pfInflight.size())
             : 0;
-    pc.l2pf.observe(line, budget, &pc.scratch);
-    if (pc.scratch.empty())
+    pc.l2pf.observe(line, budget, &pc.l2pfCands);
+    if (pc.l2pfCands.empty())
         return;
-    const std::vector<Addr> cands = pc.scratch;
-    for (Addr target : cands) {
+    for (Addr target : pc.l2pfCands) {
         if (pc.l2.contains(target))
             continue;
         Tick ready = 0;

@@ -127,7 +127,9 @@ class MemoryHierarchy
          *  the paper's L2PF->L1PF coverage transfer (Fig 12). */
         double l2pfLatEwmaNs = 100.0;
         PfStats pf;
-        std::vector<Addr> scratch;
+        /** Each prefetcher's nominations, reused across triggers. */
+        std::vector<Addr> l1pfCands;
+        std::vector<Addr> l2pfCands;
     };
 
     Tick cyclesToTicks(double cycles) const
@@ -151,6 +153,8 @@ class MemoryHierarchy
     double tickPerCycle_;
     bool prefetchersOn_;
     mem::MemoryBackend *backend_;
+    /** Built before the per-core caches, so it is the one that takes
+     *  the thread's spare cache mapping (see Cache::Cache). */
     Cache l3_;
     std::vector<std::unique_ptr<PerCore>> percore_;
 };

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -59,16 +60,28 @@ class ScopedFlock
     bool held_;
 };
 
-/** Read a whole file; false if unreadable. A read error (an entry
- *  path that is a directory reads as EISDIR) is a clean miss; a
- *  truncated file is caught by the checksum — never wrong payload
- *  bytes. */
+/** Read a whole regular file; false if unreadable. Anything else at
+ *  the path (a directory, a FIFO, or a symlink to a device such as
+ *  /dev/zero that never reaches EOF) and a read error are clean
+ *  misses; a truncated file is caught by the checksum — never wrong
+ *  payload bytes. */
 bool
 readFile(const std::string &path, std::string *out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    // O_NONBLOCK: opening a FIFO for reading would wait for a writer.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd < 0)
         return false;
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+        ::close(fd);
+        return false;
+    }
+    std::FILE *f = ::fdopen(fd, "rb");
+    if (!f) {
+        ::close(fd);
+        return false;
+    }
     std::string data;
     char buf[1 << 14];
     std::size_t n;

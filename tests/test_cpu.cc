@@ -370,6 +370,262 @@ TEST(Cache, WaysLeaveTheColdMarkFree)
     expectSameState(got, want, range, 89);
 }
 
+namespace {
+
+/**
+ * Reference cache with the plainest state: one 64-bit tag per way
+ * (the line address with bit 0 set, 0 when empty) and a 64-bit LRU
+ * stamp from one counter per cache. Cache's 4-byte tags, wide-tag
+ * table and per-set ranks must behave exactly like it. fill() is its
+ * insert() loop, which Cache.FillMatchesInsertLoop shows the closed
+ * form equals. Sets are allocated on first touch so a 160 MB
+ * geometry stays cheap.
+ */
+class StampCache
+{
+  public:
+    StampCache(std::uint64_t bytes, unsigned ways)
+        : sets_(bytes / (kCacheLineBytes * ways)), ways_(ways),
+          lines_(sets_)
+    {
+    }
+
+    LookupResult
+    lookup(Addr a, Tick now, Tick *ready_at, StallTag *home)
+    {
+        Way *w = find(a);
+        if (!w) {
+            ++misses_;
+            return LookupResult::kMiss;
+        }
+        w->stamp = ++stamp_;
+        if (w->readyAt > now) {
+            ++pendingHits_;
+            *ready_at = w->readyAt;
+            *home = w->home;
+            return LookupResult::kPending;
+        }
+        ++hits_;
+        return LookupResult::kHit;
+    }
+
+    bool contains(Addr a) { return find(a) != nullptr; }
+
+    Eviction
+    insert(Addr a, Tick ready_at, StallTag home, bool dirty)
+    {
+        if (Way *w = find(a)) {
+            *w = {w->tag, ready_at, ++stamp_, home, w->dirty || dirty};
+            return {};
+        }
+        Way *victim = nullptr;
+        for (Way &w : set(a)) {
+            if (w.tag == 0) {
+                victim = &w;
+                break;
+            }
+            if (!victim || w.stamp < victim->stamp)
+                victim = &w;
+        }
+        Eviction ev;
+        if (victim->tag != 0)
+            ev = {true, victim->dirty, victim->tag & ~Addr{1}};
+        *victim = {a | 1, ready_at, ++stamp_, home, dirty};
+        return ev;
+    }
+
+    void
+    fill(std::span<const LineRange> ranges, StallTag home)
+    {
+        for (const LineRange &r : ranges)
+            for (std::uint64_t i = 0; i < r.lines; ++i)
+                insert(r.base + i * kCacheLineBytes, 0, home, false);
+    }
+
+    void
+    markDirty(Addr a)
+    {
+        if (Way *w = find(a))
+            w->dirty = true;
+    }
+
+    void
+    invalidate(Addr a)
+    {
+        if (Way *w = find(a))
+            w->tag = 0;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t pendingHits() const { return pendingHits_; }
+
+  private:
+    struct Way
+    {
+        Addr tag = 0;
+        Tick readyAt = 0;
+        std::uint64_t stamp = 0;
+        StallTag home = StallTag::kL1;
+        bool dirty = false;
+    };
+
+    std::vector<Way> &
+    set(Addr a)
+    {
+        std::vector<Way> &s = lines_[a / kCacheLineBytes % sets_];
+        if (s.empty())
+            s.resize(ways_);
+        return s;
+    }
+
+    Way *
+    find(Addr a)
+    {
+        for (Way &w : set(a))
+            if (w.tag == (a | 1))
+                return &w;
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    unsigned ways_;
+    std::vector<std::vector<Way>> lines_;
+    std::uint64_t stamp_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t pendingHits_ = 0;
+};
+
+/** One past the largest line number: line addresses stay < 2^64. */
+constexpr std::uint64_t kLineEnd = std::uint64_t{1} << 58;
+/** First line / sets quotient whose 4-byte tag (quotient + 1) would
+ *  not fit below the reserved wide tag. */
+constexpr std::uint64_t kWideHigh = 0xffffffffULL - 1;
+
+/**
+ * Lines of a few sets (0, 1, the last, and random ones) whose
+ * quotient line / sets is small, straddles kWideHigh, puts the
+ * address at 2^47 and above, lies near the top of the address
+ * space, or is random. Each set gets well over ways lines, most of
+ * them wide in the small geometries.
+ */
+std::vector<Addr>
+referencePool(std::uint64_t sets, unsigned ways, Rng &rng)
+{
+    std::vector<std::uint64_t> setList = {0, 1 % sets, sets - 1,
+                                          rng.below(sets),
+                                          rng.below(sets)};
+    std::sort(setList.begin(), setList.end());
+    setList.erase(std::unique(setList.begin(), setList.end()),
+                  setList.end());
+    std::vector<Addr> pool;
+    for (const std::uint64_t s : setList) {
+        const std::uint64_t maxHigh = (kLineEnd - 1 - s) / sets;
+        std::vector<std::uint64_t> highs;
+        for (std::uint64_t h = 0; h <= ways + 1; ++h)
+            highs.push_back(h);
+        for (std::uint64_t h = kWideHigh - 3; h <= kWideHigh + 2; ++h)
+            highs.push_back(h);
+        const std::uint64_t at47 = (std::uint64_t{1} << 41) / sets;
+        for (std::uint64_t k = 0; k < ways / 2 + 1; ++k) {
+            highs.push_back(at47 + k);
+            highs.push_back(maxHigh - k);
+            highs.push_back(rng.below(maxHigh + 1));
+        }
+        std::sort(highs.begin(), highs.end());
+        highs.erase(std::unique(highs.begin(), highs.end()),
+                    highs.end());
+        for (const std::uint64_t h : highs)
+            if (h <= maxHigh)
+                pool.push_back((h * sets + s) * kCacheLineBytes);
+    }
+    return pool;
+}
+
+}  // namespace
+
+TEST(Cache, MatchesStampReference)
+{
+    struct RefGeometry
+    {
+        std::uint64_t sets;
+        unsigned ways;
+    };
+    const RefGeometry geometries[] = {
+        {1, 2}, {64, 12}, {2048, 16}, {163840, 16}, {4, 254}};
+    for (const RefGeometry &g : geometries) {
+        for (const bool filled : {false, true}) {
+            SCOPED_TRACE(std::to_string(g.sets) + "x" +
+                         std::to_string(g.ways) +
+                         (filled ? ", filled" : ", fresh"));
+            const std::uint64_t bytes = g.sets * g.ways * kCacheLineBytes;
+            Cache got(bytes, g.ways);
+            StampCache want(bytes, g.ways);
+            ASSERT_EQ(got.sets(), g.sets);
+            Rng rng(g.sets * 7 + g.ways + (filled ? 1000 : 0));
+            const std::vector<Addr> pool =
+                referencePool(g.sets, g.ways, rng);
+
+            if (filled) {
+                // In fill order: low lines overflowing every set,
+                // then lines whose tags straddle the wide limit,
+                // then lines just below 2^64.
+                const std::uint64_t cap = g.sets * g.ways;
+                const LineRange ranges[] = {
+                    {0, cap * 3 / 2 + 5},
+                    {(kWideHigh - 3) * g.sets * kCacheLineBytes,
+                     4 * g.sets + 1},
+                    {(kLineEnd - 1 - 2 * g.sets - 5) * kCacheLineBytes,
+                     2 * g.sets + 5},
+                };
+                got.fill(ranges, StallTag::kL3);
+                want.fill(ranges, StallTag::kL3);
+            }
+
+            Tick now = 1000;
+            for (int k = 0; k < 20000; ++k) {
+                now += 100;
+                const Addr a = pool[rng.below(pool.size())];
+                const std::uint64_t op = rng.below(20);
+                if (op < 7) {
+                    Tick r1 = 0, r2 = 0;
+                    StallTag h1 = StallTag::kL1, h2 = StallTag::kL1;
+                    const LookupResult l1 = got.lookup(a, now, &r1, &h1);
+                    const LookupResult l2 = want.lookup(a, now, &r2, &h2);
+                    ASSERT_EQ(l1, l2) << "lookup " << a << ", op " << k;
+                    ASSERT_EQ(r1, r2) << "lookup " << a;
+                    ASSERT_EQ(h1, h2) << "lookup " << a;
+                } else if (op < 14) {
+                    const Tick ready = now + rng.below(2000);
+                    const bool dirty = rng.chance(0.3);
+                    const auto home = static_cast<StallTag>(rng.below(4));
+                    const Eviction e = got.insert(a, ready, home, dirty);
+                    const Eviction w = want.insert(a, ready, home, dirty);
+                    ASSERT_EQ(e.valid, w.valid)
+                        << "insert " << a << ", op " << k;
+                    ASSERT_EQ(e.dirty, w.dirty) << "insert " << a;
+                    ASSERT_EQ(e.lineAddr, w.lineAddr) << "insert " << a;
+                } else if (op < 16) {
+                    ASSERT_EQ(got.contains(a), want.contains(a))
+                        << "contains " << a << ", op " << k;
+                } else if (op < 18) {
+                    got.markDirty(a);
+                    want.markDirty(a);
+                } else {
+                    got.invalidate(a);
+                    want.invalidate(a);
+                }
+            }
+            for (const Addr a : pool)
+                ASSERT_EQ(got.contains(a), want.contains(a)) << "line " << a;
+            EXPECT_EQ(got.hits(), want.hits());
+            EXPECT_EQ(got.misses(), want.misses());
+            EXPECT_EQ(got.pendingHits(), want.pendingHits());
+        }
+    }
+}
+
 TEST(StridePrefetcher, TrainsOnConstantStride)
 {
     PrefetcherConfig cfg{true, 4, 8, 2};

@@ -12,6 +12,7 @@
  */
 
 #include <pthread.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -1200,7 +1201,8 @@ TEST(RunCacheMaintenance, ClearRacesLiveWriterSafely)
 //   fclose    /dev/full: a 64 KiB payload fails in fwrite, a
 //             few bytes fail when fclose flushes them
 //   rename  the entry path is a directory              (EISDIR)
-//   fread   the entry path is a directory              (EISDIR)
+//   read    the entry path is a directory, a FIFO or a symlink
+//             to /dev/zero: not a regular file  (clean miss, no read)
 //   short   the entry file is truncated   (checksum: corrupt miss)
 //   lock    `.melody-cache.lock` is a directory  (store unlocked)
 //
@@ -1247,7 +1249,7 @@ tempToDevFull(const fs::path &entry)
     fs::create_symlink("/dev/full", tmpPath(entry));
 }
 
-/** rename and fread fail: @p entry is a directory. */
+/** rename fails and lookups miss: @p entry is a directory. */
 void
 entryIsDir(const fs::path &entry)
 {
@@ -1570,8 +1572,8 @@ TEST_F(RunCacheFailure, LookupsUnderAnUncreatableDirMissCleanly)
     EXPECT_TRUE(fs::is_regular_file(dir().parent_path()));
 }
 
-// fread fails with EISDIR on an entry path that is a directory: a
-// clean miss, not a corrupt entry.
+// An entry path that is a directory is not a regular file: a clean
+// miss, not a corrupt entry.
 TEST_F(RunCacheFailure, DirectoryAtTheEntryPathIsACleanMiss)
 {
     entryIsDir(entryPath(dir(), "salt1", "key"));
@@ -1581,6 +1583,71 @@ TEST_F(RunCacheFailure, DirectoryAtTheEntryPathIsACleanMiss)
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().corrupt, 0u);
     EXPECT_TRUE(got.empty());
+}
+
+// An entry path that resolves to a character device or a FIFO is
+// not a regular file either: a clean miss that neither waits for a
+// FIFO's writer nor reads what /dev/zero hands back without end.
+TEST_F(RunCacheFailure, DeviceAtTheEntryPathIsACleanMiss)
+{
+    const fs::path entry = entryPath(dir(), "salt1", "key");
+    fs::create_directories(dir());
+    for (const bool fifo : {false, true}) {
+        SCOPED_TRACE(fifo ? "FIFO" : "/dev/zero");
+        fs::remove(entry);
+        if (fifo)
+            ASSERT_EQ(::mkfifo(entry.c_str(), 0600), 0);
+        else
+            fs::create_symlink("/dev/zero", entry);
+        sweep::RunCache cache(dir().string(), "salt1");
+        std::vector<std::string> got;
+        EXPECT_FALSE(cache.lookup("key", 1, &got));
+        EXPECT_EQ(cache.stats().misses, 1u);
+        EXPECT_EQ(cache.stats().corrupt, 0u);
+        EXPECT_TRUE(got.empty());
+    }
+}
+
+// A sweep whose cached point resolves to /dev/zero recomputes that
+// point, rather than reading zeros until memory runs out, with the
+// bytes of an uncached run, and its store replaces the symlink with
+// an entry the next run serves.
+TEST_F(RunCacheFailure, DeviceEntryRecomputesWithUncachedBytes)
+{
+    sweep::Options opts = cacheAt(dir().string());
+    opts.jobs = 1;
+    opts.salt = "rcfail-device";
+    const auto render = [](const sweep::Options &o,
+                           sweep::Sweep::Report *rep) {
+        sweep::Sweep s("rcfail-device", o);
+        buildFailurePoints(&s);
+        return s.renderToString(rep);
+    };
+    sweep::Options uncached = opts;
+    uncached.cache = false;
+    const std::string want = render(uncached, nullptr);
+    {
+        sweep::Sweep::Report rep;
+        ASSERT_EQ(render(opts, &rep), want);
+        ASSERT_EQ(rep.cacheStores, 3u);
+    }
+    const fs::path entry =
+        entryPath(dir(), opts.salt, failurePointKeys()[1]);
+    fs::remove(entry);
+    fs::create_symlink("/dev/zero", entry);
+
+    sweep::Sweep::Report rep;
+    EXPECT_EQ(render(opts, &rep), want);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.cacheHits, 2u);
+    EXPECT_EQ(rep.cacheStores, 1u);
+    EXPECT_EQ(rep.corruptEntries, 0u);
+    EXPECT_FALSE(fs::is_symlink(entry));
+
+    sweep::Sweep::Report again;
+    EXPECT_EQ(render(opts, &again), want);
+    EXPECT_EQ(again.cacheHits, 3u);
+    EXPECT_EQ(tmpFiles(dir().string()), 0u);
 }
 
 // A truncated entry is a corrupt miss; storing the recomputed rows
@@ -1832,7 +1899,7 @@ INSTANTIATE_TEST_SUITE_P(
                               false, k64KiB, 0, 0, 0, true},
         PersistentFailureCase{"rename_eisdir", armEntryDirs, false,
                               false, 0, 0, 0, 0, true},
-        PersistentFailureCase{"fread_eisdir", armEntryDirs, true,
+        PersistentFailureCase{"entry_dir", armEntryDirs, true,
                               false, 0, 0, 0, 0, true},
         PersistentFailureCase{"short_read", armTruncated, true, false,
                               0, 0, 3, 3, false},
@@ -1844,7 +1911,7 @@ INSTANTIATE_TEST_SUITE_P(
                               false, true, k64KiB, 0, 2, 0, false},
         PersistentFailureCase{"rename_eisdir_one_key", armEntryDirs,
                               false, true, 0, 0, 2, 0, false},
-        PersistentFailureCase{"fread_eisdir_one_key", armEntryDirs,
+        PersistentFailureCase{"entry_dir_one_key", armEntryDirs,
                               true, true, 0, 2, 0, 0, false},
         PersistentFailureCase{"short_read_one_key", armTruncated, true,
                               true, 0, 2, 1, 1, false}),
