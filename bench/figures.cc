@@ -1,5 +1,6 @@
 #include "bench/figures.hh"
 
+#include <csignal>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -78,8 +79,11 @@ buildCrashTest(cxlsim::sweep::Sweep &s)
     const std::size_t victim = s.point(
         "victim mode=" + mode, 1, [mode](Emit *slots) {
             if (mode == "segv") {
-                volatile int *p = nullptr;
-                *p = 42;  // deliberate: kills the whole sweep
+                // Deliberate: kills the whole sweep by SIGSEGV (exit
+                // 139), also under sanitizers that would report a
+                // null store and exit 1 instead.
+                std::signal(SIGSEGV, SIG_DFL);
+                std::raise(SIGSEGV);
             } else if (mode == "exception") {
                 throw std::runtime_error("crashtest exception");
             }

@@ -259,8 +259,8 @@ BM_SweepEngine(benchmark::State &state)
 {
     // Engine overhead in isolation: many near-trivial points plus a
     // gather, cache off, rendered to a string. Measures declaration,
-    // fan-out over the worker pool, slot buffering, and ordered
-    // render — not simulation work.
+    // fan-out (one parallelFor call, thread starts included), slot
+    // buffering, and ordered render — not simulation work.
     constexpr std::size_t kPoints = 256;
     for (auto _ : state) {
         sweep::Options opts;

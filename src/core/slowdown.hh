@@ -59,10 +59,12 @@ class SlowdownStudy
                            cxlsim::cpu::RunResult *test_out);
 
     /**
-     * Slowdowns of many workloads on one setup, computed in
-     * parallel on parallelFor's default pool (each run is
-     * independent and deterministic). Results are returned in
-     * input order.
+     * Slowdowns of many workloads on one setup (each run is
+     * independent and deterministic), returned in input order.
+     * Called from `melody batch`, the runs spread over every core.
+     * Inside a sweep point (fig08, fig09) they run serially on the
+     * point's thread, since parallelFor keeps nested calls serial,
+     * unless that point is the only one left to compute.
      */
     std::vector<double> slowdownBatch(
         const std::vector<cxlsim::workloads::WorkloadProfile> &ws,

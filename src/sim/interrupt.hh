@@ -4,10 +4,11 @@
  *
  * The handler sets one sig_atomic_t flag and nothing else. The sweep
  * engine checks it (interruptRequested()) before each point it
- * claims: once set, claimed points return without running, the pool
- * drains, and the run reports Sweep::Report::interrupted without
- * rendering. Every point that finished before the signal is already
- * in the run cache, so rerunning the same command continues the run.
+ * claims: once set, claimed points return without running, the
+ * remaining indices drain, and the run reports
+ * Sweep::Report::interrupted without rendering. Every point that
+ * finished before the signal is already in the run cache, so
+ * rerunning the same command continues the run.
  *
  * The handler is installed with SA_RESTART, so interrupted file I/O
  * restarts instead of failing with EINTR, and SA_RESETHAND, so a

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -12,196 +11,81 @@ namespace cxlsim {
 
 namespace {
 
-/** Set while a thread is executing pool work or a parallelFor
- *  body; nested parallelFor calls then run serially instead of
- *  deadlocking on the single shared pool. */
+/** Set while a thread runs parallelFor bodies; nested parallelFor
+ *  calls from inside one then run serially on that thread. */
 thread_local bool t_inParallel = false;
 
-/**
- * The process-wide worker pool. One job runs at a time (outer
- * calls serialize on jobMu_); workers park on cv_ between jobs.
- *
- * Job protocol: the publishing thread writes the job fields and
- * bumps gen_ under mu_, wakes everyone, then participates itself.
- * Workers claim at most `slots_` participation slots per job so a
- * caller-requested thread cap is honored even when the pool has
- * more workers. Chunks are claimed from the atomic cursor; the
- * caller returns only once every chunk has been fully executed AND
- * every worker that took a slot has left workOn(). Waiting for the
- * chunks alone is not enough: a worker can copy the job fields,
- * drop mu_ and be preempted before its first cursor bump while its
- * peers finish every chunk. If the caller then returned and
- * published the next job, that worker would claim the new job's
- * chunks with the old job's fn, n and chunk count, calling a dead
- * std::function or overshooting doneChunks_ so the new job never
- * completes.
- */
-class WorkerPool
+/** Sets t_inParallel for one scope and restores the outer value,
+ *  also when a body throws. */
+class NestedScope
 {
   public:
-    static WorkerPool &
-    instance()
-    {
-        // The pool is the one sanctioned process-wide singleton: it
-        // owns no simulation state (chunks are claimed through an
-        // atomic cursor, results land in caller-owned memory), so
-        // determinism is unaffected by which worker runs a chunk.
-        // lint:allow(det-static-local: sanctioned pool singleton, no sim state)
-        static WorkerPool pool;
-        return pool;
-    }
-
-    void
-    run(std::size_t n, const std::function<void(std::size_t)> &fn,
-        unsigned participants, std::size_t grain)
-    {
-        std::lock_guard<std::mutex> job(jobMu_);
-        ensureWorkers(participants - 1);
-        const std::size_t totalChunks = (n + grain - 1) / grain;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            fn_ = &fn;
-            n_ = n;
-            grain_ = grain;
-            totalChunks_ = totalChunks;
-            next_.store(0, std::memory_order_relaxed);
-            doneChunks_.store(0, std::memory_order_relaxed);
-            slots_ = static_cast<int>(participants) - 1;
-            ++gen_;
-        }
-        cv_.notify_all();
-
-        t_inParallel = true;
-        workOn(fn, n, grain, totalChunks);
-        t_inParallel = false;
-
-        std::unique_lock<std::mutex> lk(mu_);
-        doneCv_.wait(lk, [&] {
-            return busy_ == 0 &&
-                   doneChunks_.load(std::memory_order_acquire) ==
-                       totalChunks_;
-        });
-        // Late wakers find the job fully staffed, never a null fn_.
-        slots_ = 0;
-        fn_ = nullptr;
-    }
+    NestedScope() : outer_(t_inParallel) { t_inParallel = true; }
+    ~NestedScope() { t_inParallel = outer_; }
+    NestedScope(const NestedScope &) = delete;
+    NestedScope &operator=(const NestedScope &) = delete;
 
   private:
-    WorkerPool() = default;
-
-    ~WorkerPool()
-    {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        for (auto &t : workers_)
-            t.join();
-    }
-
-    void
-    ensureWorkers(unsigned target)
-    {
-        // jobMu_ is held: workers_ only grows from here.
-        while (workers_.size() < target)
-            workers_.emplace_back([this] { workerLoop(); });
-    }
-
-    void
-    workOn(const std::function<void(std::size_t)> &fn, std::size_t n,
-           std::size_t grain, std::size_t total_chunks)
-    {
-        for (std::size_t start =
-                 next_.fetch_add(grain, std::memory_order_relaxed);
-             start < n;
-             start = next_.fetch_add(grain,
-                                     std::memory_order_relaxed)) {
-            const std::size_t end = std::min(n, start + grain);
-            for (std::size_t i = start; i < end; ++i)
-                fn(i);
-            if (doneChunks_.fetch_add(1, std::memory_order_release) +
-                    1 ==
-                total_chunks) {
-                std::lock_guard<std::mutex> lk(mu_);
-                doneCv_.notify_all();
-            }
-        }
-    }
-
-    void
-    workerLoop()
-    {
-        t_inParallel = true;
-        std::uint64_t seen = 0;
-        for (;;) {
-            const std::function<void(std::size_t)> *fn;
-            std::size_t n, grain, totalChunks;
-            {
-                std::unique_lock<std::mutex> lk(mu_);
-                cv_.wait(lk,
-                         [&] { return stop_ || gen_ != seen; });
-                if (stop_)
-                    return;
-                seen = gen_;
-                if (slots_ <= 0)
-                    continue;  // job already fully staffed
-                --slots_;
-                ++busy_;
-                fn = fn_;
-                n = n_;
-                grain = grain_;
-                totalChunks = totalChunks_;
-            }
-            workOn(*fn, n, grain, totalChunks);
-            std::lock_guard<std::mutex> lk(mu_);
-            if (--busy_ == 0)
-                doneCv_.notify_all();
-        }
-    }
-
-    /** Serializes whole jobs (one parallelFor at a time). */
-    std::mutex jobMu_;
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::condition_variable doneCv_;
-    std::vector<std::thread> workers_;
-    bool stop_ = false;
-
-    // Current-job state; scalars guarded by mu_.
-    std::uint64_t gen_ = 0;
-    const std::function<void(std::size_t)> *fn_ = nullptr;
-    std::size_t n_ = 0;
-    std::size_t grain_ = 1;
-    std::size_t totalChunks_ = 0;
-    int slots_ = 0;
-    /** Workers that took a slot and have not yet left workOn(). */
-    int busy_ = 0;
-    std::atomic<std::size_t> next_{0};
-    std::atomic<std::size_t> doneChunks_{0};
+    const bool outer_;
 };
 
 }  // namespace
 
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
-            unsigned threads, std::size_t grain)
+            unsigned threads)
 {
     if (n == 0)
         return;
     if (threads == 0)
-        threads = std::thread::hardware_concurrency();
-    threads = std::max(
-        1u, std::min<unsigned>(threads, static_cast<unsigned>(n)));
-    if (grain == 0)
-        grain = 1;
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    // A one-thread request is serial all the way down: `melody sweep
+    // --jobs 1` must not let a point's inner calls fan out.
     if (threads == 1 || t_inParallel) {
+        const NestedScope nested;
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
-    WorkerPool::instance().run(n, fn, threads, grain);
+    // A lone index runs on the caller and may fan out in turn, so one
+    // pending sweep point still spreads its inner runs over the cores.
+    if (n == 1) {
+        fn(0);
+        return;
+    }
+
+    // A throwing body ends only its own index. Once every thread is
+    // joined, the lowest failing index's exception reaches the
+    // caller, the one a serial loop would have thrown.
+    std::atomic<std::size_t> next{0};
+    std::mutex errorMu;
+    std::size_t errorIndex = n;
+    std::exception_ptr error;
+    const auto drain = [&] {
+        const NestedScope nested;
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+            try {
+                fn(i);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lk(errorMu);
+                if (i < errorIndex) {
+                    errorIndex = i;
+                    error = std::current_exception();
+                }
+            }
+        }
+    };
+    {
+        const std::size_t spawned = std::min<std::size_t>(threads, n) - 1;
+        std::vector<std::jthread> workers;
+        workers.reserve(spawned);
+        for (std::size_t t = 0; t < spawned; ++t)
+            workers.emplace_back(drain);
+        drain();
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 }  // namespace cxlsim

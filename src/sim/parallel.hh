@@ -1,7 +1,6 @@
 /**
  * @file
- * Parallel-for over independent simulation runs, backed by a
- * lazily-initialized persistent worker pool.
+ * Parallel-for over independent simulation runs.
  *
  * Simulations are deterministic and fully self-contained (each run
  * owns its platform, backend and cores), so suite-wide sweeps are
@@ -9,12 +8,13 @@
  * pre-sized storage so output order stays deterministic regardless
  * of scheduling.
  *
- * Earlier versions spawned and joined a fresh std::thread set on
- * every call; suite sweeps call parallelFor() hundreds of times, so
- * thread creation dominated small batches. The pool parks workers
- * on a condition variable between jobs and hands out index chunks
- * via an atomic cursor; workers are spawned on first use and grown
- * on demand when a caller requests more concurrency.
+ * Each call starts its own threads and joins them before it
+ * returns: the calling thread plus `threads - 1` workers claim one
+ * index at a time from an atomic cursor. A process makes one
+ * top-level call (`melody sweep` over its pending points, or
+ * `melody batch` over its workloads) and every nested call runs
+ * serially, so thread starts cost microseconds per process, not per
+ * run.
  */
 
 #ifndef CXLSIM_SIM_PARALLEL_HH
@@ -26,19 +26,20 @@
 namespace cxlsim {
 
 /**
- * Run @p fn(i) for i in [0, n) on up to @p threads workers.
- * @p fn must only touch per-index state (or internally
- * synchronized state). Each index is claimed exactly once; nested
- * calls from inside @p fn degrade to serial execution.
+ * Run @p fn(i) for i in [0, n) on up to @p threads threads, the
+ * caller among them. @p fn must only touch per-index state (or
+ * internally synchronized state). Each index is claimed exactly
+ * once. Calls from inside @p fn run serially, and so does the whole
+ * call tree under a one-thread request; a lone index (n == 1) runs
+ * on the caller and may fan out itself. If bodies throw, the
+ * exception of the lowest failing index is rethrown to the caller
+ * after every thread has joined.
  *
  * @param threads 0 = hardware concurrency.
- * @param grain   Indices claimed per atomic cursor bump. The
- *                default of 1 suits millisecond-scale simulation
- *                runs; raise it for very cheap bodies.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &fn,
-                 unsigned threads = 0, std::size_t grain = 1);
+                 unsigned threads = 0);
 
 }  // namespace cxlsim
 

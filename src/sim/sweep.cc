@@ -318,7 +318,7 @@ void
 Sweep::computePending(const std::vector<std::size_t> &pending,
                       ProgressMeter *progress, Report *report)
 {
-    // Fan out over the worker pool in declaration order. Each
+    // Fan out over parallelFor in declaration order. Each
     // closure writes only into its own pre-sized slot storage, so
     // which worker runs a point cannot affect the rendered bytes. A
     // throwing closure is captured and re-thrown from the lowest
@@ -329,7 +329,7 @@ Sweep::computePending(const std::vector<std::size_t> &pending,
     // RunCache is not thread-safe (unsynchronized counters, temp
     // names unique per process, not per thread): stores serialize
     // on storeMu. After an interrupt, claimed points return without
-    // running, which drains the pool's remaining indices quickly.
+    // running, which drains the remaining indices quickly.
     std::vector<std::exception_ptr> errors(pending.size());
     std::vector<sim::Invariants> invs(
         opts_.checkInvariants ? pending.size() : 0);

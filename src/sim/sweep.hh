@@ -15,8 +15,8 @@
  *             slots (table assembly, suite-wide statistics),
  *             evaluated in declaration order at render time.
  *
- * run() executes all points over the persistent parallelFor worker
- * pool, buffering each point's slots out-of-band, then walks the
+ * run() executes all points in one parallelFor call over --jobs
+ * threads, buffering each point's slots out-of-band, then walks the
  * item sequence and streams it to stdout — so the bytes are
  * identical to the serial program for any --jobs value. Points are
  * also the unit of caching: each one's slots are persisted in a

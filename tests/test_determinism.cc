@@ -2,9 +2,9 @@
  * @file
  * End-to-end determinism: the same seeded workload must produce
  * bit-identical RunResults no matter how the sweep is scheduled —
- * serially, or via parallelFor with 1, 2 or 8 worker threads. This
- * pins the worker pool's contract (each index claimed exactly
- * once, results written by index) and the indexed multicore
+ * serially, or via parallelFor with 1, 2 or 8 threads. This pins
+ * parallelFor's contract (each index claimed exactly once, results
+ * written by index) and the indexed multicore
  * scheduler's tie-breaking (lowest core index first).
  */
 
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,8 +167,8 @@ TEST(Determinism, FaultPlanStableAcrossThreadCounts)
 
 TEST(Determinism, RepeatedParallelRunsAreStable)
 {
-    // Back-to-back pool jobs (the persistent-pool reuse path) must
-    // not leak state between jobs.
+    // Back-to-back parallel sweeps must not leak state from one
+    // call into the next.
     const auto ws = smallSuite();
     const melody::Platform plat("SPR2S", "CXL-B");
     std::vector<cpu::RunResult> first(ws.size()),
@@ -188,26 +189,20 @@ TEST(Determinism, RepeatedParallelRunsAreStable)
 TEST(Determinism, ParallelForCoversEveryIndexOnce)
 {
     for (unsigned threads : {1u, 2u, 8u}) {
-        for (std::size_t grain : {std::size_t{1}, std::size_t{7}}) {
-            std::vector<int> hits(1000, 0);
-            parallelFor(
-                hits.size(), [&](std::size_t i) { ++hits[i]; },
-                threads, grain);
-            for (std::size_t i = 0; i < hits.size(); ++i)
-                ASSERT_EQ(hits[i], 1)
-                    << "index " << i << " @" << threads << "t grain "
-                    << grain;
-        }
+        std::vector<int> hits(1000, 0);
+        parallelFor(
+            hits.size(), [&](std::size_t i) { ++hits[i]; }, threads);
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i], 1) << "index " << i << " @" << threads
+                                  << "t";
     }
 }
 
 TEST(Determinism, BackToBackJobsNeverReuseAStaleWorker)
 {
-    // Many tiny jobs from one thread, as a point's inner loops issue
-    // them under `sweep --jobs 1`. A worker preempted between taking
-    // a slot and its first cursor bump must not spill into the next
-    // job with the previous job's index range (which once overshot
-    // the chunk count and hung the caller).
+    // Many tiny calls from one thread: each must cover its own
+    // indices once and return only when its threads are done, so
+    // no thread can spill into the next call's index range.
     for (int job = 0; job < 20000; ++job) {
         const std::size_t n = job % 2 ? 3 : 5;
         std::vector<int> hits(n, 0);
@@ -368,20 +363,66 @@ TEST(ParallelFor, SingleThreadRunsInlineInIndexOrder)
               (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
-TEST(ParallelFor, ZeroGrainClaimsOneIndexAtATime)
+TEST(ParallelFor, OneThreadKeepsNestedCallsOnTheCaller)
 {
-    std::vector<int> hits(33, 0);
-    parallelFor(
-        hits.size(), [&](std::size_t i) { ++hits[i]; }, 4,
-        /*grain=*/0);
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i], 1) << "index " << i;
+    // `melody sweep --jobs 1` is serial all the way down: an inner
+    // call in a point (SlowdownStudy::slowdownBatch) stays on the
+    // calling thread whatever it asks for. Only a lone index under a
+    // wider request may fan out, as one pending point under --jobs 4.
+    const auto offCallerRuns = [](std::size_t n, unsigned threads) {
+        const std::thread::id caller = std::this_thread::get_id();
+        std::atomic<int> off{0};
+        parallelFor(
+            n,
+            [&](std::size_t) {
+                parallelFor(
+                    64,
+                    [&](std::size_t) {
+                        if (std::this_thread::get_id() != caller)
+                            ++off;
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(200));
+                    },
+                    4);
+            },
+            threads);
+        return off.load();
+    };
+    EXPECT_EQ(offCallerRuns(2, 1), 0);
+    EXPECT_GT(offCallerRuns(1, 4), 0);
+}
+
+TEST(ParallelFor, BodyExceptionReachesTheCaller)
+{
+    // A throw on a worker thread must not end the process (`melody
+    // batch` with an unknown memory name exits with its usage
+    // error): every index still runs, and the caller gets the lowest
+    // failing index's exception, as from a serial loop.
+    for (unsigned threads : {1u, 4u}) {
+        std::vector<std::atomic<int>> hits(64);
+        try {
+            parallelFor(
+                hits.size(),
+                [&](std::size_t i) {
+                    ++hits[i];
+                    if (i % 10 == 3)
+                        throw std::runtime_error(std::to_string(i));
+                },
+                threads);
+            ADD_FAILURE() << "no exception @" << threads << "t";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "3") << threads << "t";
+        }
+        for (std::size_t i = 0; threads > 1 && i < hits.size(); ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
 }
 
 TEST(ParallelFor, ThreadCapHoldsAfterThePoolGrew)
 {
-    // Grow the pool to 8 workers, then ask for 2: the job's slot
-    // count, not the pool size, bounds the concurrency.
+    // A wide call followed by one that asks for 2: the second
+    // call's own request, not any earlier one, bounds its
+    // concurrency.
     parallelFor(
         64, [](std::size_t) {}, 8);
     std::atomic<int> active{0};
@@ -404,8 +445,8 @@ TEST(ParallelFor, ThreadCapHoldsAfterThePoolGrew)
 
 TEST(ParallelFor, ConcurrentCallersBothComplete)
 {
-    // Two threads publishing jobs at once (say, two sweeps run from
-    // different threads) serialize on the one pool; neither loses
+    // Two threads calling at once (say, two sweeps run from
+    // different threads) each start their own workers; neither loses
     // or duplicates an index.
     std::vector<int> a(500, 0), b(500, 0);
     auto fill = [](std::vector<int> *v) {

@@ -5,7 +5,7 @@
  * (including corrupted-entry fallback), salt invalidation,
  * figure-level determinism for a few real benches, reruns that take
  * every point a crashed, failed or interrupted run finished from the
- * run cache, store timing at every pool size, the ^C handler,
+ * run cache, store timing at every job count, the ^C handler,
  * runtime invariant plumbing, the cache stats/clear maintenance
  * entry points, and every run-cache failure branch reached through
  * a filesystem state that really fails.
@@ -48,6 +48,15 @@
 using namespace cxlsim;
 
 namespace {
+
+/** Die by SIGSEGV as a crashing point would, without the null
+ *  store that UBSan reports first (and exits 1 on). */
+void
+segfault()
+{
+    std::signal(SIGSEGV, SIG_DFL);
+    std::raise(SIGSEGV);
+}
 
 /** A synthetic sweep exercising every item kind: text, 1-slot
  *  points, a multi-slot point, and a gather over hidden slots. */
@@ -406,10 +415,8 @@ buildVictimSweep(sweep::Sweep &s, Victim mode,
     const auto survivor = [trapSurvivors](const char *tag, int k,
                                           int v) {
         return [tag, k, v, trapSurvivors](sweep::Emit &e) {
-            if (trapSurvivors) {
-                volatile int *p = nullptr;
-                *p = 1;  // must never run on a rerun
-            }
+            if (trapSurvivors)
+                segfault();  // must never run on a rerun
             e.printf("%s %d = %d\n", tag, k, v);
         };
     };
@@ -420,8 +427,7 @@ buildVictimSweep(sweep::Sweep &s, Victim mode,
     const std::size_t victim =
         s.point("victim", 1, [mode](sweep::Emit *slots) {
             if (mode == Victim::kSegv) {
-                volatile int *p = nullptr;
-                *p = 42;
+                segfault();
             } else if (mode == Victim::kThrow) {
                 throw std::runtime_error("victim boom");
             }
@@ -533,8 +539,8 @@ TEST(SweepRerun, SegfaultLeavesFinishedPointsStored)
     // At --jobs 1 points run in declaration order, so the two `pre`
     // points finish (and are stored) before the victim kills the
     // whole process; nothing after it runs.
-    // The pool's workers may be alive from earlier tests in this
-    // process; re-execute rather than fork a threaded process.
+    // Re-execute the binary for the child rather than fork this
+    // process, which then need not be free of live threads.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     const std::string dir = freshDir("rerun-segv");
     const sweep::Options o = rerunOpts(dir, 1);
@@ -600,10 +606,8 @@ TEST(SweepRerun, InterruptedRunRerunsOnlyWhatWasCut)
     {
         sweep::Sweep s("test-interrupt-rerun", o);
         build(s, [](int k) {
-            if (k == 0) {
-                volatile int *p = nullptr;
-                *p = 1;
-            }
+            if (k == 0)
+                segfault();
         });
         out2 = s.renderToString(&rep2);
     }
@@ -617,7 +621,7 @@ TEST(SweepRerun, InterruptedRunRerunsOnlyWhatWasCut)
 }
 
 // ---------------------------------------------------------------
-// Store timing under every pool size: stores serialize on one
+// Store timing under every job count: stores serialize on one
 // mutex, so each finished point lands in the run cache exactly
 // once however many workers finish side by side.
 // ---------------------------------------------------------------
@@ -681,7 +685,7 @@ TEST_P(SweepStoreTiming, ThrowingPointStoresEverySurvivor)
         EXPECT_STREQ(e.what(), "victim boom");
     }
 
-    // The survivors finish whatever the pool size, because a throw
+    // The survivors finish whatever the job count, because a throw
     // only ends its own point; the victim stores nothing.
     EXPECT_EQ(sweep::RunCache::scanDir(d).entries, 4u);
     EXPECT_EQ(tmpFiles(d), 0u);
@@ -868,10 +872,8 @@ TEST(SweepRun, InterruptBeforeRunComputesNothing)
         sweep::Sweep s("test-interrupt-before", rerunOpts(d, 4));
         s.scope("interrupt-before");
         for (int k = 0; k < 8; ++k)
-            s.point("p" + std::to_string(k), [](sweep::Emit &) {
-                volatile int *p = nullptr;
-                *p = 1;
-            });
+            s.point("p" + std::to_string(k),
+                    [](sweep::Emit &) { segfault(); });
         out = s.renderToString(&rep);
     }
     sim::resetInterruptHandlers();
@@ -1321,10 +1323,8 @@ buildFailurePoints(sweep::Sweep *s, std::size_t pad = 0,
         s->point(key, [key, pad,
                        trap = runnable >= 0 && i != runnable](
                           sweep::Emit &e) {
-            if (trap) {
-                volatile int *p = nullptr;
-                *p = 1;
-            }
+            if (trap)
+                segfault();
             e.printf("%s-out\n", key.c_str());
             if (pad)
                 e.text(std::string(pad, 'x') + "\n");
@@ -1353,6 +1353,52 @@ failurePointKeys()
 }
 
 constexpr std::size_t k64KiB = 64 * 1024;
+
+/**
+ * Store buildFailurePoints' three points in a cache at @p dir,
+ * replace p1's entry with a symlink to @p target, and check a rerun
+ * takes p1 as a clean miss, recomputes it with the bytes of an
+ * uncached run, and stores an entry in place of the symlink that the
+ * next run serves.
+ */
+void
+expectSymlinkedEntryRecomputes(const fs::path &dir, const char *target)
+{
+    sweep::Options opts = cacheAt(dir.string());
+    opts.jobs = 1;
+    opts.salt = "rcfail-symlink";
+    const auto render = [](const sweep::Options &o,
+                           sweep::Sweep::Report *rep) {
+        sweep::Sweep s("rcfail-symlink", o);
+        buildFailurePoints(&s);
+        return s.renderToString(rep);
+    };
+    sweep::Options uncached = opts;
+    uncached.cache = false;
+    const std::string want = render(uncached, nullptr);
+    {
+        sweep::Sweep::Report rep;
+        ASSERT_EQ(render(opts, &rep), want);
+        ASSERT_EQ(rep.cacheStores, 3u);
+    }
+    const fs::path entry =
+        entryPath(dir, opts.salt, failurePointKeys()[1]);
+    fs::remove(entry);
+    fs::create_symlink(target, entry);
+
+    sweep::Sweep::Report rep;
+    EXPECT_EQ(render(opts, &rep), want);
+    EXPECT_TRUE(rep.clean());
+    EXPECT_EQ(rep.cacheHits, 2u);
+    EXPECT_EQ(rep.cacheStores, 1u);
+    EXPECT_EQ(rep.corruptEntries, 0u);
+    EXPECT_FALSE(fs::is_symlink(entry));
+
+    sweep::Sweep::Report again;
+    EXPECT_EQ(render(opts, &again), want);
+    EXPECT_EQ(again.cacheHits, 3u);
+    EXPECT_EQ(tmpFiles(dir.string()), 0u);
+}
 
 }  // namespace
 
@@ -1614,40 +1660,15 @@ TEST_F(RunCacheFailure, DeviceAtTheEntryPathIsACleanMiss)
 // an entry the next run serves.
 TEST_F(RunCacheFailure, DeviceEntryRecomputesWithUncachedBytes)
 {
-    sweep::Options opts = cacheAt(dir().string());
-    opts.jobs = 1;
-    opts.salt = "rcfail-device";
-    const auto render = [](const sweep::Options &o,
-                           sweep::Sweep::Report *rep) {
-        sweep::Sweep s("rcfail-device", o);
-        buildFailurePoints(&s);
-        return s.renderToString(rep);
-    };
-    sweep::Options uncached = opts;
-    uncached.cache = false;
-    const std::string want = render(uncached, nullptr);
-    {
-        sweep::Sweep::Report rep;
-        ASSERT_EQ(render(opts, &rep), want);
-        ASSERT_EQ(rep.cacheStores, 3u);
-    }
-    const fs::path entry =
-        entryPath(dir(), opts.salt, failurePointKeys()[1]);
-    fs::remove(entry);
-    fs::create_symlink("/dev/zero", entry);
+    expectSymlinkedEntryRecomputes(dir(), "/dev/zero");
+}
 
-    sweep::Sweep::Report rep;
-    EXPECT_EQ(render(opts, &rep), want);
-    EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(rep.cacheHits, 2u);
-    EXPECT_EQ(rep.cacheStores, 1u);
-    EXPECT_EQ(rep.corruptEntries, 0u);
-    EXPECT_FALSE(fs::is_symlink(entry));
-
-    sweep::Sweep::Report again;
-    EXPECT_EQ(render(opts, &again), want);
-    EXPECT_EQ(again.cacheHits, 3u);
-    EXPECT_EQ(tmpFiles(dir().string()), 0u);
+// /proc/self/mem passes the regular-file check, but its first read
+// fails with EIO (nothing is mapped at offset 0): readFile's read
+// error branch, a clean miss that recomputes like the device above.
+TEST_F(RunCacheFailure, ReadErrorIsACleanMiss)
+{
+    expectSymlinkedEntryRecomputes(dir(), "/proc/self/mem");
 }
 
 // A truncated entry is a corrupt miss; storing the recomputed rows
