@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulator itself:
- * cache lookups (one cache, and the hit path of eight L2s), cache
- * warm-up, demand loads with prefetchers, single-core block steps,
- * DRAM channel accesses, CXL device round trips, and end-to-end
- * workload simulation rate.
+ * cache lookups (one cache, and the hit and miss paths of eight
+ * L2s), cache warm-up, demand loads with prefetchers, single-core
+ * block steps, DRAM channel accesses, CXL device round trips, and
+ * end-to-end workload simulation rate.
  */
 
 #include <benchmark/benchmark.h>
@@ -90,6 +90,47 @@ BM_L2HitPath(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_L2HitPath);
+
+static void
+BM_L2MissPath(benchmark::State &state)
+{
+    // The L2 miss path: over the eight full per-core L2s of an
+    // 8-thread EMR2S run, each seeded probe misses and then installs
+    // its line, evicting the set's LRU way, as a demand miss does.
+    // Line k of the run goes to a seeded core at offset k times an
+    // odd constant (mod 2^32) past that core's preloaded range, so no
+    // line repeats and every probe misses.
+    constexpr unsigned kCores = 8;
+    const cpu::CacheGeometry l2 =
+        melody::Platform("EMR2S", "Local").cpu().l2;
+    std::vector<cpu::Cache> caches;
+    caches.reserve(kCores);
+    const std::uint64_t lines = l2.sizeBytes / kCacheLineBytes;
+    for (unsigned c = 0; c < kCores; ++c) {
+        caches.emplace_back(l2.sizeBytes, l2.ways);
+        const cpu::LineRange range{(Addr{c} + 1) << 32, lines};
+        caches.back().fill({&range, 1}, cpu::StallTag::kL2);
+    }
+    std::vector<unsigned> cores(1 << 16);
+    Rng rng(6);
+    for (unsigned &c : cores)
+        c = static_cast<unsigned>(rng.below(kCores));
+    Tick ready;
+    cpu::StallTag home;
+    std::uint32_t k = 0;
+    for (auto _ : state) {
+        const unsigned c = cores[k & (cores.size() - 1)];
+        const std::uint64_t off = k++ * 0x9e3779b1u;
+        const Addr a = ((Addr{c} + 1) << 32) +
+                       (lines + off) * kCacheLineBytes;
+        benchmark::DoNotOptimize(
+            caches[c].lookup(a, 1000, &ready, &home));
+        benchmark::DoNotOptimize(
+            caches[c].insert(a, 2000, cpu::StallTag::kDram, false));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_L2MissPath);
 
 static void
 BM_Preload(benchmark::State &state)

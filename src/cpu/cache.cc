@@ -1,8 +1,10 @@
 #include "cache.hh"
 
+#include <emmintrin.h>
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <utility>
@@ -42,28 +44,55 @@ struct SpareMapping
 
 thread_local SpareMapping spare;
 
+/** Bitmask of the 16 tags at @p t that equal @p tag. */
+unsigned
+matchLanes(const std::uint32_t *t, std::uint32_t tag)
+{
+    const __m128i k = _mm_set1_epi32(static_cast<int>(tag));
+    const auto *p = reinterpret_cast<const __m128i *>(t);
+    const __m128i a = _mm_cmpeq_epi32(_mm_loadu_si128(p), k);
+    const __m128i b = _mm_cmpeq_epi32(_mm_loadu_si128(p + 1), k);
+    const __m128i c = _mm_cmpeq_epi32(_mm_loadu_si128(p + 2), k);
+    const __m128i d = _mm_cmpeq_epi32(_mm_loadu_si128(p + 3), k);
+    // Saturating packs keep each lane's all-ones or zero, in order.
+    const __m128i lanes = _mm_packs_epi16(_mm_packs_epi32(a, b),
+                                          _mm_packs_epi32(c, d));
+    return static_cast<unsigned>(_mm_movemask_epi8(lanes));
+}
+
+/** Bitmask of the 16 ranks at @p r that are at least @p floor. */
+unsigned
+ranksAtLeast(const std::uint8_t *r, std::uint8_t floor)
+{
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i *>(r));
+    const __m128i f = _mm_set1_epi8(static_cast<char>(floor));
+    // Unsigned v >= f exactly where max(v, f) == v.
+    return static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_max_epu8(v, f), v)));
+}
+
 }  // namespace
 
 Cache::Cache(std::uint64_t size_bytes, unsigned ways)
     : sets_(size_bytes / (kCacheLineBytes * ways)), ways_(ways),
-      rankStride_((ways + kRankBlock - 1) / kRankBlock * kRankBlock)
+      rankStride_((ways + kRankBlock - 1) / kRankBlock * kRankBlock),
+      rowBytes_((ways * (sizeof(Meta) + sizeof(std::uint32_t)) +
+                 rankStride_ + 7) / 8 * 8),
+      laneMask_(ways >= kLanes ? (1u << kLanes) - 1 : (1u << ways) - 1)
 {
     SIM_ASSERT(sets_ >= 1, "cache too small");
-    SIM_ASSERT(ways_ >= 1 && ways_ < kCold, "ways out of range");
-    const std::size_t n = sets_ * ways_;
-    const auto lines = [](std::size_t bytes) {
-        return (bytes + 63) / 64 * 64;
-    };
-    const std::size_t tagBytes = lines(n * sizeof(std::uint32_t));
-    const std::size_t metaBytes = lines(n * sizeof(Meta));
-    const std::size_t rankBytes = lines(sets_ * rankStride_);
-    const std::size_t bytes = tagBytes + metaBytes + rankBytes + sets_;
-    // One private anonymous mapping holds every array. Nothing in it
-    // is written here but the MRU bytes: every set starts cold and
-    // its first probe writes it, so a run faults in only the pages
-    // of the sets it reaches. The thread's spare mapping is taken
-    // whenever it is large enough; a hierarchy builds its LLC first,
-    // so that is the cache that takes it.
+    SIM_ASSERT(ways_ >= 1 && ways_ < kNoRank, "ways out of range");
+    // A probe reads kLanes tags from the start of a set's tags; past
+    // the last set's row, this padding keeps them inside the mapping.
+    constexpr std::size_t kTailPad = kLanes * sizeof(std::uint32_t);
+    const std::size_t rowsBytes = sets_ * rowBytes_ + kTailPad;
+    const std::size_t bytes = rowsBytes + sets_;
+    // One private anonymous mapping holds every row. Nothing in it
+    // is written here but the cold marks: every set starts cold and
+    // its first probe writes its row, so a run faults in only the
+    // pages of the sets it reaches. The thread's spare mapping is
+    // taken whenever it is large enough; a hierarchy builds its LLC
+    // first, so that is the cache that takes it.
     void *p;
     std::size_t mapped = bytes;
     if (spare.bytes >= bytes) {
@@ -75,12 +104,9 @@ Cache::Cache(std::uint64_t size_bytes, unsigned ways)
         SIM_ASSERT(p != MAP_FAILED, "cache allocation failed");
     }
     storage_ = {p, Recycler{mapped}};
-    auto *at = static_cast<std::byte *>(p);
-    tags_ = reinterpret_cast<std::uint32_t *>(at);
-    meta_ = reinterpret_cast<Meta *>(at + tagBytes);
-    ranks_ = reinterpret_cast<std::uint8_t *>(at + tagBytes + metaBytes);
-    mru_ = ranks_ + rankBytes;
-    std::memset(mru_, kCold, sets_);
+    rows_ = static_cast<std::byte *>(p);
+    cold_ = reinterpret_cast<std::uint8_t *>(rows_ + rowsBytes);
+    std::memset(cold_, 1, sets_);
 }
 
 void
@@ -100,24 +126,20 @@ Cache::Recycler::operator()(void *p) const
 int
 Cache::findWay(std::size_t set, std::uint32_t tag, Addr line_addr) const
 {
-    unsigned m = mru_[set];
-    if (m == kCold) [[unlikely]] {
+    if (cold_[set]) [[unlikely]]
         materialize(set);
-        m = mru_[set];
+    const std::uint32_t *t = tagsOf(set);
+    if (tag != kWide && ways_ <= kLanes) [[likely]] {
+        // A valid tag sits in at most one way; the lanes past ways_
+        // read the next row or the tail padding and are masked off.
+        const unsigned hit = matchLanes(t, tag) & laneMask_;
+        return hit ? std::countr_zero(hit) : -1;
     }
+    // Tags cannot tell wide lines apart; their addresses can.
     const std::size_t base = set * ways_;
-    const std::uint32_t *t = &tags_[base];
-    if (tag == kWide) [[unlikely]] {
-        // Tags cannot tell wide lines apart; their addresses can.
-        for (unsigned w = 0; w < ways_; ++w)
-            if (t[w] == kWide && wide_.at(base + w) == line_addr)
-                return static_cast<int>(w);
-        return -1;
-    }
-    if (t[m] == tag)
-        return static_cast<int>(m);
     for (unsigned w = 0; w < ways_; ++w)
-        if (t[w] == tag)
+        if (t[w] == tag &&
+            (tag != kWide || wide_.at(base + w) == line_addr))
             return static_cast<int>(w);
     return -1;
 }
@@ -129,7 +151,7 @@ Cache::touch(std::size_t set, unsigned w)
     // and the row's padding hold kNoRank, above any rank, and stay
     // put. Whole blocks, so the compiler can age a block at once.
     const unsigned stride = rankStride_;
-    std::uint8_t *r = &ranks_[set * stride];
+    std::uint8_t *r = ranksOf(set);
     const std::uint8_t old = r[w];
     if (old != 0) {
         for (std::uint8_t *blk = r; blk != r + stride; blk += kRankBlock)
@@ -137,7 +159,6 @@ Cache::touch(std::size_t set, unsigned w)
                 blk[x] += blk[x] < old;
         r[w] = 0;
     }
-    mru_[set] = static_cast<std::uint8_t>(w);
 }
 
 LookupResult
@@ -151,7 +172,7 @@ Cache::lookup(Addr line_addr, Tick now, Tick *ready_at, StallTag *home)
         return LookupResult::kMiss;
     }
     touch(set, static_cast<unsigned>(w));
-    const Meta m = meta_[set * ways_ + static_cast<unsigned>(w)];
+    const Meta m = metaOf(set)[w];
     if (readyOf(m) > now) {
         ++pendingHits_;
         if (ready_at)
@@ -181,12 +202,11 @@ Cache::insert(Addr line_addr, Tick ready_at, StallTag home, bool dirty)
     Eviction ev;
     std::uint32_t tag;
     const std::size_t set = locate(line_addr, &tag);
-    const std::size_t base = set * ways_;
+    Meta *meta = metaOf(set);
 
     if (const int w = findWay(set, tag, line_addr); w >= 0) {
         // Refill of a present line: refresh fill state.
-        Meta &m = meta_[base + static_cast<unsigned>(w)];
-        m = packMeta(ready_at, home, dirtyOf(m) || dirty);
+        meta[w] = packMeta(ready_at, home, dirtyOf(meta[w]) || dirty);
         touch(set, static_cast<unsigned>(w));
         return ev;
     }
@@ -195,24 +215,28 @@ Cache::insert(Addr line_addr, Tick ready_at, StallTag home, bool dirty)
     // squashed in-flight prefetch). The valid ranks are 0..n-1, so
     // with an empty way (kNoRank) none reaches ways_ - 1: the first
     // way at or above it is the first empty way, else the LRU way.
-    const std::uint8_t *r = &ranks_[set * rankStride_];
-    const unsigned lru = ways_ - 1;
+    // Some way qualifies, so the padding (kNoRank) is never picked.
+    const std::uint8_t *r = ranksOf(set);
+    const auto lru = static_cast<std::uint8_t>(ways_ - 1);
     unsigned victim = 0;
-    while (r[victim] < lru)
-        ++victim;
+    unsigned atLeast;
+    while ((atLeast = ranksAtLeast(r + victim, lru)) == 0)
+        victim += kRankBlock;
+    victim += static_cast<unsigned>(std::countr_zero(atLeast));
 
-    const std::size_t i = base + victim;
-    if (tags_[i] == kWide) {
-        ev = {true, dirtyOf(meta_[i]), wide_.at(i)};
+    std::uint32_t *t = tagsOf(set);
+    const std::size_t i = set * ways_ + victim;
+    if (t[victim] == kWide) {
+        ev = {true, dirtyOf(meta[victim]), wide_.at(i)};
         wide_.erase(i);
-    } else if (tags_[i] != kEmpty) {
-        ev = {true, dirtyOf(meta_[i]),
-              ((tags_[i] - 1) * sets_ + set) * kCacheLineBytes};
+    } else if (t[victim] != kEmpty) {
+        ev = {true, dirtyOf(meta[victim]),
+              ((t[victim] - 1) * sets_ + set) * kCacheLineBytes};
     }
-    tags_[i] = tag;
+    t[victim] = tag;
     if (tag == kWide)
         wide_[i] = line_addr;
-    meta_[i] = packMeta(ready_at, home, dirty);
+    meta[victim] = packMeta(ready_at, home, dirty);
     touch(set, victim);
     return ev;
 }
@@ -241,21 +265,26 @@ Cache::fill(std::span<const LineRange> ranges, StallTag home)
                        byBase[i].base,
                    "fill ranges overlap");
 
-    for (const LineRange &r : ranges)
-        if (r.lines > 0)
-            fills_.push_back({r.base / kCacheLineBytes, r.lines});
+    for (const LineRange &r : ranges) {
+        if (r.lines == 0)
+            continue;
+        const std::uint64_t first = r.base / kCacheLineBytes;
+        fills_.push_back({first % sets_, first / sets_, r.lines});
+    }
     fillHome_ = home;
     // contains() may have written empty sets already.
-    std::memset(mru_, kCold, sets_);
+    std::memset(cold_, 1, sets_);
 }
 
 void
 Cache::materialize(std::size_t set) const
 {
-    // Line i of a fill range lands in set (first + i) % sets_, so
-    // the range's lines in this set are i0, i0 + sets_, ...
+    // Line i of a fill range lands in set (firstSet + i) % sets_, so
+    // the range's lines in this set are i0, i0 + sets_, ..., and
+    // line i0 has quotient firstHigh, or one more if it wrapped.
     const auto firstInSet = [&](const FillRange &r) {
-        return (set + sets_ - r.first % sets_) % sets_;
+        return set >= r.firstSet ? set - r.firstSet
+                                 : set + sets_ - r.firstSet;
     };
     const auto countInSet = [&](const FillRange &r, std::uint64_t i0) {
         return r.lines > i0 ? (r.lines - 1 - i0) / sets_ + 1 : 0;
@@ -264,14 +293,16 @@ Cache::materialize(std::size_t set) const
     for (const FillRange &r : fills_)
         total += countInSet(r, firstInSet(r));
 
-    const std::size_t base = set * ways_;
-    std::fill_n(&tags_[base], ways_, kEmpty);
-    std::uint8_t *rank = &ranks_[set * rankStride_];
+    std::uint32_t *tags = tagsOf(set);
+    std::uint8_t *rank = ranksOf(set);
+    Meta *meta = metaOf(set);
+    std::fill_n(tags, ways_, kEmpty);
     std::fill_n(rank, rankStride_, kNoRank);
     // The set filled FIFO: its j-th line went to way j % ways_ with
     // rank total - 1 - j, and only the last ways_ lines survive.
     const std::uint64_t evicted = total > ways_ ? total - ways_ : 0;
     const Meta resident = packMeta(0, fillHome_, false);
+    const std::size_t base = set * ways_;
     std::uint64_t j = 0;
     for (const FillRange &r : fills_) {
         const std::uint64_t i0 = firstInSet(r);
@@ -279,22 +310,22 @@ Cache::materialize(std::size_t set) const
         const std::uint64_t k0 = evicted > j ? evicted - j : 0;
         std::uint64_t w = (j + k0) % ways_;
         // Successive lines of one set differ by sets_, their tags by 1.
-        std::uint64_t high = (r.first + i0 + k0 * sets_) / sets_;
+        std::uint64_t high =
+            r.firstHigh + (set < r.firstSet ? 1 : 0) + k0;
         for (std::uint64_t k = k0; k < n; ++k, ++high) {
             if (high < kWide - 1) {
-                tags_[base + w] = static_cast<std::uint32_t>(high + 1);
+                tags[w] = static_cast<std::uint32_t>(high + 1);
             } else {
-                tags_[base + w] = kWide;
+                tags[w] = kWide;
                 wide_[base + w] = (high * sets_ + set) * kCacheLineBytes;
             }
             rank[w] = static_cast<std::uint8_t>(total - 1 - (j + k));
-            meta_[base + w] = resident;
+            meta[w] = resident;
             w = w + 1 == ways_ ? 0 : w + 1;
         }
         j += n;
     }
-    mru_[set] = static_cast<std::uint8_t>(total > 0 ? (total - 1) % ways_
-                                                    : 0);
+    cold_[set] = 0;
 }
 
 void
@@ -303,7 +334,7 @@ Cache::markDirty(Addr line_addr)
     std::uint32_t tag;
     const std::size_t set = locate(line_addr, &tag);
     if (const int w = findWay(set, tag, line_addr); w >= 0)
-        meta_[set * ways_ + static_cast<unsigned>(w)] |= 1;
+        metaOf(set)[w] |= 1;
 }
 
 void
@@ -316,15 +347,15 @@ Cache::invalidate(Addr line_addr)
         return;
     // Close the gap: the valid ways older than w move up one, so the
     // valid ranks stay 0..n-1.
-    std::uint8_t *r = &ranks_[set * rankStride_];
+    std::uint8_t *r = ranksOf(set);
     const std::uint8_t old = r[w];
     for (unsigned x = 0; x < ways_; ++x)
         r[x] -= r[x] > old && r[x] != kNoRank;
     r[w] = kNoRank;
-    const std::size_t i = set * ways_ + static_cast<unsigned>(w);
-    if (tags_[i] == kWide)
-        wide_.erase(i);
-    tags_[i] = kEmpty;
+    std::uint32_t *t = tagsOf(set);
+    if (t[w] == kWide)
+        wide_.erase(set * ways_ + static_cast<unsigned>(w));
+    t[w] = kEmpty;
 }
 
 }  // namespace cxlsim::cpu

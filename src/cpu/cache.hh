@@ -13,25 +13,30 @@
  * SPR/EMR) even though the data is actually in flight from CXL.
  *
  * Storage is sized for the host machine's caches: 13 bytes per
- * simulated line plus one per set. The probe path scans a 64-byte
- * aligned array of 4-byte set-relative tags (line / sets + 1, so 0
- * is an empty way and a 16-way set is one host cacheline), with an
- * MRU-way first probe. A line whose tag does not fit in 32 bits gets
- * the reserved tag kWide and keeps its full address in a small side
- * table, read only when the probed line is itself that wide. LRU
- * order is a 1-byte rank per way (0 = most recent), and readyAt,
- * home and dirty pack into one 8-byte word read only after a tag
- * match.
+ * simulated line plus one per set. Each set is one row of one
+ * anonymous mapping: its ways' fill state (readyAt, home and dirty
+ * packed in an 8-byte word, read only after a tag match), then its
+ * 4-byte set-relative tags (line / sets + 1, so 0 is an empty way),
+ * then its 1-byte LRU ranks (0 = most recent). A probe compares 16
+ * tags at once and masks off the lanes past the set's ways, so it
+ * reads one place and takes no branch per way; the mapping ends in
+ * 64 bytes of padding so the last set's lanes stay inside it. The
+ * victim of a miss is picked by one 16-lane compare of the ranks. A
+ * line whose tag does not fit in 32 bits gets the reserved tag kWide
+ * and keeps its full address in a small side table; only a probe for
+ * a wide line, or of a set of more than 16 ways, scans the tags one
+ * way at a time.
  *
- * The arrays share one anonymous mapping, which a dropped cache
- * leaves to its thread for the next cache that fits in it, so a
- * worker faults its LLC's pages in once rather than every run.
+ * A dropped cache leaves its mapping to its thread for the next
+ * cache that fits in it, so a worker faults its LLC's pages in once
+ * rather than every run.
  *
- * Every set starts cold, marked by a reserved MRU byte, and its
- * first probe writes it. fill() only records its line ranges; that
- * first write computes the set's warmed state from the ranges alone,
- * so the state never depends on which sets a run touches first, and
- * the pages of sets no access reaches are never faulted in.
+ * Every set starts cold, marked by a per-set byte after the rows,
+ * and its first probe writes its row. fill() only records its line
+ * ranges; that first write computes the set's warmed state from the
+ * ranges alone, so the state never depends on which sets a run
+ * touches first, and the pages of sets no access reaches are never
+ * faulted in.
  */
 
 #ifndef CXLSIM_CPU_CACHE_HH
@@ -82,7 +87,8 @@ class Cache
   public:
     /**
      * @param size_bytes Capacity.
-     * @param ways       Associativity, at most 254.
+     * @param ways       Associativity, at most 254: the rank of an
+     *                   empty way, 255, stays above every way index.
      */
     Cache(std::uint64_t size_bytes, unsigned ways);
 
@@ -143,8 +149,8 @@ class Cache
     static constexpr std::uint8_t kNoRank = 255;
     /** Ranks of a set are padded to whole blocks of this many. */
     static constexpr unsigned kRankBlock = 16;
-    /** mru_ value of a set not written yet. */
-    static constexpr unsigned kCold = 255;
+    /** Tags one probe compares at once: 64 bytes. */
+    static constexpr unsigned kLanes = 16;
 
     /** Per-line fill state: readyAt << 3 | home << 1 | dirty. */
     using Meta = std::uint64_t;
@@ -172,16 +178,38 @@ class Cache
         return static_cast<std::size_t>(line - high * sets_);
     }
 
-    /** A recorded fill() range: lines first, first + 1, ... */
+    /** Row @p set: ways_ Meta words, then ways_ tags (kEmpty, kWide
+     *  or high + 1), then rankStride_ LRU ranks (a permutation of
+     *  0..n-1 over the set's n valid ways, kNoRank on its empty ways
+     *  and padding). Unwritten until the set's first probe. */
+    std::byte *row(std::size_t set) const { return rows_ + set * rowBytes_; }
+    Meta *metaOf(std::size_t set) const
+    {
+        return reinterpret_cast<Meta *>(row(set));
+    }
+    std::uint32_t *tagsOf(std::size_t set) const
+    {
+        return reinterpret_cast<std::uint32_t *>(row(set) +
+                                                 ways_ * sizeof(Meta));
+    }
+    std::uint8_t *ranksOf(std::size_t set) const
+    {
+        return reinterpret_cast<std::uint8_t *>(
+            row(set) + ways_ * (sizeof(Meta) + sizeof(std::uint32_t)));
+    }
+
+    /** A recorded fill() range: lines first, first + 1, ...; its
+     *  first line lies in set firstSet, with quotient firstHigh. */
     struct FillRange
     {
-        std::uint64_t first;
+        std::uint64_t firstSet;
+        std::uint64_t firstHigh;
         std::uint64_t lines;
     };
 
     /**
      * Way holding @p line_addr (tag @p tag) in @p set, or -1.
-     * MRU-first probe; writes a cold set first.
+     * Writes a cold set first.
      */
     int findWay(std::size_t set, std::uint32_t tag, Addr line_addr) const;
 
@@ -194,7 +222,7 @@ class Cache
      */
     void materialize(std::size_t set) const;
 
-    /** Releases the anonymous mapping that holds every array: it
+    /** Releases the anonymous mapping that holds every row: it
      *  becomes the thread's spare, for the next cache it builds, or
      *  is unmapped. */
     struct Recycler
@@ -207,18 +235,16 @@ class Cache
     unsigned ways_;
     /** ways_ rounded up to whole kRankBlock blocks. */
     unsigned rankStride_;
+    /** Bytes of a row, rounded up to 8 so every Meta is aligned. */
+    std::size_t rowBytes_;
+    /** The low ways_ bits: the lanes of a probe that hold tags. */
+    unsigned laneMask_;
     std::unique_ptr<void, Recycler> storage_;
-    // The arrays below live in storage_, unwritten until a set's
-    // first probe writes its slice (a const contains() may do so).
-    /** sets_*ways_ tags, 64-byte aligned: kEmpty, kWide or high+1. */
-    std::uint32_t *tags_;
-    /** sets_*ways_ packed Meta words; read only after a tag match. */
-    Meta *meta_;
-    /** sets_*rankStride_ LRU ranks: a permutation of 0..n-1 over a
-     *  set's n valid ways, kNoRank on its empty ways and padding. */
-    std::uint8_t *ranks_;
-    /** Per-set most-recently-hit way (probe hint), or kCold. */
-    std::uint8_t *mru_;
+    /** sets_ rows in storage_, then 64 bytes a probe may read past
+     *  the last set's tags (a const contains() may write a row). */
+    std::byte *rows_;
+    /** Per set: nonzero until its first probe writes its row. */
+    std::uint8_t *cold_;
     /** Full line address of every way whose tag is kWide, by
      *  set * ways_ + way. */
     mutable std::unordered_map<std::size_t, Addr> wide_;
@@ -227,7 +253,6 @@ class Cache
     StallTag fillHome_ = StallTag::kL3;
     /** Whether insert() has run (fill() needs a fresh cache). */
     bool inserted_ = false;
-
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t pendingHits_ = 0;

@@ -11,6 +11,7 @@ Core::Core(const CpuProfile &profile, const CoreExecParams &exec,
       coreId_(core_id), kernel_(kernel),
       tpc_(ticksPerCycle(profile.freqGhz))
 {
+    loads_.reserve(profile.lfbEntries + 1);
 }
 
 void
@@ -53,18 +54,21 @@ Core::maybeSample()
 void
 Core::purgeLoads()
 {
-    while (!loads_.empty() && loads_.front().completion <= tickNow_)
-        loads_.pop_front();
+    if (tickNow_ < nextDone_)
+        return;  // none has completed yet
     // Completion times are not monotonic in issue order (an L2 hit
-    // finishes before an older DRAM miss); drop any interior
-    // completed entries as well.
-    if (!loads_.empty()) {
-        auto it = std::remove_if(loads_.begin(), loads_.end(),
-                                 [&](const OutstandingLoad &l) {
-                                     return l.completion <= tickNow_;
-                                 });
-        loads_.erase(it, loads_.end());
+    // finishes before an older DRAM miss): drop every completed
+    // entry, keeping the rest in issue order.
+    double next = kNever;
+    auto kept = loads_.begin();
+    for (const OutstandingLoad &l : loads_) {
+        if (l.completion > tickNow_) {
+            *kept++ = l;
+            next = std::min(next, l.completion);
+        }
     }
+    loads_.erase(kept, loads_.end());
+    nextDone_ = next;
 }
 
 void
@@ -127,12 +131,8 @@ Core::stallOnStore(double target)
         return;
     // Intel semantics: BOUND_ON_STORES requires no outstanding
     // loads; otherwise the cycles attribute to the load side.
-    while (!loads_.empty() && tickNow_ < target) {
-        double earliest = loads_.front().completion;
-        for (const auto &l : loads_)
-            earliest = std::min(earliest, l.completion);
-        stallOnLoads(std::min(target, earliest));
-    }
+    while (!loads_.empty() && tickNow_ < target)
+        stallOnLoads(std::min(target, nextDone_));
     if (tickNow_ >= target)
         return;
     const double dtCycles = cyclesOf(target - tickNow_);
@@ -179,8 +179,9 @@ Core::doLoad(const MemOp &op)
     if (outcome.immediate)
         return;
 
-    loads_.push_back({static_cast<double>(outcome.readyAt), uopIdx_,
-                      outcome.tag});
+    const double completion = static_cast<double>(outcome.readyAt);
+    loads_.push_back({completion, uopIdx_, outcome.tag});
+    nextDone_ = std::min(nextDone_, completion);
 
     if (op.dependent) {
         // The next address needs this data: serialize.
@@ -189,12 +190,8 @@ Core::doLoad(const MemOp &op)
     }
 
     // MLP limit: the LFB bounds outstanding L1 misses.
-    while (loads_.size() >= profile_.lfbEntries) {
-        double earliest = loads_.front().completion;
-        for (const auto &l : loads_)
-            earliest = std::min(earliest, l.completion);
-        stallOnLoads(earliest);
-    }
+    while (loads_.size() >= profile_.lfbEntries)
+        stallOnLoads(nextDone_);
     // ROB limit: cannot run further ahead of the oldest miss.
     while (!loads_.empty() &&
            uopIdx_ - loads_.front().uopIdx >= profile_.robSize) {
@@ -223,12 +220,8 @@ Core::step()
     Block b;
     if (!kernel_->next(&b)) {
         // Drain: retire all outstanding loads and stores.
-        while (!loads_.empty()) {
-            double earliest = loads_.front().completion;
-            for (const auto &l : loads_)
-                earliest = std::min(earliest, l.completion);
-            stallOnLoads(earliest);
-        }
+        while (!loads_.empty())
+            stallOnLoads(nextDone_);
         if (!storeBuf_.empty())
             stallOnStore(storeBuf_.back());
         done_ = true;

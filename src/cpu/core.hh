@@ -11,7 +11,11 @@
  *  - Demand loads that miss enter an outstanding-load window
  *    bounded by the LFB entry count (MLP limit) and the ROB size
  *    (how far the window can run past the oldest incomplete load).
- *    `dependent` loads serialize (pointer chasing).
+ *    `dependent` loads serialize (pointer chasing). The window is a
+ *    small vector in issue order, at most lfbEntries (<= 16) long;
+ *    completion order differs from issue order, so a purge drops
+ *    every completed entry in one in-order pass, and is skipped
+ *    while the time is before the window's earliest completion.
  *  - When the core stalls on loads, cycles are charged to P1 and
  *    to P3/P4/P5 per Intel nesting semantics using the deepest
  *    outstanding load's StallTag; waiting on a pending prefetched
@@ -27,6 +31,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "cpu/counters.hh"
@@ -126,7 +131,13 @@ class Core
     std::uint64_t uopIdx_ = 0;
     bool done_ = false;
 
-    std::deque<OutstandingLoad> loads_;
+    /** Outstanding loads in issue order: at most lfbEntries, so a
+     *  purge compacts a few entries in place. */
+    std::vector<OutstandingLoad> loads_;
+    /** The earliest completion in loads_, or kNever when empty. */
+    static constexpr double kNever =
+        std::numeric_limits<double>::infinity();
+    double nextDone_ = kNever;
     std::deque<double> storeBuf_;
 
     CounterSet cnt_;

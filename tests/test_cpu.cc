@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -357,8 +358,9 @@ TEST(Cache, FillRejectsOverlapOrUsedCache)
 
 TEST(Cache, WaysLeaveTheColdMarkFree)
 {
-    // A set's MRU byte holds a way index or the reserved cold mark
-    // 255, so 254 ways is the most a cache may have.
+    // Ranks are bytes and 255 (the rank of an empty way) must stay
+    // above every way index, so 254 ways is the most a cache may
+    // have; the largest cache probes its tags one way at a time.
     EXPECT_DEATH(Cache(255 * kCacheLineBytes, 255), "ways out of range");
 
     const LineRange range[] = {{0, 2 * 254 + 7}};
@@ -553,7 +555,8 @@ TEST(Cache, MatchesStampReference)
         unsigned ways;
     };
     const RefGeometry geometries[] = {
-        {1, 2}, {64, 12}, {2048, 16}, {163840, 16}, {4, 254}};
+        {1, 2},      {64, 8},      {64, 12},    {2048, 16},
+        {20072, 11}, {65536, 15}, {163840, 16}, {4, 254}};
     for (const RefGeometry &g : geometries) {
         for (const bool filled : {false, true}) {
             SCOPED_TRACE(std::to_string(g.sets) + "x" +
@@ -582,6 +585,18 @@ TEST(Cache, MatchesStampReference)
                 got.fill(ranges, StallTag::kL3);
                 want.fill(ranges, StallTag::kL3);
             }
+            // Probe the pool twice before anything changes a line. In
+            // the second pass every pooled set and its neighbours are
+            // written and still hold only what fill() left: a probe
+            // of a set whose row is shorter than 16 tags (ways 8 and
+            // 2) also reads the next row's metadata or the tail
+            // padding, and a resident line's metadata word reads as
+            // tag 4, a tag the pool holds. Lanes past `ways` that are
+            // not masked off then answer for lines the set lacks.
+            for (int pass = 0; pass < 2; ++pass)
+                for (const Addr a : pool)
+                    ASSERT_EQ(got.contains(a), want.contains(a))
+                        << "contains " << a << ", pass " << pass;
 
             Tick now = 1000;
             for (int k = 0; k < 20000; ++k) {
@@ -1061,6 +1076,367 @@ TEST(Core, FrontendStallsBackendInvariant)
     const double feCxl = cxl.p6 - cxl.p1 - cxl.p2;
     EXPECT_NEAR(feCxl, feLocal,
                 0.05 * std::max(feLocal, 1.0) + 100.0);
+}
+
+namespace {
+
+/**
+ * Core's load and store accounting as it was with a std::deque
+ * outstanding-load window, popping completed loads off the front and
+ * then erasing completed interior ones. Core keeps the window in a
+ * vector compacted in one pass; both must charge every cycle alike.
+ * Periodic sampling is left out (Core's is off here).
+ */
+class DequeWindowCore
+{
+  public:
+    DequeWindowCore(const CpuProfile &profile, const CoreExecParams &exec,
+                    MemoryHierarchy *hierarchy, Kernel *kernel)
+        : profile_(profile), exec_(exec), hier_(hierarchy),
+          kernel_(kernel), tpc_(ticksPerCycle(profile.freqGhz))
+    {
+    }
+
+    bool
+    step()
+    {
+        if (done_)
+            return false;
+        Block b;
+        if (!kernel_->next(&b)) {
+            while (!loads_.empty())
+                stallOnLoads(earliest());
+            if (!storeBuf_.empty())
+                stallOnStore(storeBuf_.back());
+            done_ = true;
+            return false;
+        }
+        execute(b);
+        for (unsigned i = 0; i < b.nOps; ++i) {
+            if (b.ops[i].isStore)
+                doStore(b.ops[i]);
+            else
+                doLoad(b.ops[i]);
+        }
+        return true;
+    }
+
+    Tick now() const { return static_cast<Tick>(tickNow_); }
+
+    CounterSet
+    counters() const
+    {
+        CounterSet c = cnt_;
+        const PfStats &pf = hier_->pfStats(0);
+        c.l1pfIssued = pf.l1pfIssued;
+        c.l1pfL3Miss = pf.l1pfL3Miss;
+        c.l1pfL3Hit = pf.l1pfL3Hit;
+        c.l2pfIssued = pf.l2pfIssued;
+        c.l2pfL3Miss = pf.l2pfL3Miss;
+        c.l2pfL3Hit = pf.l2pfL3Hit;
+        c.demandL3Miss = pf.demandL3Miss;
+        return c;
+    }
+
+  private:
+    struct Load
+    {
+        double completion;
+        std::uint64_t uopIdx;
+        StallTag tag;
+    };
+
+    double cyclesOf(double ticks) const { return ticks / tpc_; }
+
+    double
+    earliest() const
+    {
+        double e = loads_.front().completion;
+        for (const Load &l : loads_)
+            e = std::min(e, l.completion);
+        return e;
+    }
+
+    void
+    purgeLoads()
+    {
+        while (!loads_.empty() && loads_.front().completion <= tickNow_)
+            loads_.pop_front();
+        if (!loads_.empty()) {
+            auto it = std::remove_if(loads_.begin(), loads_.end(),
+                                     [&](const Load &l) {
+                                         return l.completion <= tickNow_;
+                                     });
+            loads_.erase(it, loads_.end());
+        }
+    }
+
+    void
+    purgeStores()
+    {
+        while (!storeBuf_.empty() && storeBuf_.front() <= tickNow_)
+            storeBuf_.pop_front();
+    }
+
+    void
+    stallOnLoads(double target)
+    {
+        while (tickNow_ < target) {
+            purgeLoads();
+            purgeStores();
+            if (loads_.empty()) {
+                const double dt = cyclesOf(target - tickNow_);
+                cnt_.cycles += dt;
+                cnt_.p6 += dt;
+                tickNow_ = target;
+                break;
+            }
+            double boundary = target;
+            StallTag deepest = StallTag::kL1;
+            for (const Load &l : loads_) {
+                deepest = std::max(deepest, l.tag);
+                boundary = std::min(boundary, l.completion);
+            }
+            const double dt = cyclesOf(boundary - tickNow_);
+            cnt_.cycles += dt;
+            cnt_.p1 += dt;
+            if (deepest >= StallTag::kL2)
+                cnt_.p3 += dt;
+            if (deepest >= StallTag::kL3)
+                cnt_.p4 += dt;
+            if (deepest >= StallTag::kDram)
+                cnt_.p5 += dt;
+            cnt_.p6 += dt;
+            cnt_.p9 += dt * exec_.serializeFrac * 0.1;
+            tickNow_ = boundary;
+        }
+        purgeLoads();
+        purgeStores();
+    }
+
+    void
+    stallOnStore(double target)
+    {
+        if (target <= tickNow_)
+            return;
+        while (!loads_.empty() && tickNow_ < target)
+            stallOnLoads(std::min(target, earliest()));
+        if (tickNow_ >= target)
+            return;
+        const double dt = cyclesOf(target - tickNow_);
+        cnt_.cycles += dt;
+        cnt_.p2 += dt;
+        cnt_.p6 += dt;
+        tickNow_ = target;
+        purgeLoads();
+        purgeStores();
+    }
+
+    void
+    execute(const Block &b)
+    {
+        const double execCycles = static_cast<double>(b.uops) /
+                                  static_cast<double>(profile_.issueWidth);
+        const double fe = exec_.frontendStallFrac;
+        const double feCycles =
+            fe < 1.0 ? execCycles * fe / (1.0 - fe) : 0.0;
+        cnt_.p6 += feCycles;
+        cnt_.p7 += execCycles * exec_.onePortFrac;
+        cnt_.p8 += execCycles * exec_.twoPortFrac;
+        cnt_.p9 += execCycles * exec_.serializeFrac;
+        cnt_.instructions += b.uops;
+        cnt_.cycles += execCycles + feCycles;
+        tickNow_ += (execCycles + feCycles) * tpc_;
+        uopIdx_ += b.uops;
+        purgeLoads();
+        purgeStores();
+    }
+
+    void
+    doLoad(const MemOp &op)
+    {
+        const LoadOutcome outcome = hier_->demandLoad(
+            0, op.addr, op.streamId, static_cast<Tick>(tickNow_));
+        cnt_.instructions += 1;
+        ++uopIdx_;
+        if (outcome.immediate)
+            return;
+        loads_.push_back({static_cast<double>(outcome.readyAt), uopIdx_,
+                          outcome.tag});
+        if (op.dependent) {
+            stallOnLoads(static_cast<double>(outcome.readyAt));
+            return;
+        }
+        while (loads_.size() >= profile_.lfbEntries)
+            stallOnLoads(earliest());
+        while (!loads_.empty() &&
+               uopIdx_ - loads_.front().uopIdx >= profile_.robSize)
+            stallOnLoads(loads_.front().completion);
+    }
+
+    void
+    doStore(const MemOp &op)
+    {
+        cnt_.instructions += 1;
+        ++uopIdx_;
+        purgeStores();
+        if (storeBuf_.size() >= profile_.storeBufferEntries)
+            stallOnStore(storeBuf_.front());
+        const Tick done =
+            hier_->storeRfo(0, op.addr, static_cast<Tick>(tickNow_));
+        storeBuf_.push_back(static_cast<double>(done));
+    }
+
+    CpuProfile profile_;
+    CoreExecParams exec_;
+    MemoryHierarchy *hier_;
+    Kernel *kernel_;
+    double tpc_;
+    double tickNow_ = 0.0;
+    std::uint64_t uopIdx_ = 0;
+    bool done_ = false;
+    std::deque<Load> loads_;
+    std::deque<double> storeBuf_;
+    CounterSet cnt_;
+};
+
+/** Replays a fixed block list. */
+class ScriptKernel : public Kernel
+{
+  public:
+    explicit ScriptKernel(const std::vector<Block> &blocks)
+        : blocks_(blocks)
+    {
+    }
+
+    bool
+    next(Block *b) override
+    {
+        if (at_ == blocks_.size())
+            return false;
+        *b = blocks_[at_++];
+        return true;
+    }
+
+  private:
+    const std::vector<Block> &blocks_;
+    std::size_t at_ = 0;
+};
+
+/**
+ * Phases of a seeded op stream over a preloaded hot region (L2 and
+ * LLC hits) and a far cold one (backend misses), so completions come
+ * back out of issue order: dependent chases, bursts of independent
+ * misses in short blocks that fill the LFB, long blocks with a miss
+ * each that run into the ROB limit, store bursts that fill the store
+ * buffer, and mixed blocks of loads and stores.
+ */
+std::vector<Block>
+windowScript(Rng &rng, Addr hot, std::uint64_t hot_lines, Addr cold)
+{
+    const auto hotLine = [&] {
+        return hot + rng.below(hot_lines) * kCacheLineBytes;
+    };
+    const auto coldLine = [&] {
+        return cold + rng.below(std::uint64_t{1} << 22) * kCacheLineBytes;
+    };
+    std::vector<Block> blocks;
+    for (int phase = 0; phase < 50; ++phase) {
+        for (int k = 0; k < 50; ++k) {
+            Block b;
+            switch (phase % 5) {
+            case 0:  // dependent chase, some hits in between
+                b.uops = 4 + static_cast<unsigned>(rng.below(8));
+                b.addOp({coldLine(), 1, false, true});
+                b.addOp({hotLine(), 2, false, rng.chance(0.5)});
+                break;
+            case 1:  // LFB-bound burst
+                b.uops = 2;
+                for (int i = 0; i < 8; ++i)
+                    b.addOp({rng.chance(0.3) ? hotLine() : coldLine(),
+                             static_cast<std::uint16_t>(3 + i), false,
+                             false});
+                break;
+            case 2:  // ROB-bound: long blocks, one miss each
+                b.uops = 100 + static_cast<unsigned>(rng.below(200));
+                b.addOp({coldLine(), 11, false, false});
+                break;
+            case 3:  // store burst: fills the store buffer
+                b.uops = 1;
+                for (int i = 0; i < 8; ++i)
+                    b.addOp({coldLine(), 14, true, false});
+                break;
+            default:  // mixed loads and stores
+                b.uops = static_cast<unsigned>(rng.below(40));
+                for (int i = 0; i < 6; ++i)
+                    b.addOp({rng.chance(0.5) ? hotLine() : coldLine(),
+                             static_cast<std::uint16_t>(12 + i % 2),
+                             rng.chance(0.3), rng.chance(0.1)});
+                break;
+            }
+            blocks.push_back(b);
+        }
+    }
+    return blocks;
+}
+
+}  // namespace
+
+TEST(Core, OutstandingWindowMatchesDequeReference)
+{
+    for (const char *server : {"SKX2S", "EMR2S"}) {
+        for (const bool pf : {false, true}) {
+            SCOPED_TRACE(std::string(server) + (pf ? ", pf" : ", no pf"));
+            melody::Platform plat(server, "CXL-A");
+            const CpuProfile &p = plat.cpu();
+            Rng rng(pf ? 7 : 11);
+            const Addr hot = Addr{1} << 30;
+            const std::uint64_t hotLines = 4096;
+            const std::vector<Block> blocks =
+                windowScript(rng, hot, hotLines, Addr{1} << 36);
+            const CoreExecParams exec;
+
+            auto beGot = plat.makeBackend(97);
+            auto beWant = plat.makeBackend(97);
+            MemoryHierarchy hGot(p, 1, beGot.get(), pf);
+            MemoryHierarchy hWant(p, 1, beWant.get(), pf);
+            hGot.preload({{hot, hotLines}});
+            hWant.preload({{hot, hotLines}});
+            ScriptKernel kGot(blocks), kWant(blocks);
+            Core got(p, exec, &hGot, 0, &kGot);
+            DequeWindowCore want(p, exec, &hWant, &kWant);
+
+            bool more = true;
+            for (std::size_t i = 0; more; ++i) {
+                more = got.step();
+                ASSERT_EQ(more, want.step()) << "block " << i;
+                ASSERT_EQ(got.now(), want.now()) << "block " << i;
+            }
+            const CounterSet c = got.counters();
+            const CounterSet r = want.counters();
+            EXPECT_GT(r.p1, 0.0);
+            EXPECT_GT(r.p2, 0.0);
+            EXPECT_GT(r.p5, 0.0);
+            EXPECT_EQ(c.cycles, r.cycles);
+            EXPECT_EQ(c.instructions, r.instructions);
+            EXPECT_EQ(c.p1, r.p1);
+            EXPECT_EQ(c.p2, r.p2);
+            EXPECT_EQ(c.p3, r.p3);
+            EXPECT_EQ(c.p4, r.p4);
+            EXPECT_EQ(c.p5, r.p5);
+            EXPECT_EQ(c.p6, r.p6);
+            EXPECT_EQ(c.p7, r.p7);
+            EXPECT_EQ(c.p8, r.p8);
+            EXPECT_EQ(c.p9, r.p9);
+            EXPECT_EQ(c.l1pfIssued, r.l1pfIssued);
+            EXPECT_EQ(c.l2pfIssued, r.l2pfIssued);
+            EXPECT_EQ(c.l1pfL3Miss, r.l1pfL3Miss);
+            EXPECT_EQ(c.l2pfL3Miss, r.l2pfL3Miss);
+            EXPECT_EQ(c.l1pfL3Hit, r.l1pfL3Hit);
+            EXPECT_EQ(c.l2pfL3Hit, r.l2pfL3Hit);
+            EXPECT_EQ(c.demandL3Miss, r.demandL3Miss);
+        }
+    }
 }
 
 TEST(Hierarchy, L2pfHomesDifferBySku)

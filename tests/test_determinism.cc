@@ -200,14 +200,28 @@ TEST(Determinism, ParallelForCoversEveryIndexOnce)
 
 TEST(Determinism, BackToBackJobsNeverReuseAStaleWorker)
 {
-    // Many tiny calls from one thread: each must cover its own
-    // indices once and return only when its threads are done, so
-    // no thread can spill into the next call's index range.
-    for (int job = 0; job < 20000; ++job) {
+    // parallelFor starts its threads per call and joins them before
+    // it returns. Back-to-back tiny calls from one thread, with more
+    // threads than some calls have indices, must each cover their own
+    // indices exactly once, and no body of a call may still run once
+    // it has returned: a late body would touch the next call's
+    // freshly built `hits` (which ThreadSanitizer also reports). A
+    // few hundred calls of each shape cover the spawn counts 2 and
+    // 3; each call starts its own threads, so more calls only repeat
+    // the same check.
+    for (int job = 0; job < 500; ++job) {
         const std::size_t n = job % 2 ? 3 : 5;
         std::vector<int> hits(n, 0);
+        std::atomic<int> running{0};
         parallelFor(
-            n, [&](std::size_t i) { ++hits.at(i); }, 4);
+            n,
+            [&](std::size_t i) {
+                running.fetch_add(1);
+                ++hits.at(i);
+                running.fetch_sub(1);
+            },
+            4);
+        ASSERT_EQ(running.load(), 0) << "job " << job;
         for (std::size_t i = 0; i < n; ++i)
             ASSERT_EQ(hits[i], 1) << "job " << job << " index " << i;
     }
