@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks for the simulator itself:
  * cache lookups (one cache, and the hit and miss paths of eight
  * L2s), cache warm-up, demand loads with prefetchers, single-core
- * block steps, DRAM channel accesses, CXL device round trips, and
- * end-to-end workload simulation rate.
+ * block steps, DRAM channel accesses, CXL device round trips, the
+ * MLC and Mio closed-loop drivers, and end-to-end workload
+ * simulation rate.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,8 @@
 #include "cpu/core.hh"
 #include "cpu/hierarchy.hh"
 #include "cpu/multicore.hh"
+#include "core/mio.hh"
+#include "core/mlc.hh"
 #include "core/platform.hh"
 #include "cxl/device.hh"
 #include "cxl/device_profile.hh"
@@ -268,6 +271,54 @@ BM_CxlDeviceRead(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CxlDeviceRead);
+
+static void
+BM_MlcPoint(benchmark::State &state)
+{
+    // One delay-0, read-only MLC point with the default 31 x 24
+    // traffic slots and the chase (745 agents) on CXL-A: choosing
+    // the next slot against the link, controller and DRAM.
+    melody::Platform plat("EMR2S", "CXL-A");
+    melody::MlcConfig cfg;
+    cfg.windowUs = 20;
+    cfg.warmupUs = 5;
+    std::uint64_t requests = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto be = plat.makeBackend(11);
+        state.ResumeTiming();
+        const melody::MlcPoint p = melody::mlcMeasure(be.get(), cfg);
+        benchmark::DoNotOptimize(p.gbps);
+        requests += be->stats().requests();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(requests));
+}
+BENCHMARK(BM_MlcPoint)->Unit(benchmark::kMillisecond);
+
+static void
+BM_MioChase(benchmark::State &state)
+{
+    // Eight device-level chasers under Fig. 4's read/write noise
+    // (3 threads x 2 slots) on CXL-A.
+    melody::Platform plat("EMR2S", "CXL-A");
+    melody::MioNoise noise;
+    noise.threads = 3;
+    noise.readFrac = 0.5;
+    noise.paceNs = 400.0;
+    noise.slotsPerThread = 2;
+    std::uint64_t requests = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto be = plat.makeBackend(13);
+        state.ResumeTiming();
+        const melody::MioResult r =
+            melody::mioChaseDirect(be.get(), 8, 2000, noise);
+        benchmark::DoNotOptimize(r.gbps);
+        requests += be->stats().requests();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(requests));
+}
+BENCHMARK(BM_MioChase)->Unit(benchmark::kMillisecond);
 
 static void
 BM_WorkloadSimulation(benchmark::State &state)

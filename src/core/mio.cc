@@ -5,6 +5,7 @@
 
 #include "cpu/hierarchy.hh"
 #include "sim/rng.hh"
+#include "sim/tournament_tree.hh"
 
 namespace melody {
 
@@ -61,20 +62,19 @@ mioChaseDirect(mem::MemoryBackend *backend, unsigned threads,
         agents.push_back(a);
     }
 
+    // Chasers with no samples to take never issue, and noise stops
+    // with the last chaser, so then nothing runs at all.
     MioResult res;
     std::uint64_t bytes = 0;
     Tick lastTick = 0;
-    std::uint64_t liveChasers = threads;
+    std::uint64_t liveChasers = samples_per_thread ? threads : 0;
+    TournamentTree next(agents.size());
+    for (std::size_t i = 0; i < agents.size(); ++i)
+        next.set(i, agents[i].nextIssue);
+    const Tick pace = nsToTicks(noise.paceNs);
 
     while (liveChasers > 0) {
-        std::size_t best = agents.size();
-        for (std::size_t i = 0; i < agents.size(); ++i) {
-            if (agents[i].remaining == 0)
-                continue;
-            if (best == agents.size() ||
-                agents[i].nextIssue < agents[best].nextIssue)
-                best = i;
-        }
+        const std::size_t best = next.top();
         Agent &a = agents[best];
         const Tick issue = a.nextIssue;
 
@@ -107,19 +107,13 @@ mioChaseDirect(mem::MemoryBackend *backend, unsigned threads,
             a.nextIssue = done + nsToTicks(2.0);
             if (--a.remaining == 0) {
                 --liveChasers;
-                if (liveChasers == 0)
-                    break;
-                // Noise agents stop with the last chaser.
-                if (threads > 0 && liveChasers == 0)
-                    break;
+                next.retire(best);
+                continue;
             }
         } else {
-            a.nextIssue = done + nsToTicks(noise.paceNs);
+            a.nextIssue = done + pace;
         }
-
-        // Terminate noise when all chasers finished.
-        if (liveChasers == 0)
-            break;
+        next.set(best, a.nextIssue);
     }
 
     const double secs =
@@ -133,10 +127,8 @@ mioChaseDirect(mem::MemoryBackend *backend, unsigned threads,
 MioResult
 mioChaseViaCpu(const cpu::CpuProfile &profile,
                mem::MemoryBackend *backend, unsigned threads,
-               std::uint64_t samples_per_thread, bool prefetchers_on,
-               std::uint64_t seed)
+               std::uint64_t samples_per_thread, bool prefetchers_on)
 {
-    (void)seed;
     cpu::MemoryHierarchy hier(profile, threads, backend,
                               prefetchers_on);
     MioResult res;
@@ -154,18 +146,14 @@ mioChaseViaCpu(const cpu::CpuProfile &profile,
         chasers[t].now = t;
     }
 
-    std::uint64_t live = threads;
+    std::uint64_t live = samples_per_thread ? threads : 0;
+    TournamentTree next(threads);
+    for (unsigned t = 0; t < threads; ++t)
+        next.set(t, chasers[t].now);
     std::uint64_t bytes = 0;
     Tick lastTick = 0;
     while (live > 0) {
-        std::size_t best = chasers.size();
-        for (std::size_t i = 0; i < chasers.size(); ++i) {
-            if (chasers[i].remaining == 0)
-                continue;
-            if (best == chasers.size() ||
-                chasers[i].now < chasers[best].now)
-                best = i;
-        }
+        const std::size_t best = next.top();
         Chaser &c = chasers[best];
         // Sequential pointer layout: the next pointer lives in the
         // next line, so the stride prefetcher can run ahead.
@@ -178,8 +166,12 @@ mioChaseViaCpu(const cpu::CpuProfile &profile,
         lastTick = std::max(lastTick, done);
         c.cursor += kCacheLineBytes;
         c.now = done + nsToTicks(2.0);
-        if (--c.remaining == 0)
+        if (--c.remaining == 0) {
             --live;
+            next.retire(best);
+        } else {
+            next.set(best, c.now);
+        }
     }
 
     const double secs =

@@ -11,6 +11,11 @@
  *  - chaseViaCpu(): the chase runs through the full CPU cache
  *    hierarchy with hardware prefetchers enabled over a
  *    prefetch-friendly (sequential) pointer layout — Figure 6.
+ *
+ * In both, the agent (chaser or noise slot) with the earliest next
+ * issue goes next, the lowest index on a tie (a TournamentTree);
+ * chasers come first, then noise slots. With no samples to take,
+ * nothing is issued and the result is empty.
  */
 
 #ifndef MELODY_CORE_MIO_HH
@@ -54,7 +59,8 @@ struct MioResult
  *
  * @param backend  Memory under test.
  * @param threads  Co-located chase threads (1-32 in the paper).
- * @param samples_per_thread Latency samples per thread.
+ * @param samples_per_thread Latency samples per thread; noise
+ *                 stops when the last chaser has taken its last.
  * @param noise    Optional background traffic.
  * @param peak_gbps For the utilization field (0 = skip).
  * @param seed     Determinism seed.
@@ -75,8 +81,7 @@ MioResult mioChaseViaCpu(const cxlsim::cpu::CpuProfile &profile,
                          cxlsim::mem::MemoryBackend *backend,
                          unsigned threads,
                          std::uint64_t samples_per_thread,
-                         bool prefetchers_on,
-                         std::uint64_t seed = 7);
+                         bool prefetchers_on);
 
 }  // namespace melody
 

@@ -1,11 +1,9 @@
 #include "mlc.hh"
 
-#include <algorithm>
 #include <functional>
-#include <queue>
-#include <utility>
 
 #include "sim/rng.hh"
+#include "sim/tournament_tree.hh"
 #include "sim/types.hh"
 #include "stats/streaming.hh"
 
@@ -71,20 +69,17 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
     stats::StreamingStats latAll;
     std::uint64_t bytes = 0;
 
-    // Advance the earliest slot until the window closes. The heap
-    // orders by (nextIssue, index), so ties go to the lowest index,
-    // exactly as a linear scan for the minimum would pick them.
-    using Pending = std::pair<Tick, std::size_t>;
-    std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
-        pending;
+    // Advance the earliest slot until the window closes; ties go
+    // to the lowest slot index.
+    TournamentTree next(slots.size());
     for (std::size_t i = 0; i < slots.size(); ++i)
-        pending.emplace(slots[i].nextIssue, i);
-    while (true) {
-        const auto [issue, best] = pending.top();
+        next.set(i, slots[i].nextIssue);
+    while (!next.empty()) {
+        const std::size_t best = next.top();
+        Slot &s = slots[best];
+        const Tick issue = s.nextIssue;
         if (issue >= end)
             break;
-        pending.pop();
-        Slot &s = slots[best];
 
         bool isWrite = false;
         Addr addr;
@@ -120,7 +115,7 @@ mlcMeasure(mem::MemoryBackend *backend, const MlcConfig &cfg)
         s.nextIssue = done + delay;
         if (s.chase)
             s.nextIssue = done + nsToTicks(2.0);  // tiny compute
-        pending.emplace(s.nextIssue, best);
+        next.set(best, s.nextIssue);
     }
 
     MlcPoint p;

@@ -8,6 +8,10 @@
  * (0-40K cycles) between accesses — sweeping the delay moves the
  * device from idle to saturation. Latency is measured per chase
  * step; bandwidth is total bytes over the measurement window.
+ *
+ * Every outstanding slot (trafficThreads x slotsPerThread, then the
+ * chase) is one closed-loop agent; the slot with the earliest next
+ * issue goes next, the lowest index on a tie (a TournamentTree).
  */
 
 #ifndef MELODY_CORE_MLC_HH
@@ -57,7 +61,9 @@ struct MlcPoint
     std::uint64_t samples = 0;
 };
 
-/** Measure one operating point on @p backend. */
+/** Measure one operating point on @p backend; with no slots (no
+ *  traffic threads and no latency thread) nothing is issued and the
+ *  point reads zero. */
 MlcPoint mlcMeasure(cxlsim::mem::MemoryBackend *backend,
                     const MlcConfig &cfg);
 

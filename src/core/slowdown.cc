@@ -37,11 +37,9 @@ const cpu::RunResult &
 SlowdownStudy::baseline(const workloads::WorkloadProfile &w,
                         const std::string &server)
 {
-    // Include run length and thread count: callers may run scaled
-    // variants of the same named workload.
-    const std::string key = server + "/" + w.name + "/" +
-                            std::to_string(w.blocksPerCore) + "/" +
-                            std::to_string(w.threads);
+    // Key by the whole profile: callers run scaled variants (run
+    // length, threads, phase intensity) under one workload name.
+    const auto key = std::make_pair(server, w);
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = baselines_.find(key);

@@ -14,6 +14,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/platform.hh"
@@ -35,14 +36,15 @@ double slowdownPct(const cxlsim::cpu::RunResult &baseline,
 
 /**
  * Runs workloads across setups, caching the per-server Local
- * baseline so each workload's baseline runs once.
+ * baseline so each distinct workload profile's baseline runs once.
  */
 class SlowdownStudy
 {
   public:
     explicit SlowdownStudy(std::uint64_t seed = 1234) : seed_(seed) {}
 
-    /** Baseline result for (workload, server), memoized. */
+    /** Baseline result for (workload, server), memoized by the
+     *  whole profile: phases and exec count, not just the name. */
     const cxlsim::cpu::RunResult &
     baseline(const cxlsim::workloads::WorkloadProfile &w,
              const std::string &server);
@@ -73,7 +75,9 @@ class SlowdownStudy
   private:
     std::uint64_t seed_;
     std::mutex mu_;
-    std::map<std::string, cxlsim::cpu::RunResult> baselines_;
+    std::map<std::pair<std::string, cxlsim::workloads::WorkloadProfile>,
+             cxlsim::cpu::RunResult>
+        baselines_;
 };
 
 }  // namespace melody

@@ -29,6 +29,7 @@
 #ifndef CXLSIM_CPU_CORE_HH
 #define CXLSIM_CPU_CORE_HH
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -52,6 +53,8 @@ struct CoreExecParams
     double twoPortFrac = 0.15;
     /** Fraction of exec cycles serialized (scoreboard). */
     double serializeFrac = 0.01;
+
+    auto operator<=>(const CoreExecParams &) const = default;
 };
 
 /** A periodic counter snapshot (for §5.6 period analysis). */

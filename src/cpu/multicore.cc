@@ -6,6 +6,7 @@
 
 #include "sim/invariants.hh"
 #include "sim/logging.hh"
+#include "sim/tournament_tree.hh"
 
 namespace cxlsim::cpu {
 
@@ -46,23 +47,6 @@ MultiCore::enableSampling(Tick interval)
     cores_[0]->enableSampling(interval, &samples_);
 }
 
-namespace {
-
-/** Scheduler key: earliest (core time, core index) runs next. */
-struct CoreKey
-{
-    Tick now;
-    std::uint32_t idx;
-};
-
-bool
-earlier(const CoreKey &a, const CoreKey &b)
-{
-    return a.now < b.now || (a.now == b.now && a.idx < b.idx);
-}
-
-}  // namespace
-
 RunResult
 MultiCore::run()
 {
@@ -87,41 +71,21 @@ MultiCore::run()
 void
 MultiCore::runSerial()
 {
-    // Advance the earliest core until all kernels finish. Ties
-    // break toward the lowest core index, matching the original
-    // linear scan, so request interleaving at the shared backend —
-    // and therefore every counter — is bit-identical.
-    if (cores_.size() == 1) {
-        while (cores_[0]->step()) {
-        }
-    } else {
-        // Indexed min-heap over core-local times. A core's key is
-        // only stale while the core is being stepped, so pops are
-        // always exact; the fast path keeps re-stepping the popped
-        // core while it remains earlier than the heap's root,
-        // skipping the push/pop pair entirely.
-        const auto later = [](const CoreKey &a, const CoreKey &b) {
-            return earlier(b, a);
-        };
-        std::vector<CoreKey> heap;
-        heap.reserve(cores_.size());
-        for (std::uint32_t i = 0; i < cores_.size(); ++i)
-            heap.push_back({cores_[i]->now(), i});
-        std::make_heap(heap.begin(), heap.end(), later);
-
-        while (!heap.empty()) {
-            std::pop_heap(heap.begin(), heap.end(), later);
-            const std::uint32_t idx = heap.back().idx;
-            heap.pop_back();
-            Core *c = cores_[idx].get();
-            for (;;) {
-                if (!c->step())
-                    break;  // kernel exhausted; drop from heap
-                const CoreKey k{c->now(), idx};
-                if (heap.empty() || earlier(k, heap.front()))
-                    continue;  // still earliest: step again
-                heap.push_back(k);
-                std::push_heap(heap.begin(), heap.end(), later);
+    // Advance the earliest core until all kernels finish; ties go to
+    // the lowest core index, so the interleaving of requests at the
+    // shared backend, and with it every counter, is fixed. The
+    // stepped core's entry stays retired while it runs: it keeps
+    // stepping as long as it still comes before every other core.
+    TournamentTree next(cores_.size());
+    for (std::size_t i = 0; i < cores_.size(); ++i)
+        next.set(i, cores_[i]->now());
+    while (!next.empty()) {
+        const std::size_t idx = next.top();
+        next.retire(idx);
+        Core *c = cores_[idx].get();
+        while (c->step()) {
+            if (!next.before(c->now(), idx)) {
+                next.set(idx, c->now());
                 break;
             }
         }

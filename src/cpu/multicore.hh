@@ -97,7 +97,8 @@ class MultiCore
     MemoryHierarchy &hierarchy() { return *hier_; }
 
   private:
-    /** Serial engine: indexed min-heap, (now, idx) order. */
+    /** Serial engine: a TournamentTree steps the earliest core next,
+     *  in (now, index) order. */
     void runSerial();
 
     /** End-of-run counter-accounting checks (sim::Invariants). */

@@ -64,7 +64,7 @@ class RunCache;
  * results or row formatting, which orphans all prior cache entries
  * at once (DESIGN.md §9's invalidation policy).
  */
-inline constexpr const char *kSweepSalt = "melody-sweep-v1";
+inline constexpr const char *kSweepSalt = "melody-sweep-v2";
 
 /** Append-only output buffer handed to point/gather closures. */
 class Emit

@@ -17,6 +17,7 @@
 #ifndef CXLSIM_WORKLOADS_PROFILE_HH
 #define CXLSIM_WORKLOADS_PROFILE_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,6 +37,8 @@ struct Phase
     double dependence = 1.0;
     /** Multiplier on store intensity. */
     double stores = 1.0;
+
+    auto operator<=>(const Phase &) const = default;
 };
 
 /** Complete description of one workload. */
@@ -92,6 +95,10 @@ struct WorkloadProfile
     std::vector<Phase> phases;
 
     std::uint64_t seed = 12345;
+
+    /** Field by field, so a memo keyed by the profile tells apart
+     *  any two that would run differently. */
+    auto operator<=>(const WorkloadProfile &) const = default;
 
     /** Rough instructions per core (uops + memory ops). */
     std::uint64_t

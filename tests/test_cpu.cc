@@ -13,6 +13,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cpu/cache.hh"
@@ -29,7 +30,40 @@
 using namespace cxlsim;
 using namespace cxlsim::cpu;
 
-TEST(Cache, HitMissBasics)
+namespace {
+
+/**
+ * Runs @p body on a thread of its own whose spare cache mapping (the
+ * storage a dropped Cache leaves to the next one its thread builds)
+ * holds a fixed pattern first: the rows of a filled 163840-set,
+ * 16-way cache, every way valid with tags 1..16, as large as any
+ * cache these tests build. What a probe reads past a set's row or in
+ * a cold row is then the same whichever tests ran before.
+ */
+void
+onPatternedSpare(void (*body)())
+{
+    std::thread([body] {
+        {
+            Cache pattern(163840ULL * 16 * kCacheLineBytes, 16);
+            const LineRange all[] = {{0, 16 * pattern.sets()}};
+            pattern.fill(all, StallTag::kL3);
+            for (std::uint64_t s = 0; s < pattern.sets(); ++s)
+                pattern.contains(s * kCacheLineBytes);
+        }
+        body();
+    }).join();
+}
+
+}  // namespace
+
+/** TEST(Cache, name), with its body run by onPatternedSpare(). */
+#define CACHE_TEST(name)                                                   \
+    static void cacheTest##name();                                         \
+    TEST(Cache, name) { onPatternedSpare(cacheTest##name); }               \
+    static void cacheTest##name()
+
+CACHE_TEST(HitMissBasics)
 {
     Cache c(64 * 1024, 8);
     Tick ready;
@@ -41,7 +75,7 @@ TEST(Cache, HitMissBasics)
     EXPECT_EQ(c.misses(), 1u);
 }
 
-TEST(Cache, PendingUntilReady)
+CACHE_TEST(PendingUntilReady)
 {
     Cache c(64 * 1024, 8);
     c.insert(64, nsToTicks(500), StallTag::kL2, false);
@@ -56,7 +90,7 @@ TEST(Cache, PendingUntilReady)
     EXPECT_EQ(c.pendingHits(), 1u);
 }
 
-TEST(Cache, LruEviction)
+CACHE_TEST(LruEviction)
 {
     // 2 ways, tiny cache: set count = 512 lines / ... use direct
     // geometry: 2 ways, 1 set = 128 bytes.
@@ -75,7 +109,7 @@ TEST(Cache, LruEviction)
     EXPECT_FALSE(c.contains(64));
 }
 
-TEST(Cache, DirtyEvictionReported)
+CACHE_TEST(DirtyEvictionReported)
 {
     Cache c(128, 2);
     c.insert(0, 0, StallTag::kDram, true);
@@ -86,7 +120,7 @@ TEST(Cache, DirtyEvictionReported)
     EXPECT_EQ(ev.lineAddr, 0u);
 }
 
-TEST(Cache, MarkDirtyAndReinsert)
+CACHE_TEST(MarkDirtyAndReinsert)
 {
     Cache c(64 * 1024, 8);
     c.insert(0, 0, StallTag::kDram, false);
@@ -236,7 +270,7 @@ fillCases(const Geometry &g)
 
 }  // namespace
 
-TEST(Cache, FillMatchesInsertLoop)
+CACHE_TEST(FillMatchesInsertLoop)
 {
     for (const Geometry &g : kFillGeometries) {
         const auto cases = fillCases(g);
@@ -253,7 +287,7 @@ TEST(Cache, FillMatchesInsertLoop)
     }
 }
 
-TEST(Cache, DeferredFillAnyTouchOrder)
+CACHE_TEST(DeferredFillAnyTouchOrder)
 {
     // fill() writes a set on its first probe. Probing the sets in
     // reverse and in a shuffled order, with a lookup that both
@@ -293,7 +327,7 @@ TEST(Cache, DeferredFillAnyTouchOrder)
     }
 }
 
-TEST(Cache, ColdSetFirstTouchByMarkDirtyOrInvalidate)
+CACHE_TEST(ColdSetFirstTouchByMarkDirtyOrInvalidate)
 {
     // 4 sets x 4 ways; 35 lines leave lines 19..34 resident.
     const std::uint64_t sets = 4;
@@ -334,7 +368,7 @@ TEST(Cache, ColdSetFirstTouchByMarkDirtyOrInvalidate)
     expectSameState(got, want, range, 71);
 }
 
-TEST(Cache, FillRejectsOverlapOrUsedCache)
+CACHE_TEST(FillRejectsOverlapOrUsedCache)
 {
     // The closed form holds only for distinct lines on empty sets.
     const LineRange overlapping[] = {{0, 8},
@@ -356,7 +390,7 @@ TEST(Cache, FillRejectsOverlapOrUsedCache)
     EXPECT_DEATH(filled.fill(one, StallTag::kL3), "fresh");
 }
 
-TEST(Cache, WaysLeaveTheColdMarkFree)
+CACHE_TEST(WaysLeaveTheColdMarkFree)
 {
     // Ranks are bytes and 255 (the rank of an empty way) must stay
     // above every way index, so 254 ways is the most a cache may
@@ -547,7 +581,7 @@ referencePool(std::uint64_t sets, unsigned ways, Rng &rng)
 
 }  // namespace
 
-TEST(Cache, MatchesStampReference)
+CACHE_TEST(MatchesStampReference)
 {
     struct RefGeometry
     {
@@ -1437,6 +1471,77 @@ TEST(Core, OutstandingWindowMatchesDequeReference)
             EXPECT_EQ(c.demandL3Miss, r.demandL3Miss);
         }
     }
+}
+
+namespace {
+
+/**
+ * Backend that records every access as (tick, core), with core c's
+ * lines at c << 32 and up, and completes it 1-3 grid steps after
+ * the grid point at or below its tick (by line address), so cores
+ * stay on a shared grid yet drift apart.
+ */
+class JitterGridBackend : public mem::MemoryBackend
+{
+  public:
+    static constexpr Tick kGrid = 50'000;
+
+    mem::AccessResult
+    accessEx(Addr addr, mem::ReqType type, Tick now) override
+    {
+        note(type);
+        issues.emplace_back(now, addr >> 32);
+        const Tick steps = 1 + (addr / kCacheLineBytes) % 4;
+        return {(now / kGrid + steps) * kGrid, ras::Status::kOk};
+    }
+
+    const std::string &name() const override { return name_; }
+
+    std::vector<std::pair<Tick, std::uint64_t>> issues;
+
+  private:
+    std::string name_ = "jitter-grid";
+};
+
+}  // namespace
+
+TEST(MultiCore, StepsEarliestCoreFirstAndBreaksTiesByLowestIndex)
+{
+    // Each block is one dependent load of a fresh line and no other
+    // work, so a core issues at the tick the scheduler picked it and
+    // then waits for the load: the backend sees the picks in order.
+    constexpr unsigned kCores = 6;
+    constexpr unsigned kBlocks = 300;
+    Rng rng(5);
+    std::vector<std::vector<Block>> scripts(kCores);
+    std::vector<std::unique_ptr<Kernel>> kernels;
+    for (unsigned c = 0; c < kCores; ++c) {
+        for (unsigned k = 0; k < kBlocks; ++k) {
+            Block b;
+            const Addr line = 4 * k + rng.below(3);  // line % 4 < 3
+            b.addOp({(Addr{c} << 32) + line * kCacheLineBytes, 1, false,
+                     true});
+            scripts[c].push_back(b);
+        }
+        kernels.push_back(std::make_unique<ScriptKernel>(scripts[c]));
+    }
+    melody::Platform plat("EMR2S", "Local");
+    JitterGridBackend be;
+    MultiCore mc(plat.cpu(), CoreExecParams{}, &be, std::move(kernels),
+                 /*prefetchers_on=*/false);
+    mc.run();
+
+    ASSERT_EQ(be.issues.size(), kCores * kBlocks);
+    std::size_t ties = 0, reruns = 0;
+    for (std::size_t i = 1; i < be.issues.size(); ++i) {
+        ASSERT_LT(be.issues[i - 1], be.issues[i]) << "issue #" << i;
+        ties += be.issues[i - 1].first == be.issues[i].first;
+        reruns += be.issues[i - 1].second == be.issues[i].second;
+    }
+    // Ties are common, and a core that stays earliest after a step
+    // steps again at once.
+    EXPECT_GT(ties, be.issues.size() / 4);
+    EXPECT_GT(reruns, 10u);
 }
 
 TEST(Hierarchy, L2pfHomesDifferBySku)

@@ -170,6 +170,28 @@ TEST(Slowdown, StudyCachesBaselines)
     EXPECT_LT(s, 100.0);
 }
 
+TEST(Slowdown, ProfilesThatDifferOnlyInPhasesGetTwoBaselines)
+{
+    // Fig. 8d's scaled variants share name, length and threads.
+    workloads::WorkloadProfile full =
+        workloads::byName("520.omnetpp_r");
+    full.blocksPerCore = 20000;
+    full.phases = {{1.0, 1.0, 1.0, 1.0}};
+    workloads::WorkloadProfile light = full;
+    light.phases[0].intensity = 0.25;
+
+    melody::SlowdownStudy study(4242);
+    const cpu::RunResult &a = study.baseline(full, "EMR2S");
+    const cpu::RunResult &b = study.baseline(light, "EMR2S");
+    EXPECT_NE(&a, &b);
+    EXPECT_NE(a.wallTicks, b.wallTicks);
+    EXPECT_EQ(&study.baseline(full, "EMR2S"), &a);
+    // Each is the baseline a study asked for that profile alone
+    // computes, whatever was asked first.
+    melody::SlowdownStudy fresh(4242);
+    EXPECT_EQ(fresh.baseline(light, "EMR2S").wallTicks, b.wallTicks);
+}
+
 TEST(Slowdown, SuperLinearInLatency)
 {
     // Finding #2: slowdown grows super-linearly with latency; at
@@ -330,6 +352,89 @@ TEST(Mlc, DrainsEverySlotUpToTheWindowEnd)
         measured += is.second == chase &&
                     is.first >= usToTicks(cfg.warmupUs);
     EXPECT_EQ(p.samples, measured);
+}
+
+TEST(Mlc, NoSlotsIssueNothing)
+{
+    melody::MlcConfig cfg = gridConfig();
+    cfg.trafficThreads = 0;
+    cfg.latencyThread = false;
+    GridBackend be(nsToTicks(50.0), cfg.regionBytes);
+    const melody::MlcPoint p = melody::mlcMeasure(&be, cfg);
+    EXPECT_TRUE(be.issues.empty());
+    EXPECT_EQ(p.samples, 0u);
+    EXPECT_EQ(p.gbps, 0.0);
+    EXPECT_EQ(p.avgNs, 0.0);
+}
+
+TEST(Mio, IssuesEarliestAgentFirstAndBreaksTiesByLowestIndex)
+{
+    // Chaser t walks [256t, 256t + 256) MB and noise slot k the
+    // 64 MB after every chaser's, so a 64 MB region names its agent.
+    constexpr std::uint64_t kRegion = 64ULL << 20;
+    constexpr unsigned kChasers = 3;
+    const auto agent = [](std::uint64_t region) {
+        return region < 4 * kChasers ? region / 4
+                                     : kChasers + region - 4 * kChasers;
+    };
+    melody::MioNoise noise;
+    noise.threads = 2;
+    noise.slotsPerThread = 4;
+    GridBackend be(nsToTicks(50.0), kRegion);
+    const auto r = melody::mioChaseDirect(&be, kChasers, 300, noise);
+    EXPECT_EQ(r.latencyNs.count(), kChasers * 300u);
+
+    std::set<std::uint64_t> agents;
+    std::size_t ties = 0;
+    for (std::size_t i = 0; i < be.issues.size(); ++i) {
+        agents.insert(agent(be.issues[i].second));
+        if (i == 0)
+            continue;
+        const std::pair<Tick, std::uint64_t> prev{
+            be.issues[i - 1].first, agent(be.issues[i - 1].second)};
+        const std::pair<Tick, std::uint64_t> cur{
+            be.issues[i].first, agent(be.issues[i].second)};
+        ASSERT_LT(prev, cur) << "issue #" << i;
+        ties += prev.first == cur.first;
+    }
+    EXPECT_EQ(agents.size(), kChasers + 8u);
+    EXPECT_GT(ties, be.issues.size() / 2);
+}
+
+TEST(Mio, CpuChaseIssuesEarliestChaserFirstAndBreaksTiesByLowestIndex)
+{
+    // Prefetchers off, every load of the sequential chase misses
+    // to the backend at the chaser's own tick; chaser t walks its
+    // own 256 MB region.
+    Platform p("EMR2S", "Local");
+    GridBackend be(nsToTicks(50.0), 256ULL << 20);
+    const auto r = melody::mioChaseViaCpu(p.cpu(), &be, 5, 200, false);
+    EXPECT_EQ(r.latencyNs.count(), 5 * 200u);
+    ASSERT_EQ(be.issues.size(), 5 * 200u);
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < be.issues.size(); ++i) {
+        ASSERT_LT(be.issues[i - 1], be.issues[i]) << "issue #" << i;
+        ties += be.issues[i - 1].first == be.issues[i].first;
+    }
+    EXPECT_GT(ties, be.issues.size() / 2);
+}
+
+TEST(Mio, NoSamplesIssueNothing)
+{
+    // With no noise and with noise that would run until the last
+    // chaser is done: nothing is issued either way.
+    melody::MioNoise noise;
+    noise.threads = 2;
+    GridBackend be(nsToTicks(50.0), 64ULL << 20);
+    for (const melody::MioNoise &n : {melody::MioNoise{}, noise}) {
+        const auto r = melody::mioChaseDirect(&be, 4, 0, n);
+        EXPECT_EQ(r.latencyNs.count(), 0u);
+        EXPECT_EQ(r.gbps, 0.0);
+    }
+    Platform p("EMR2S", "Local");
+    const auto r = melody::mioChaseViaCpu(p.cpu(), &be, 2, 0, true);
+    EXPECT_EQ(r.latencyNs.count(), 0u);
+    EXPECT_TRUE(be.issues.empty());
 }
 
 TEST(Mio, UtilizationAgainstPeak)

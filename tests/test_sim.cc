@@ -1,17 +1,22 @@
 /**
  * @file
- * Unit tests for the simulation kernel: time base, RNG and
- * unsigned-option parsing.
+ * Unit tests for the simulation kernel: time base, RNG, the
+ * tournament-tree scheduler and unsigned-option parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "sim/tournament_tree.hh"
 #include "sim/types.hh"
 
 using namespace cxlsim;
@@ -30,6 +35,101 @@ TEST(Types, LineAlign)
     EXPECT_EQ(lineAlign(63), 0u);
     EXPECT_EQ(lineAlign(64), 64u);
     EXPECT_EQ(lineAlign(130), 128u);
+}
+
+TEST(TournamentTree, MatchesPriorityQueueReference)
+{
+    // Reference: a min-heap of (tick, index, version); an entry is
+    // live while its index is live and its version is current.
+    using Entry = std::tuple<Tick, std::size_t, std::uint64_t>;
+    for (const std::size_t n : {1, 2, 3, 33, 745}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        TournamentTree tree(n);
+        std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ref;
+        std::vector<std::uint64_t> version(n, 0);
+        std::vector<bool> live(n, false);
+        const auto set = [&](std::size_t i, Tick t) {
+            tree.set(i, t);
+            live[i] = true;
+            ref.emplace(t, i, ++version[i]);
+        };
+        const auto retire = [&](std::size_t i) {
+            tree.retire(i);
+            live[i] = false;
+            ++version[i];
+        };
+        const auto refTop = [&]() -> const Entry * {
+            while (!ref.empty() &&
+                   (!live[std::get<1>(ref.top())] ||
+                    version[std::get<1>(ref.top())] !=
+                        std::get<2>(ref.top())))
+                ref.pop();
+            return ref.empty() ? nullptr : &ref.top();
+        };
+
+        EXPECT_TRUE(tree.empty());
+        EXPECT_TRUE(tree.before(0, n - 1));
+        // Ticks on a coarse grid, so ties are common.
+        constexpr Tick kGrid = 100;
+        Rng rng(n);
+        for (std::size_t i = 0; i < n; ++i)
+            set(i, rng.below(4) * kGrid);
+        std::size_t ties = 0;
+        Tick lastTick = 0;
+        for (int step = 0; step < 20000; ++step) {
+            const Entry *top = refTop();
+            ASSERT_EQ(tree.empty(), top == nullptr) << "step " << step;
+            Tick t = lastTick;
+            if (top) {
+                t = std::get<0>(*top);
+                const std::size_t i = std::get<1>(*top);
+                ASSERT_EQ(tree.top(), i) << "step " << step;
+                ties += t == lastTick;
+                lastTick = t;
+                EXPECT_FALSE(tree.before(t, i));
+                EXPECT_FALSE(tree.before(t + 1, 0));
+                if (i > 0) {
+                    EXPECT_TRUE(tree.before(t, i - 1));
+                }
+                if (t > 0) {
+                    EXPECT_TRUE(tree.before(t - 1, n - 1));
+                }
+            }
+            const std::size_t any = rng.below(n);
+            switch (rng.below(10)) {
+            case 0: case 1: case 2: case 3: case 4: case 5:
+                // The drivers' move: the earliest entry acts again.
+                if (top)
+                    set(std::get<1>(*top), t + rng.below(4) * kGrid);
+                break;
+            case 6:
+                if (top)
+                    retire(std::get<1>(*top));
+                break;
+            case 7:
+                retire(any);
+                break;
+            default:
+                // Any entry, live or not, to any tick near the front.
+                set(any, t + rng.below(3) * kGrid);
+                break;
+            }
+        }
+        EXPECT_GT(ties, 1000u);
+    }
+}
+
+TEST(TournamentTree, RefusesTicksThatDoNotFitTheKey)
+{
+    // 745 entries take 10 index bits, leaving 54 for the tick.
+    const Tick limit = ~Tick{0} >> 10;
+    TournamentTree tree(745);
+    tree.set(744, limit - 1);
+    tree.set(3, limit - 1);
+    EXPECT_EQ(tree.top(), 3u);
+    tree.retire(3);
+    EXPECT_EQ(tree.top(), 744u);
+    EXPECT_DEATH(tree.set(0, limit), "tick too large");
 }
 
 TEST(Rng, Deterministic)
