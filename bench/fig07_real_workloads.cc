@@ -29,12 +29,11 @@ class SamplingBackend : public mem::MemoryBackend
     {
     }
 
-    mem::AccessResult
-    accessEx(Addr a, mem::ReqType t, Tick now) override
+    Tick
+    access(Addr a, mem::ReqType t, Tick now) override
     {
         note(t);
-        const mem::AccessResult r = inner_->accessEx(a, t, now);
-        const Tick done = r.done;
+        const Tick done = inner_->access(a, t, now);
         if (t == mem::ReqType::kDemandLoad) {
             latency_.add(now, ticksToNs(done - now));
             hist_.record(ticksToNs(done - now));
@@ -47,7 +46,7 @@ class SamplingBackend : public mem::MemoryBackend
             winStart_ = now;
             bytes_ = 0;
         }
-        return r;
+        return done;
     }
 
     const std::string &name() const override { return inner_->name(); }

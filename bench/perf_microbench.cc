@@ -264,7 +264,7 @@ BM_CxlDeviceRead(benchmark::State &state)
     Rng rng(4);
     Tick now = 0;
     for (auto _ : state) {
-        const Tick done = dev.readEx(rng.below(1 << 22) * 64, now).done;
+        const Tick done = dev.read(rng.below(1 << 22) * 64, now);
         now = done + nsToTicks(5);
         benchmark::DoNotOptimize(done);
     }

@@ -61,7 +61,7 @@ runScenario(PoolArbitration policy, double bully_pace_ns,
         if (aNext <= bNext[bBest]) {
             const Addr addr =
                 rng.below(1 << 21) * kCacheLineBytes;
-            const Tick done = pool.readEx(0, addr, aNext).done;
+            const Tick done = pool.read(0, addr, aNext);
             lat.record(ticksToNs(done - aNext));
             aNext = done + nsToTicks(2);
             last = std::max(last, done);
@@ -76,7 +76,7 @@ runScenario(PoolArbitration policy, double bully_pace_ns,
                 continue;
             }
             const Tick done =
-                pool.readEx(1, bCur[bBest], bNext[bBest]).done;
+                pool.read(1, bCur[bBest], bNext[bBest]);
             bCur[bBest] += kCacheLineBytes;
             bNext[bBest] = done + nsToTicks(bully_pace_ns);
             last = std::max(last, done);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local correctness gate: configure + build + ctest (unit,
-# determinism, RAS, lint) + melody-lint JSON report + clang-tidy
+# determinism, CLI, lint) + melody-lint JSON report + clang-tidy
 # (when installed). CI runs the same sequence; run this before
 # pushing.
 #

@@ -75,17 +75,52 @@ serverSpec(const std::string &server)
     return s;
 }
 
-/** Extra one-way UPI propagation for the SKX emulated points. */
-double
-emulatedNumaProp(const std::string &memory, const ServerSpec &s)
+/** A memory setup name, parsed (see platform.hh for the list). */
+struct MemorySetup
 {
+    enum class Kind : std::uint8_t { kLocal, kNuma, kCxl, kCxlDx2 };
+    Kind kind;
+    /** Base device ("CXL-A".."CXL-D") of the CXL kinds. */
+    std::string device = {};
+    /** One-way UPI propagation of the SKX emulated NUMA points, ns;
+     *  0 keeps the server's own. */
+    double upiPropNs = 0.0;
+    unsigned switchHops = 0;
+    /** CXL device reached across one NUMA hop ("CXL-X+NUMA"). */
+    bool numaHop = false;
+};
+
+/** @throw ConfigError unless @p memory is one of the listed names. */
+MemorySetup
+parseMemory(const std::string &memory)
+{
+    using Kind = MemorySetup::Kind;
+    if (memory == "Local")
+        return {.kind = Kind::kLocal};
+    if (memory == "NUMA")
+        return {.kind = Kind::kNuma};
     if (memory == "NUMA-140ns")
-        return 21.0;
+        return {.kind = Kind::kNuma, .upiPropNs = 21.0};
     if (memory == "NUMA-190ns")
-        return 46.0;  // lowered uncore frequency
+        return {.kind = Kind::kNuma, .upiPropNs = 46.0};  // low uncore clock
     if (memory == "NUMA-410ns")
-        return 160.0;
-    return s.upiPropNs;
+        return {.kind = Kind::kNuma, .upiPropNs = 160.0};
+    if (memory == "CXL-Dx2")
+        return {.kind = Kind::kCxlDx2, .device = "CXL-D"};
+    if (memory.size() >= 5 && memory.compare(0, 4, "CXL-") == 0 &&
+        memory[4] >= 'A' && memory[4] <= 'D') {
+        MemorySetup m{.kind = Kind::kCxl, .device = memory.substr(0, 5)};
+        const std::string suffix = memory.substr(5);
+        if (suffix == "+NUMA")
+            m.numaHop = true;
+        else if (suffix == "+Switch")
+            m.switchHops = 1;
+        else if (suffix == "+Switch2")
+            m.switchHops = 2;
+        if (suffix.empty() || m.numaHop || m.switchHops)
+            return m;
+    }
+    throw ConfigError("unknown memory setup: " + memory);
 }
 
 }  // namespace
@@ -94,6 +129,7 @@ Platform::Platform(std::string server, std::string memory)
     : server_(std::move(server)), memory_(std::move(memory)),
       cpu_(serverSpec(server_).cpu)
 {
+    parseMemory(memory_);
 }
 
 std::string
@@ -102,17 +138,11 @@ Platform::displayName() const
     return cpu_.name + ":" + memory_;
 }
 
-void
-Platform::setFaultPlan(const cxlsim::ras::FaultPlan &plan)
-{
-    plan.validate();
-    faultPlan_ = plan;
-}
-
 mem::BackendPtr
 Platform::makeBackend(std::uint64_t seed) const
 {
     const ServerSpec s = serverSpec(server_);
+    const MemorySetup m = parseMemory(memory_);
 
     auto makeLocal = [&](std::uint64_t sd) {
         mem::LocalDramConfig cfg = s.local;
@@ -120,88 +150,63 @@ Platform::makeBackend(std::uint64_t seed) const
         return std::make_unique<mem::LocalDramBackend>(cfg);
     };
 
-    // Graceful degradation: when the plan asks for failover, CXL
-    // setups get a router whose fallback tier is socket-local DRAM
-    // — timed-out requests are served there instead of surfacing
-    // kTimeout to the core.
-    auto withFailover = [&](mem::BackendPtr b) -> mem::BackendPtr {
-        if (!faultPlan_.failover)
-            return b;
-        const std::string nm = b->name() + "+Failover";
-        auto router = std::make_unique<mem::RegionRouter>(
-            nm, makeLocal(seed ^ 0x7f4a7c15), std::move(b));
-        router->enableFailover();
-        return router;
-    };
-
-    if (memory_ == "Local")
+    switch (m.kind) {
+      case MemorySetup::Kind::kLocal:
         return makeLocal(seed);
 
-    if (memory_.rfind("NUMA", 0) == 0) {
+      case MemorySetup::Kind::kNuma: {
         mem::NumaHopConfig hop;
         hop.upi.gbpsPerDir = s.upiGBps;
-        hop.upi.propagationNs = emulatedNumaProp(memory_, s);
+        hop.upi.propagationNs =
+            m.upiPropNs > 0.0 ? m.upiPropNs : s.upiPropNs;
         hop.seed = seed ^ 0x5bd1e995;
         return std::make_unique<mem::NumaBackend>(
             memory_, makeLocal(seed + 1), hop);
-    }
+      }
 
-    if (memory_.rfind("CXL-Dx2", 0) == 0) {
+      case MemorySetup::Kind::kCxlDx2: {
         std::vector<mem::BackendPtr> devs;
         for (unsigned i = 0; i < 2; ++i) {
             mem::CxlBackendConfig cfg;
             cfg.profile = cxl::cxlD();
             cfg.seed = seed + 17 * (i + 1);
-            cfg.faultPlan = faultPlan_;
-            cfg.deviceIndex = i;
-            devs.push_back(
-                std::make_unique<mem::CxlBackend>(cfg));
+            devs.push_back(std::make_unique<mem::CxlBackend>(cfg));
         }
-        return withFailover(std::make_unique<mem::InterleavedBackend>(
-            "CXL-Dx2", std::move(devs)));
+        return std::make_unique<mem::InterleavedBackend>(
+            "CXL-Dx2", std::move(devs));
+      }
+
+      case MemorySetup::Kind::kCxl:
+        break;
     }
 
-    if (memory_.rfind("CXL-", 0) == 0) {
-        const std::string dev = memory_.substr(0, 5);  // "CXL-X"
-        const std::string suffix = memory_.substr(5);
-        mem::CxlBackendConfig cfg;
-        cfg.profile = cxl::profileByName(dev);
-        cfg.seed = seed ^ 0x85ebca6b;
-        cfg.faultPlan = faultPlan_;
-        if (suffix == "+Switch")
-            cfg.switchHops = 1;
-        else if (suffix == "+Switch2")
-            cfg.switchHops = 2;
-        auto device = std::make_unique<mem::CxlBackend>(cfg);
+    mem::CxlBackendConfig cfg;
+    cfg.profile = cxl::profileByName(m.device);
+    cfg.seed = seed ^ 0x85ebca6b;
+    cfg.switchHops = m.switchHops;
+    auto device = std::make_unique<mem::CxlBackend>(cfg);
+    if (!m.numaHop)
+        return device;
 
-        if (suffix == "+NUMA") {
-            mem::NumaHopConfig hop;
-            hop.upi.gbpsPerDir = s.upiGBps;
-            hop.upi.propagationNs = s.upiPropNs;
-            hop.extraNs = 8.0 + cfg.profile.numaExtraNs;
-            // CXL traffic crossing UPI: contention-coupled jitter —
-            // the source of the paper's CXL+NUMA tail anomaly.
-            hop.jitter.probAtRef = 0.02;
-            hop.jitter.refReqPerUs = 1.5;
-            hop.jitter.minNs = 150.0;
-            hop.jitter.maxNs = 800.0;
-            hop.jitter.alpha = 1.1;
-            hop.jitter.episodeProb = 0.012;
-            hop.jitter.episodeDurUs = 15.0;
-            hop.jitter.episodeMinNs = 800.0;
-            hop.jitter.episodeMaxNs = 3500.0;
-            hop.jitter.episodeAlpha = 1.3;
-            hop.seed = seed ^ 0xc2b2ae35;
-            return withFailover(std::make_unique<mem::NumaBackend>(
-                memory_, std::move(device), hop));
-        }
-        if (!suffix.empty() && suffix != "+Switch" &&
-            suffix != "+Switch2")
-            throw ConfigError("unknown CXL setup suffix: " + memory_);
-        return withFailover(std::move(device));
-    }
-
-    throw ConfigError("unknown memory setup: " + memory_);
+    mem::NumaHopConfig hop;
+    hop.upi.gbpsPerDir = s.upiGBps;
+    hop.upi.propagationNs = s.upiPropNs;
+    hop.extraNs = 8.0 + cfg.profile.numaExtraNs;
+    // CXL traffic crossing UPI: contention-coupled jitter — the
+    // source of the paper's CXL+NUMA tail anomaly.
+    hop.jitter.probAtRef = 0.02;
+    hop.jitter.refReqPerUs = 1.5;
+    hop.jitter.minNs = 150.0;
+    hop.jitter.maxNs = 800.0;
+    hop.jitter.alpha = 1.1;
+    hop.jitter.episodeProb = 0.012;
+    hop.jitter.episodeDurUs = 15.0;
+    hop.jitter.episodeMinNs = 800.0;
+    hop.jitter.episodeMaxNs = 3500.0;
+    hop.jitter.episodeAlpha = 1.3;
+    hop.seed = seed ^ 0xc2b2ae35;
+    return std::make_unique<mem::NumaBackend>(memory_, std::move(device),
+                                              hop);
 }
 
 double
@@ -210,18 +215,15 @@ paperPeakGBps(const std::string &server, const std::string &memory)
     // Table 1 calibration targets. CXL rows are the mixed-traffic
     // peaks of the devices themselves, so any server and any
     // switch/NUMA path resolves to the base device's number.
-    if (memory.rfind("CXL-", 0) == 0) {
-        const std::string dev = memory.substr(0, 5);  // "CXL-X"
-        if (dev == "CXL-A")
+    const MemorySetup m = parseMemory(memory);
+    if (!m.device.empty()) {
+        if (m.device == "CXL-A")
             return 32.0;
-        if (dev == "CXL-B")
+        if (m.device == "CXL-B")
             return 26.0;
-        if (dev == "CXL-C")
+        if (m.device == "CXL-C")
             return 21.0;
-        if (dev == "CXL-D")
-            return 59.0;
-        throw ConfigError("paperPeakGBps: unknown CXL device: " +
-                          memory);
+        return 59.0;  // CXL-D
     }
 
     struct SrvBw
@@ -238,12 +240,8 @@ paperPeakGBps(const std::string &server, const std::string &memory)
     for (const SrvBw &s : kServers) {
         if (server != s.server)
             continue;
-        if (memory == "Local")
-            return s.localGBps;
-        if (memory.rfind("NUMA", 0) == 0)
-            return s.remoteGBps;
-        throw ConfigError("paperPeakGBps: unknown memory setup: " +
-                          memory);
+        return m.kind == MemorySetup::Kind::kLocal ? s.localGBps
+                                                    : s.remoteGBps;
     }
     throw ConfigError("paperPeakGBps: unknown server: " + server);
 }

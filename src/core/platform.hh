@@ -15,6 +15,8 @@
  *   "CXL-X+Switch2"        two switch hops ("CXL + multi-hops")
  *   "CXL-Dx2"              two CXL-D interleaved (Fig 8f)
  *
+ * where X is A..D. No other name is accepted.
+ *
  * Servers: "SPR2S", "EMR2S", "EMR2S'", "SKX2S", "SKX8S".
  */
 
@@ -27,7 +29,6 @@
 
 #include "cpu/profile.hh"
 #include "mem/backend.hh"
-#include "ras/fault_plan.hh"
 
 namespace melody {
 
@@ -38,6 +39,7 @@ class Platform
     /**
      * @param server Server name (see file comment).
      * @param memory Memory setup name (see file comment).
+     * @throw cxlsim::ConfigError on an unknown server or setup.
      */
     Platform(std::string server, std::string memory);
 
@@ -51,22 +53,6 @@ class Platform
     const cxlsim::cpu::CpuProfile &cpu() const { return cpu_; }
 
     /**
-     * Arm a fault-injection plan: every CXL backend built by
-     * makeBackend() carries it (interleaved devices get their own
-     * device index for scheduled events). With plan.failover set,
-     * CXL setups are wrapped in a failover router whose fallback
-     * is socket-local DRAM.
-     *
-     * @throw cxlsim::ConfigError on out-of-range parameters.
-     */
-    void setFaultPlan(const cxlsim::ras::FaultPlan &plan);
-
-    const cxlsim::ras::FaultPlan &faultPlan() const
-    {
-        return faultPlan_;
-    }
-
-    /**
      * Build a fresh memory backend for one experiment run.
      * Distinct seeds give independent stochastic behaviour.
      */
@@ -76,7 +62,6 @@ class Platform
     std::string server_;
     std::string memory_;
     cxlsim::cpu::CpuProfile cpu_;
-    cxlsim::ras::FaultPlan faultPlan_;
 };
 
 /**

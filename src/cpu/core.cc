@@ -34,9 +34,6 @@ Core::counters() const
     c.l2pfL3Miss = pf.l2pfL3Miss;
     c.l2pfL3Hit = pf.l2pfL3Hit;
     c.demandL3Miss = pf.demandL3Miss;
-    c.machineChecks = pf.machineChecks;
-    c.demandTimeouts = pf.demandTimeouts;
-    c.prefetchDrops = pf.prefetchDrops;
     return c;
 }
 

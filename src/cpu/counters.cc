@@ -23,9 +23,6 @@ CounterSet::operator+=(const CounterSet &o)
     demandL3Miss += o.demandL3Miss;
     l2pfIssued += o.l2pfIssued;
     l1pfIssued += o.l1pfIssued;
-    machineChecks += o.machineChecks;
-    demandTimeouts += o.demandTimeouts;
-    prefetchDrops += o.prefetchDrops;
     return *this;
 }
 
@@ -68,9 +65,6 @@ CounterSet::operator-(const CounterSet &o) const
     r.demandL3Miss -= o.demandL3Miss;
     r.l2pfIssued -= o.l2pfIssued;
     r.l1pfIssued -= o.l1pfIssued;
-    r.machineChecks -= o.machineChecks;
-    r.demandTimeouts -= o.demandTimeouts;
-    r.prefetchDrops -= o.prefetchDrops;
     return r;
 }
 

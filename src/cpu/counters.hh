@@ -55,9 +55,7 @@ struct CounterSet
     std::uint64_t l2pfIssued = 0;
     std::uint64_t l1pfIssued = 0;
 
-    /** RAS events the core observed (poison consumption surfaces
-     *  as a machine-check exception; see src/ras/). Population
-     *  totals like the prefetch counts — never scaled. */
+    // Named by perfbench/driver.cc; delete at the next benchmark change.
     std::uint64_t machineChecks = 0;
     std::uint64_t demandTimeouts = 0;
     std::uint64_t prefetchDrops = 0;

@@ -47,7 +47,8 @@ MemoryHierarchy::handleEviction(PerCore *pc, unsigned from_level,
     if (from_level == 3) {
         // LLC victim: write back to memory (fire and forget — the
         // write occupies backend bandwidth but nothing waits on it).
-        backend_->access(ev.lineAddr, mem::ReqType::kWriteback, now);
+        (void)backend_->access(ev.lineAddr, mem::ReqType::kWriteback,
+                               now);
         ++pc->pf.writebacks;
         return;
     }
@@ -141,36 +142,21 @@ MemoryHierarchy::demandLoad(unsigned core, Addr addr,
             out = {at, home, false};
         } else {
             // True miss: fetch from the memory backend.
-            const mem::AccessResult r = backend_->accessEx(
-                line, mem::ReqType::kDemandLoad, now);
+            const Tick done =
+                backend_->access(line, mem::ReqType::kDemandLoad, now);
             ++pc.pf.demandL3Miss;
-            if (r.status == ras::Status::kPoisoned) {
-                // The core consumed poisoned data: a machine check.
-                // The (poisoned) line still installs — real hosts
-                // cache it and re-signal on each consumption.
-                ++pc.pf.machineChecks;
-            }
-            if (r.status == ras::Status::kTimeout) {
-                // No data ever arrived: nothing to install. The
-                // core un-stalls when the host gives up so the
-                // simulation makes forward progress.
-                ++pc.pf.demandTimeouts;
-                out = {r.done, StallTag::kDram, false};
-            } else {
-                handleEviction(&pc, 3,
-                               l3_.insert(line, r.done,
-                                          StallTag::kDram, false),
-                               now);
-                handleEviction(&pc, 2,
-                               pc.l2.insert(line, r.done,
-                                            StallTag::kDram, false),
-                               now);
-                handleEviction(&pc, 1,
-                               pc.l1.insert(line, r.done,
-                                            StallTag::kDram, false),
-                               now);
-                out = {r.done, StallTag::kDram, false};
-            }
+            handleEviction(&pc, 3,
+                           l3_.insert(line, done, StallTag::kDram, false),
+                           now);
+            handleEviction(&pc, 2,
+                           pc.l2.insert(line, done, StallTag::kDram,
+                                        false),
+                           now);
+            handleEviction(&pc, 1,
+                           pc.l1.insert(line, done, StallTag::kDram,
+                                        false),
+                           now);
+            out = {done, StallTag::kDram, false};
         }
         // The L2 streamer trains on L2-side demand traffic.
         if (prefetchersOn_)
@@ -291,18 +277,9 @@ MemoryHierarchy::runL1Prefetcher(PerCore &pc, unsigned stream_id,
                 // "L1PF-L3-miss" population of Figure 12. The fill
                 // also lands in L2 (via the superqueue), so the
                 // streamer won't re-fetch the same line.
-                const mem::AccessResult r = backend_->accessEx(
-                    target, mem::ReqType::kL1Prefetch, now);
+                at = backend_->access(target, mem::ReqType::kL1Prefetch,
+                                      now);
                 ++pc.pf.l1pfL3Miss;
-                if (r.status != ras::Status::kOk) {
-                    // Speculative fill came back poisoned or not
-                    // at all: drop it. No poison ever installs on
-                    // a prefetch path, so machine checks can only
-                    // come from demand consumption.
-                    ++pc.pf.prefetchDrops;
-                    continue;
-                }
-                at = r.done;
                 handleEviction(&pc, 2,
                                pc.l2.insert(target, at,
                                             StallTag::kL1, false),
@@ -364,14 +341,9 @@ MemoryHierarchy::runL2Prefetcher(PerCore &pc, Addr line, Tick now)
         if (r3 == LookupResult::kPending)
             continue;  // already in flight
         // Fetch from memory — the "L2PF-L3-miss" population.
-        const mem::AccessResult r =
-            backend_->accessEx(target, mem::ReqType::kL2Prefetch, now);
+        const Tick at =
+            backend_->access(target, mem::ReqType::kL2Prefetch, now);
         ++pc.pf.l2pfL3Miss;
-        if (r.status != ras::Status::kOk) {
-            ++pc.pf.prefetchDrops;
-            continue;  // dropped: never install speculative poison
-        }
-        const Tick at = r.done;
         pc.l2pfLatEwmaNs = 0.05 * ticksToNs(at - now) +
                            0.95 * pc.l2pfLatEwmaNs;
         if (profile_.l2pfFillsL3) {

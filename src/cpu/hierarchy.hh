@@ -37,13 +37,6 @@ struct PfStats
     std::uint64_t l2pfL3Miss = 0;
     std::uint64_t l2pfL3Hit = 0;
     std::uint64_t demandL3Miss = 0;
-    /** Poisoned demand loads (consumed poison -> machine check). */
-    std::uint64_t machineChecks = 0;
-    /** Demand loads whose backend access timed out unrecovered. */
-    std::uint64_t demandTimeouts = 0;
-    /** Prefetch fills dropped because they came back not-Ok
-     *  (poison/timeout is never installed speculatively). */
-    std::uint64_t prefetchDrops = 0;
     /** Store RFOs that fell through to the memory backend. */
     std::uint64_t rfoFetches = 0;
     /** Dirty LLC victims written back to the memory backend. */

@@ -64,7 +64,6 @@ MultiCore::run()
     r.counters.scale(1.0 / static_cast<double>(cores_.size()));
     r.samples = std::move(samples_);
     r.backendStats = backend_->stats();
-    backend_->rasReport(&r.ras);
     return r;
 }
 
@@ -101,7 +100,7 @@ MultiCore::checkInvariants() const
 
     // End-of-run accounting contracts (DESIGN.md §10); each check
     // was derived from the accounting rules in core.cc /
-    // hierarchy.cc and holds on every fault-free run.
+    // hierarchy.cc and holds on every run.
     std::uint64_t l3Misses = 0;   // demand + prefetch LLC misses
     std::uint64_t reads = 0;      // expected backend read count
     std::uint64_t writes = 0;     // expected backend write count

@@ -35,18 +35,8 @@ struct RunResult
     std::vector<CounterSample> samples;
     /** Backend traffic totals. */
     mem::BackendStats backendStats;
-    /** Per-node RAS counters (empty when no faults are armed). */
+    // Named by perfbench/driver.cc; delete at the next benchmark change.
     std::vector<ras::RasReportEntry> ras;
-
-    /** Sum of all per-node RAS counters. */
-    ras::RasStats
-    rasTotal() const
-    {
-        ras::RasStats total;
-        for (const auto &e : ras)
-            total += e.stats;
-        return total;
-    }
 
     /** Wall time in seconds. */
     double

@@ -22,92 +22,6 @@ CxlController::CxlController(const DeviceProfile &profile,
     }
 }
 
-CxlController::RasState::RasState(const ras::FaultPlan &plan,
-                                  unsigned device, std::uint64_t seed)
-    : mediaParams(plan.media),
-      monitor(plan.health),
-      events(plan.eventsFor(device))
-{
-    if (mediaParams.enabled())
-        media = std::make_unique<ras::MediaFaultProcess>(
-            mediaParams, seed ^ 0x9e3779b97f4a7c15ULL);
-    if (mediaParams.patrolIntervalUs > 0.0)
-        nextScrub = usToTicks(mediaParams.patrolIntervalUs);
-}
-
-void
-CxlController::enableRas(const ras::FaultPlan &plan, unsigned device,
-                         std::uint64_t seed)
-{
-    plan.validate();
-    if (plan.enabled())
-        ras_ = std::make_unique<RasState>(plan, device, seed);
-}
-
-void
-CxlController::noteLinkDown()
-{
-    if (ras_)
-        ras_->monitor.noteLinkDown();
-}
-
-ras::DeviceHealth
-CxlController::health() const
-{
-    return ras_ ? ras_->monitor.state()
-                : ras::DeviceHealth::kHealthy;
-}
-
-void
-CxlController::addRasTo(ras::RasStats *out) const
-{
-    if (!ras_)
-        return;
-    *out += ras_->stats;
-    out->degradedEntries += ras_->monitor.degradedEntries();
-    out->offlineEntries += ras_->monitor.offlineEntries();
-}
-
-void
-CxlController::applyScheduledEvents(Tick now)
-{
-    auto &r = *ras_;
-    while (r.nextEvent < r.events.size() &&
-           r.events[r.nextEvent].at <= now) {
-        switch (r.events[r.nextEvent].kind) {
-          case ras::FaultEventKind::kOffline:
-            r.monitor.force(ras::DeviceHealth::kOffline);
-            break;
-          case ras::FaultEventKind::kDegrade:
-            r.monitor.force(ras::DeviceHealth::kDegraded);
-            break;
-          case ras::FaultEventKind::kRecover:
-            r.monitor.recover();
-            break;
-        }
-        ++r.nextEvent;
-    }
-}
-
-Tick
-CxlController::patrolScrubCatchUp(Tick now)
-{
-    // Patrol scrub occupies the scheduler like a background
-    // request stream: every elapsed interval pushes the schedule
-    // tail out by one pass.
-    auto &r = *ras_;
-    Tick extra = 0;
-    if (r.nextScrub == 0)
-        return 0;
-    const Tick interval = usToTicks(r.mediaParams.patrolIntervalUs);
-    while (r.nextScrub <= now) {
-        extra += nsToTicks(r.mediaParams.patrolNs);
-        ++r.stats.patrolScrubs;
-        r.nextScrub += interval;
-    }
-    return extra;
-}
-
 double
 CxlController::hiccupProbability() const
 {
@@ -145,20 +59,9 @@ CxlController::updateUtilization(Tick now)
     lastArrival_ = now;
 }
 
-ras::AccessResult
-CxlController::serviceEx(Addr addr, bool is_write, Tick arrival)
+Tick
+CxlController::service(Addr addr, bool is_write, Tick arrival)
 {
-    if (ras_) {
-        applyScheduledEvents(arrival);
-        if (ras::isDown(ras_->monitor.state())) {
-            // Down devices drop the request on the floor: the host
-            // sees no completion and its timer expires.
-            ++ras_->stats.refusedRequests;
-            return {arrival, ras::Status::kTimeout};
-        }
-        schedFreeAt_ += patrolScrubCatchUp(arrival);
-    }
-
     ++stats_.requests;
     updateUtilization(arrival);
 
@@ -223,34 +126,8 @@ CxlController::serviceEx(Addr addr, bool is_write, Tick arrival)
 
     // Fixed pipeline latency for flit parse, queue traversal and
     // response packing, plus any hiccup delay.
-    Tick done =
+    const Tick done =
         dramDone + nsToTicks(profile_.controllerNs) + hiccupDelay;
-
-    ras::Status status = ras::Status::kOk;
-    if (ras_) {
-        auto &r = *ras_;
-        if (r.media) {
-            const ras::MediaOutcome mo = r.media->sample();
-            done += mo.extraTicks;
-            if (mo.corrected)
-                ++r.stats.corrected;
-            if (mo.poisoned) {
-                ++r.stats.uncorrected;
-                if (!is_write) {
-                    // Reads return the (useless) data with poison;
-                    // a poisoned write target is simply recorded.
-                    ++r.stats.poisonedReturns;
-                    status = ras::Status::kPoisoned;
-                }
-            }
-            r.monitor.recordOutcome(mo.poisoned);
-        }
-        // A Degraded device runs its ECC pipeline in a paranoid
-        // demand-scrub mode: every access pays the correction
-        // latency on top of any sampled fault.
-        if (r.monitor.state() == ras::DeviceHealth::kDegraded)
-            done += nsToTicks(r.mediaParams.scrubExtraNs);
-    }
 
     // Service contracts (DESIGN.md §10): a completion can never
     // precede its arrival, and the bandwidth-utilization EWMA is
@@ -265,7 +142,7 @@ CxlController::serviceEx(Addr addr, bool is_write, Tick arrival)
                         "util=" + std::to_string(util_));
     }
 
-    return {done, status};
+    return done;
 }
 
 double

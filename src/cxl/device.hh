@@ -29,9 +29,8 @@ constexpr unsigned kCompletionBytes = 8;
 /**
  * One CXL memory expander as seen from a host root port.
  *
- * readEx()/writeEx() take the tick the request leaves the host's
- * uncore and return the tick the response reaches it, plus the
- * RAS completion status.
+ * read()/write() take the tick the request leaves the host's
+ * uncore and return the tick the response reaches it.
  */
 class CxlDevice
 {
@@ -45,30 +44,11 @@ class CxlDevice
     CxlDevice(const DeviceProfile &profile, std::uint64_t seed,
               unsigned switch_hops = 0);
 
-    /** 64B read: request down, DRAM access, data back. Status is
-     *  Retryable when a flit was lost to replay exhaustion, Timeout
-     *  when the device is down, Poisoned on an uncorrectable media
-     *  error. */
-    ras::AccessResult readEx(Addr addr, Tick host_issue);
+    /** 64B read: request down, DRAM access, data back. */
+    [[nodiscard]] Tick read(Addr addr, Tick host_issue);
 
-    /** 64B write: data down, DRAM write, completion (NDR) back. A
-     *  poisoned write target is recorded, not surfaced (writes
-     *  overwrite the bad line). */
-    ras::AccessResult writeEx(Addr addr, Tick host_issue);
-
-    /**
-     * Arm the fault plan on this device: CRC/LLR faults on the
-     * device link, media faults + health machine + scheduled
-     * events (for index @p device) on the controller.
-     */
-    void enableRas(const ras::FaultPlan &plan, unsigned device,
-                   std::uint64_t seed);
-
-    /** Current health (Healthy when RAS is disabled). */
-    ras::DeviceHealth health() const { return ctrl_.health(); }
-
-    /** Aggregate link + controller RAS counters into @p out. */
-    void addRasTo(ras::RasStats *out) const;
+    /** 64B write: data down, DRAM write, completion (NDR) back. */
+    [[nodiscard]] Tick write(Addr addr, Tick host_issue);
 
     const DeviceProfile &profile() const { return profile_; }
     const ControllerStats &controllerStats() const
@@ -81,8 +61,7 @@ class CxlDevice
     std::uint64_t linkBytes() const;
 
   private:
-    link::SendResult sendLinkEx(unsigned bytes, link::Dir dir,
-                                Tick now);
+    Tick sendLink(unsigned bytes, link::Dir dir, Tick now);
     Tick throughSwitches(unsigned bytes, link::Dir dir, Tick now);
 
     DeviceProfile profile_;

@@ -101,77 +101,33 @@ PooledCxlDevice::arbitrate(unsigned head, Tick arrival)
     return start;
 }
 
-void
-PooledCxlDevice::enableRas(const ras::FaultPlan &plan,
-                           unsigned device, std::uint64_t seed)
-{
-    ctrl_.enableRas(plan, device, seed);
-    for (unsigned h = 0; h < links_.size(); ++h)
-        links_[h]->enableFaults(plan.link,
-                                seed ^ (0x94d049bb133111ebULL + h));
-}
-
-void
-PooledCxlDevice::addRasTo(ras::RasStats *out) const
-{
-    for (const auto &l : links_)
-        l->addRasTo(out);
-    ctrl_.addRasTo(out);
-}
-
-ras::AccessResult
-PooledCxlDevice::readEx(unsigned head, Addr addr, Tick host_issue)
+Tick
+PooledCxlDevice::read(unsigned head, Addr addr, Tick host_issue)
 {
     SIM_ASSERT(head < links_.size(), "pool head out of range");
     ++stats_[head].reads;
-    const auto req = links_[head]->sendEx(
+    const Tick req = links_[head]->send(
         kReadRequestBytes, link::Dir::kToDevice, host_issue);
-    if (req.lost) {
-        ctrl_.noteLinkDown();
-        return {req.at, ras::Status::kRetryable};
-    }
-    const Tick entry = arbitrate(head, req.at);
-    const ras::AccessResult so =
-        ctrl_.serviceEx(addr, /*is_write=*/false, entry);
-    if (so.status == ras::Status::kTimeout)
-        return so;
-    retire(head, so.done);
-    const auto data = links_[head]->sendEx(
-        kDataBytes, link::Dir::kFromDevice, so.done);
-    if (data.lost) {
-        ctrl_.noteLinkDown();
-        return {data.at, ras::Status::kRetryable};
-    }
-    return {data.at, so.status};
+    const Tick entry = arbitrate(head, req);
+    const Tick done = ctrl_.service(addr, /*is_write=*/false, entry);
+    retire(head, done);
+    return links_[head]->send(kDataBytes, link::Dir::kFromDevice, done);
 }
 
-ras::AccessResult
-PooledCxlDevice::writeEx(unsigned head, Addr addr, Tick host_issue)
+Tick
+PooledCxlDevice::write(unsigned head, Addr addr, Tick host_issue)
 {
     SIM_ASSERT(head < links_.size(), "pool head out of range");
     ++stats_[head].writes;
-    const auto data = links_[head]->sendEx(
+    const Tick data = links_[head]->send(
         kDataBytes, link::Dir::kToDevice, host_issue);
-    if (data.lost) {
-        ctrl_.noteLinkDown();
-        return {data.at, ras::Status::kRetryable};
-    }
     const Tick cmd =
         host_issue + nsToTicks(profile_.linkCfg.propagationNs);
     const Tick entry = arbitrate(head, cmd);
-    const ras::AccessResult so =
-        ctrl_.serviceEx(addr, /*is_write=*/true, entry);
-    if (so.status == ras::Status::kTimeout)
-        return so;
-    retire(head, so.done);
-    const auto cmpl = links_[head]->sendEx(
-        kCompletionBytes, link::Dir::kFromDevice,
-        std::max(so.done, data.at));
-    if (cmpl.lost) {
-        ctrl_.noteLinkDown();
-        return {cmpl.at, ras::Status::kRetryable};
-    }
-    return {cmpl.at, ras::Status::kOk};
+    const Tick done = ctrl_.service(addr, /*is_write=*/true, entry);
+    retire(head, done);
+    return links_[head]->send(kCompletionBytes, link::Dir::kFromDevice,
+                              std::max(done, data));
 }
 
 }  // namespace cxlsim::cxl

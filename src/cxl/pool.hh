@@ -84,21 +84,9 @@ class PooledCxlDevice
     Tick earliestAdmission(unsigned head, Tick now);
 
     /** 64B read/write from @p head; returns the host-visible
-     *  completion and its RAS status (the shared controller's
-     *  health gates every head at once). */
-    ras::AccessResult readEx(unsigned head, Addr addr,
-                             Tick host_issue);
-    ras::AccessResult writeEx(unsigned head, Addr addr,
-                              Tick host_issue);
-
-    /** Arm the fault plan on each head link + shared controller. */
-    void enableRas(const ras::FaultPlan &plan, unsigned device,
-                   std::uint64_t seed);
-
-    ras::DeviceHealth health() const { return ctrl_.health(); }
-
-    /** Aggregate RAS counters (all head links + controller). */
-    void addRasTo(ras::RasStats *out) const;
+     *  completion tick. */
+    [[nodiscard]] Tick read(unsigned head, Addr addr, Tick host_issue);
+    [[nodiscard]] Tick write(unsigned head, Addr addr, Tick host_issue);
 
     unsigned heads() const
     {

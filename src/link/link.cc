@@ -2,8 +2,8 @@
 
 namespace cxlsim::link {
 
-SendResult
-DuplexLink::sendEx(unsigned bytes, Dir dir, Tick now)
+Tick
+DuplexLink::send(unsigned bytes, Dir dir, Tick now)
 {
     const auto d = static_cast<unsigned>(dir);
     const Tick start = std::max(now, freeAt_[d]);
@@ -11,33 +11,11 @@ DuplexLink::sendEx(unsigned bytes, Dir dir, Tick now)
     freeAt_[d] = start + ser;
     ++stats_.transfers[d];
     stats_.bytes[d] += bytes;
-
-    bool lost = false;
-    if (faults_) {
-        // Replays re-occupy the serializer: subsequent flits in
-        // this direction queue behind the retry traffic.
-        freeAt_[d] += faults_->flitPenalty(&lost);
-    }
-    return {freeAt_[d] + nsToTicks(cfg_.propagationNs), lost};
+    return freeAt_[d] + nsToTicks(cfg_.propagationNs);
 }
 
-void
-DuplexLink::enableFaults(const ras::LinkFaultParams &p,
-                         std::uint64_t seed)
-{
-    if (p.enabled())
-        faults_ = std::make_unique<ras::LinkFaultProcess>(p, seed);
-}
-
-void
-DuplexLink::addRasTo(ras::RasStats *out) const
-{
-    if (faults_)
-        faults_->addTo(out);
-}
-
-SendResult
-HalfDuplexLink::sendEx(unsigned bytes, Dir dir, Tick now)
+Tick
+HalfDuplexLink::send(unsigned bytes, Dir dir, Tick now)
 {
     const auto d = static_cast<unsigned>(dir);
     Tick start = std::max(now, freeAt_);
@@ -50,26 +28,7 @@ HalfDuplexLink::sendEx(unsigned bytes, Dir dir, Tick now)
     freeAt_ = start + ser;
     ++stats_.transfers[d];
     stats_.bytes[d] += bytes;
-
-    bool lost = false;
-    if (faults_)
-        freeAt_ += faults_->flitPenalty(&lost);
-    return {freeAt_ + nsToTicks(cfg_.propagationNs), lost};
-}
-
-void
-HalfDuplexLink::enableFaults(const ras::LinkFaultParams &p,
-                             std::uint64_t seed)
-{
-    if (p.enabled())
-        faults_ = std::make_unique<ras::LinkFaultProcess>(p, seed);
-}
-
-void
-HalfDuplexLink::addRasTo(ras::RasStats *out) const
-{
-    if (faults_)
-        faults_->addTo(out);
+    return freeAt_ + nsToTicks(cfg_.propagationNs);
 }
 
 }  // namespace cxlsim::link

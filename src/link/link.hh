@@ -15,13 +15,6 @@
  * A link transfer is charged serialization (bytes at the effective
  * rate) plus fixed propagation (PHY + transaction/link layer
  * processing, single-digit to tens of ns).
- *
- * Fault injection (optional, off by default): a seeded per-flit CRC
- * error process triggers CXL LLR-style replay — each replay round
- * re-occupies the serializer for a configurable latency; when the
- * replay budget is exhausted the flit is lost and sendEx() reports
- * the transfer failed, which the device layer escalates to a
- * link-down health event.
  */
 
 #ifndef CXLSIM_LINK_LINK_HH
@@ -29,9 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 
-#include "ras/ras.hh"
 #include "sim/types.hh"
 
 namespace cxlsim::link {
@@ -58,17 +49,6 @@ struct LinkConfig
     double turnaroundNs = 20.0;
 };
 
-/** Arrival tick plus transport outcome of one transfer.
- *  [[nodiscard]] like ras::AccessResult: a dropped result is a
- *  silently-ignored lost flit. */
-struct [[nodiscard]] SendResult
-{
-    /** Tick the flit (or its loss) is known at the far end. */
-    Tick at;
-    /** True when LLR replays were exhausted and the flit was lost. */
-    bool lost;
-};
-
 /** Full-duplex link: independent serialization per direction. */
 class DuplexLink
 {
@@ -77,14 +57,9 @@ class DuplexLink
 
     /**
      * Transfer @p bytes in direction @p dir starting no earlier
-     * than @p now; returns the arrival tick at the far end and
-     * whether the flit was lost (CRC/LLR).
+     * than @p now; returns the arrival tick at the far end.
      */
-    SendResult sendEx(unsigned bytes, Dir dir, Tick now);
-
-    /** Arm the CRC/replay fault process with a dedicated stream. */
-    void enableFaults(const ras::LinkFaultParams &p,
-                      std::uint64_t seed);
+    [[nodiscard]] Tick send(unsigned bytes, Dir dir, Tick now);
 
     /** Tick the direction's serializer frees. */
     Tick freeAt(Dir dir) const { return freeAt_[unsigned(dir)]; }
@@ -92,15 +67,10 @@ class DuplexLink
     const LinkStats &stats() const { return stats_; }
     const LinkConfig &config() const { return cfg_; }
 
-    /** Accumulate link-layer fault counters into @p out. */
-    void addRasTo(ras::RasStats *out) const;
-
   private:
     LinkConfig cfg_;
     Tick freeAt_[2] = {0, 0};
     LinkStats stats_;
-    /** Null when fault injection is disabled (the default). */
-    std::unique_ptr<ras::LinkFaultProcess> faults_;
 };
 
 /** Half-duplex link: both directions share one medium. */
@@ -109,23 +79,17 @@ class HalfDuplexLink
   public:
     explicit HalfDuplexLink(const LinkConfig &cfg) : cfg_(cfg) {}
 
-    SendResult sendEx(unsigned bytes, Dir dir, Tick now);
-
-    void enableFaults(const ras::LinkFaultParams &p,
-                      std::uint64_t seed);
+    [[nodiscard]] Tick send(unsigned bytes, Dir dir, Tick now);
 
     Tick freeAt() const { return freeAt_; }
     const LinkStats &stats() const { return stats_; }
     const LinkConfig &config() const { return cfg_; }
-
-    void addRasTo(ras::RasStats *out) const;
 
   private:
     LinkConfig cfg_;
     Tick freeAt_ = 0;
     bool lastDirFrom_ = false;
     LinkStats stats_;
-    std::unique_ptr<ras::LinkFaultProcess> faults_;
 };
 
 /** Serialization ticks for @p bytes at @p gbps. */

@@ -10,10 +10,8 @@
  * tuning use case, where specific hot objects are pinned back to
  * local DRAM.
  *
- * A backend implements one entry point, accessEx(), which returns
- * the completion tick and RAS status together; the status-less
- * access() is a forwarder in the base class, so every caller sees
- * the same path and the same faults.
+ * A backend implements one entry point, access(), which returns the
+ * tick the request completes.
  */
 
 #ifndef CXLSIM_MEM_BACKEND_HH
@@ -25,14 +23,22 @@
 #include <vector>
 
 #include "mem/request.hh"
-#include "ras/ras.hh"
 #include "sim/types.hh"
+
+// Named by perfbench/timing_backend.hh; delete at the next benchmark change.
+namespace cxlsim::ras {
+struct RasReportEntry
+{
+};
+}  // namespace cxlsim::ras
 
 namespace cxlsim::mem {
 
-/** Completion tick + RAS status of one backend access (the one
- *  [[nodiscard]] completion type of the whole memory path). */
-using AccessResult = ras::AccessResult;
+// Named by perfbench/timing_backend.hh; delete at the next benchmark change.
+struct AccessResult
+{
+    Tick done;
+};
 
 /** Byte/request counters every backend keeps. */
 struct BackendStats
@@ -60,38 +66,26 @@ class MemoryBackend
     virtual ~MemoryBackend() = default;
 
     /**
-     * Issue a 64B request and return its completion tick and RAS
-     * status. This is the one function a backend implements.
+     * Issue a 64B request and return its completion tick. This is
+     * the one function a backend implements.
      *
      * @param addr Line-aligned physical address.
      * @param type Request class (affects read/write direction).
      * @param now  Issue tick (request leaves the LLC/uncore).
      */
-    virtual AccessResult accessEx(Addr addr, ReqType type,
-                                  Tick now) = 0;
+    [[nodiscard]] virtual Tick access(Addr addr, ReqType type,
+                                      Tick now) = 0;
 
-    /**
-     * accessEx() without the status, for fire-and-forget or
-     * fault-free traffic (LLC writebacks, tiering migration,
-     * MLC/Mio). Virtual only because the benchmark's forwarding
-     * TimingBackend (perfbench/timing_backend.hh) overrides it;
-     * no backend in the simulator does.
-     */
-    virtual Tick
-    access(Addr addr, ReqType type, Tick now)
+    // Named by perfbench/timing_backend.hh; delete at the next
+    // benchmark change.
+    virtual AccessResult
+    accessEx(Addr addr, ReqType type, Tick now)
     {
-        return accessEx(addr, type, now).done;
+        return {access(addr, type, now)};
     }
-
-    /**
-     * Append this backend's (and its children's) RAS counters to
-     * @p out, one entry per fault-capable node. Fault-free
-     * backends contribute nothing.
-     */
     virtual void
-    rasReport(std::vector<ras::RasReportEntry> *out) const
+    rasReport(std::vector<ras::RasReportEntry> *) const
     {
-        (void)out;
     }
 
     /** Human-readable setup name ("Local", "CXL-A", ...). */

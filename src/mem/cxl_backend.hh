@@ -8,11 +8,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "cxl/device.hh"
 #include "mem/backend.hh"
-#include "ras/fault_plan.hh"
 
 namespace cxlsim::mem {
 
@@ -26,30 +24,15 @@ struct CxlBackendConfig
      *  response path back, ns. */
     double hostOverheadNs = 40.0;
     std::uint64_t seed = 3;
-    /** Fault-injection plan (default: everything disabled). */
-    ras::FaultPlan faultPlan;
-    /** This device's index in the plan's scheduled events. */
-    unsigned deviceIndex = 0;
 };
 
-/**
- * A CXL type-3 memory expander as a memory backend.
- *
- * With a FaultPlan armed, the backend also models the host's
- * recovery path: a completion timer per request, exponential
- * backoff between re-issues, and a bounded retry budget. A request
- * that exhausts the budget surfaces kTimeout to the caller
- * (RegionRouter/TieringBackend fail over; the CPU records a
- * machine check on demand loads).
- */
+/** A CXL type-3 memory expander as a memory backend. */
 class CxlBackend : public MemoryBackend
 {
   public:
     explicit CxlBackend(const CxlBackendConfig &cfg);
 
-    AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
-    void rasReport(std::vector<ras::RasReportEntry> *out)
-        const override;
+    Tick access(Addr addr, ReqType type, Tick now) override;
     const std::string &name() const override { return name_; }
 
     const cxl::CxlDevice &device() const { return device_; }
@@ -59,8 +42,6 @@ class CxlBackend : public MemoryBackend
     std::string name_;
     CxlBackendConfig cfg_;
     cxl::CxlDevice device_;
-    /** Host-side recovery counters (retries, timeouts). */
-    ras::RasStats hostStats_;
 };
 
 }  // namespace cxlsim::mem

@@ -11,8 +11,8 @@ InterleavedBackend::InterleavedBackend(std::string name,
     SIM_ASSERT(!targets_.empty(), "interleaving needs >= 1 target");
 }
 
-AccessResult
-InterleavedBackend::accessEx(Addr addr, ReqType type, Tick now)
+Tick
+InterleavedBackend::access(Addr addr, ReqType type, Tick now)
 {
     note(type);
     const Addr line = addr / kCacheLineBytes;
@@ -21,7 +21,7 @@ InterleavedBackend::accessEx(Addr addr, ReqType type, Tick now)
     // would only ever see lines congruent to one residue and alias
     // onto a single one of its internal DDR channels.
     const Addr local = (line / n) * kCacheLineBytes;
-    return targets_[line % n]->accessEx(local, type, now);
+    return targets_[line % n]->access(local, type, now);
 }
 
 }  // namespace cxlsim::mem

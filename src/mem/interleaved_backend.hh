@@ -23,13 +23,7 @@ class InterleavedBackend : public MemoryBackend
     InterleavedBackend(std::string name,
                        std::vector<BackendPtr> targets);
 
-    AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
-    void
-    rasReport(std::vector<ras::RasReportEntry> *out) const override
-    {
-        for (const auto &t : targets_)
-            t->rasReport(out);
-    }
+    Tick access(Addr addr, ReqType type, Tick now) override;
     const std::string &name() const override { return name_; }
 
     std::size_t ways() const { return targets_.size(); }

@@ -14,8 +14,8 @@ LocalDramBackend::LocalDramBackend(const LocalDramConfig &cfg)
     }
 }
 
-AccessResult
-LocalDramBackend::accessEx(Addr addr, ReqType type, Tick now)
+Tick
+LocalDramBackend::access(Addr addr, ReqType type, Tick now)
 {
     note(type);
     const Addr line = addr / kCacheLineBytes;
@@ -25,7 +25,7 @@ LocalDramBackend::accessEx(Addr addr, ReqType type, Tick now)
     // spread across all its banks.
     const Addr local = (line / n) * kCacheLineBytes;
     const Tick done = chan.access(local, !isRead(type), now);
-    return {done + nsToTicks(cfg_.baseNs), ras::Status::kOk};
+    return done + nsToTicks(cfg_.baseNs);
 }
 
 double

@@ -15,26 +15,21 @@ NumaBackend::NumaBackend(std::string name, BackendPtr target,
 {
 }
 
-AccessResult
-NumaBackend::accessEx(Addr addr, ReqType type, Tick now)
+Tick
+NumaBackend::access(Addr addr, ReqType type, Tick now)
 {
     note(type);
     const bool read = isRead(type);
 
     Tick t = now + jitter_.sample(now);
     // Outbound: a small request for reads, the full line for writes.
-    t = upi_.sendEx(read ? kRequestBytes : kDataBytes,
-                    link::Dir::kToDevice, t).at;
-    const AccessResult r = target_->accessEx(addr, type, t);
-    if (r.status == ras::Status::kTimeout) {
-        // Nothing comes back over the hop — the timeout already
-        // includes the host's full retry wait.
-        return r;
-    }
+    t = upi_.send(read ? kRequestBytes : kDataBytes,
+                  link::Dir::kToDevice, t);
+    t = target_->access(addr, type, t);
     // Inbound: data for reads, an ack for writes.
-    t = upi_.sendEx(read ? kDataBytes : kAckBytes,
-                    link::Dir::kFromDevice, r.done).at;
-    return {t + nsToTicks(cfg_.extraNs), r.status};
+    t = upi_.send(read ? kDataBytes : kAckBytes, link::Dir::kFromDevice,
+                  t);
+    return t + nsToTicks(cfg_.extraNs);
 }
 
 }  // namespace cxlsim::mem

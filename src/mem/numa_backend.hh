@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "link/link.hh"
 #include "mem/backend.hh"
@@ -41,12 +40,7 @@ class NumaBackend : public MemoryBackend
     NumaBackend(std::string name, BackendPtr target,
                 const NumaHopConfig &cfg);
 
-    AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
-    void
-    rasReport(std::vector<ras::RasReportEntry> *out) const override
-    {
-        target_->rasReport(out);
-    }
+    Tick access(Addr addr, ReqType type, Tick now) override;
     const std::string &name() const override { return name_; }
 
     MemoryBackend &target() { return *target_; }

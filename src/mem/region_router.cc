@@ -24,36 +24,16 @@ RegionRouter::pinned(Addr a) const
     return false;
 }
 
-AccessResult
-RegionRouter::accessEx(Addr addr, ReqType type, Tick now)
+Tick
+RegionRouter::access(Addr addr, ReqType type, Tick now)
 {
     note(type);
     ++total_;
     if (pinned(addr)) {
         ++fastHits_;
-        return fast_->accessEx(addr, type, now);
+        return fast_->access(addr, type, now);
     }
-    AccessResult r = slow_->accessEx(addr, type, now);
-    if (failover_ && r.status == ras::Status::kTimeout) {
-        // The slow device gave no answer within the host's retry
-        // budget: serve the line from the fallback instead. The
-        // request still paid the full wait on the dead device —
-        // that is the degradation the stats account for.
-        const AccessResult f = fast_->accessEx(addr, type, r.done);
-        ++rstats_.failovers;
-        rstats_.failoverExtraNs += ticksToNs(r.done - now);
-        return f;
-    }
-    return r;
-}
-
-void
-RegionRouter::rasReport(std::vector<ras::RasReportEntry> *out) const
-{
-    if (rstats_.any())
-        out->push_back({name_ + "/failover", rstats_});
-    fast_->rasReport(out);
-    slow_->rasReport(out);
+    return slow_->access(addr, type, now);
 }
 
 double

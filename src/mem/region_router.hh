@@ -20,15 +20,7 @@
 
 namespace cxlsim::mem {
 
-/**
- * Routes pinned address ranges to a "fast" backend, rest to "slow".
- *
- * With failover enabled, a slow-backend request that times out
- * (device Offline/TimedOut, host retry budget exhausted) is
- * re-issued on the fast backend instead of surfacing kTimeout —
- * the host-side graceful-degradation path. The wasted wait on the
- * dead device is recorded as failover slowdown.
- */
+/** Routes pinned address ranges to a "fast" backend, rest to "slow". */
 class RegionRouter : public MemoryBackend
 {
   public:
@@ -37,12 +29,7 @@ class RegionRouter : public MemoryBackend
     /** Pin [lo, hi) to the fast backend. */
     void pinRegion(Addr lo, Addr hi);
 
-    /** Re-route timed-out slow-backend requests to the fast one. */
-    void enableFailover(bool on = true) { failover_ = on; }
-
-    AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
-    void rasReport(std::vector<ras::RasReportEntry> *out)
-        const override;
+    Tick access(Addr addr, ReqType type, Tick now) override;
     const std::string &name() const override { return name_; }
 
     /** Fraction of requests that were served by the fast backend. */
@@ -63,8 +50,6 @@ class RegionRouter : public MemoryBackend
     std::vector<Region> regions_;
     std::uint64_t fastHits_ = 0;
     std::uint64_t total_ = 0;
-    bool failover_ = false;
-    ras::RasStats rstats_;
 };
 
 }  // namespace cxlsim::mem

@@ -19,8 +19,8 @@ TieringBackend::TieringBackend(std::string name, BackendPtr fast,
                "page smaller than a line");
 }
 
-AccessResult
-TieringBackend::accessEx(Addr addr, ReqType type, Tick now)
+Tick
+TieringBackend::access(Addr addr, ReqType type, Tick now)
 {
     note(type);
     if (now >= nextEpoch_) {
@@ -39,18 +39,7 @@ TieringBackend::accessEx(Addr addr, ReqType type, Tick now)
     }
 
     MemoryBackend &target = info.fast ? *fast_ : *slow_;
-    AccessResult r = target.accessEx(addr, type, now);
-    if (!info.fast && failover_ &&
-        r.status == ras::Status::kTimeout) {
-        // Slow tier unresponsive: serve the line from the fast
-        // tier (no residency change — the migration policy keeps
-        // owning placement) and record the degradation.
-        const AccessResult f = fast_->accessEx(addr, type, r.done);
-        ++rstats_.failovers;
-        rstats_.failoverExtraNs += ticksToNs(r.done - now);
-        r = f;
-    }
-    const Tick done = r.done;
+    const Tick done = target.access(addr, type, now);
 
     ++info.accesses;
     // Latency cost the core actually suffers: demand stalls
@@ -65,16 +54,24 @@ TieringBackend::accessEx(Addr addr, ReqType type, Tick now)
         ++tstats_.fastAccesses;
     else
         ++tstats_.slowAccesses;
-    return r;
+    return done;
 }
 
 void
-TieringBackend::rasReport(std::vector<ras::RasReportEntry> *out) const
+TieringBackend::copyPage(MemoryBackend &from, MemoryBackend &to,
+                         std::uint64_t page, Tick now)
 {
-    if (rstats_.any())
-        out->push_back({name_ + "/failover", rstats_});
-    fast_->rasReport(out);
-    slow_->rasReport(out);
+    // Sampled at 1/8 of the page to keep epoch cost realistic for
+    // partially dirty pages. Migration traffic models the page-copy
+    // engine's bandwidth cost only, so its completions are unused.
+    const Addr base = page * cfg_.pageBytes;
+    const std::uint64_t linesPerPage = cfg_.pageBytes / kCacheLineBytes;
+    for (std::uint64_t l = 0; l < linesPerPage; l += 128) {
+        (void)from.access(base + l * kCacheLineBytes,
+                          ReqType::kDemandLoad, now);
+        (void)to.access(base + l * kCacheLineBytes,
+                        ReqType::kWriteback, now);
+    }
 }
 
 void
@@ -111,8 +108,6 @@ TieringBackend::runEpoch(Tick now)
     // lowest-ranked fast pages, up to the per-epoch migration cap.
     unsigned migrated = 0;
     std::size_t loser = ranked.size();
-    const std::uint64_t linesPerPage =
-        cfg_.pageBytes / kCacheLineBytes;
     for (std::size_t i = 0;
          i < ranked.size() && i < fastPageBudget_ &&
          migrated < cfg_.migrationsPerEpoch;
@@ -133,34 +128,15 @@ TieringBackend::runEpoch(Tick now)
             victim.fast = false;
             --fastPagesUsed_;
             ++tstats_.demotions;
-            // Demotion traffic: read fast, write slow (sampled at
-            // 1/8 of the page to keep epoch cost realistic for
-            // partially dirty pages).
-            // Migration traffic models the page-copy engine's
-            // bandwidth cost only; its completion status is owned
-            // by the demand path that next touches the page, so
-            // the status-less calls are intentional here.
-            const Addr vBase = ranked[loser].second * cfg_.pageBytes;
-            for (std::uint64_t l = 0; l < linesPerPage; l += 128) {
-                fast_->access(vBase + l * kCacheLineBytes,  // lint:allow(ras-plain-call: migration traffic models bandwidth only)
-                              ReqType::kDemandLoad, now);
-                slow_->access(vBase + l * kCacheLineBytes,  // lint:allow(ras-plain-call: migration traffic models bandwidth only)
-                              ReqType::kWriteback, now);
-            }
+            // Demotion traffic: read fast, write slow.
+            copyPage(*fast_, *slow_, ranked[loser].second, now);
         }
         winner.fast = true;
         ++fastPagesUsed_;
         ++migrated;
         ++tstats_.promotions;
-        // Promotion traffic: read slow, write fast (status-less by
-        // design, as for demotions above).
-        const Addr wBase = ranked[i].second * cfg_.pageBytes;
-        for (std::uint64_t l = 0; l < linesPerPage; l += 128) {
-            slow_->access(wBase + l * kCacheLineBytes,  // lint:allow(ras-plain-call: migration traffic models bandwidth only)
-                          ReqType::kDemandLoad, now);
-            fast_->access(wBase + l * kCacheLineBytes,  // lint:allow(ras-plain-call: migration traffic models bandwidth only)
-                          ReqType::kWriteback, now);
-        }
+        // Promotion traffic: read slow, write fast.
+        copyPage(*slow_, *fast_, ranked[i].second, now);
     }
 
     // Exponential decay keeps history while favouring recency.

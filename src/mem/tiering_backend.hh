@@ -80,12 +80,7 @@ class TieringBackend : public MemoryBackend
     TieringBackend(std::string name, BackendPtr fast,
                    BackendPtr slow, const Config &cfg);
 
-    /** Serve timed-out slow-tier requests from the fast tier. */
-    void enableFailover(bool on = true) { failover_ = on; }
-
-    AccessResult accessEx(Addr addr, ReqType type, Tick now) override;
-    void rasReport(std::vector<ras::RasReportEntry> *out)
-        const override;
+    Tick access(Addr addr, ReqType type, Tick now) override;
     const std::string &name() const override { return name_; }
 
     const TieringStats &tieringStats() const { return tstats_; }
@@ -100,6 +95,9 @@ class TieringBackend : public MemoryBackend
 
     /** Run the migration policy at an epoch boundary. */
     void runEpoch(Tick now);
+    /** Copy one page's sampled lines from @p from to @p to. */
+    void copyPage(MemoryBackend &from, MemoryBackend &to,
+                  std::uint64_t page, Tick now);
 
     std::string name_;
     BackendPtr fast_;
@@ -111,8 +109,6 @@ class TieringBackend : public MemoryBackend
     std::uint64_t fastPageBudget_;
     Tick nextEpoch_;
     TieringStats tstats_;
-    bool failover_ = false;
-    ras::RasStats rstats_;
 };
 
 }  // namespace cxlsim::mem

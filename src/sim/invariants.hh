@@ -26,7 +26,7 @@
  *   counters/l3-subset      pf+demand L3 misses <= LLC miss count
  *   counters/conservation   backend reads/writes == hierarchy
  *                           demand+prefetch+RFO / writeback counts
- *   cxl/completion-order    serviceEx completion >= arrival
+ *   cxl/completion-order    service() completion >= arrival
  *   cxl/utilization-bounds  controller utilization in [0, 1]
  *   queue/pf-occupancy      prefetch in-flight queues <= budget
  *

@@ -18,7 +18,7 @@ namespace cxlsim {
 
 /**
  * Invalid user-supplied configuration (bad CLI flag, out-of-range
- * profile parameter, malformed fault-plan spec). Thrown instead of
+ * profile parameter, unknown memory setup). Thrown instead of
  * aborting so front ends can print a usage message and exit
  * cleanly; SIM_PANIC remains reserved for internal invariants.
  */

@@ -6,15 +6,9 @@
 
 namespace fixture {
 
-struct Result
-{
-    long done;
-    int status;
-};
-
 struct Backend
 {
-    Result accessEx(long addr, int type, long now);
+    long access(long addr, int type, long now);
 };
 
 // Ordered containers iterate deterministically.
@@ -26,10 +20,10 @@ emitAll(Backend &b)
     double sum = 0.0;
     for (const auto &[k, v] : table_)
         sum += v;
-    const Result r = b.accessEx(0, 0, 0);
-    if (r.status != 0)
+    const long done = b.access(0, 0, 0);
+    if (done < 0)
         return -1.0;
-    return sum + static_cast<double>(r.done);
+    return sum + static_cast<double>(done);
 }
 
 }  // namespace fixture

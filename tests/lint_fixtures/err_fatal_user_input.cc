@@ -1,5 +1,5 @@
 // Fixture: err-fatal-user-input fires on SIM_FATAL in config
-// parsing (virtual path src/ras/fault_plan_util.cc).
+// parsing (virtual path src/cxl/device_profile_util.cc).
 #define SIM_FATAL_DEFINED_ELSEWHERE 1
 
 namespace fixture {

@@ -1,17 +1,16 @@
 /**
- * Fixture: reasoned lint:allow on the flow rules — every violation
- * in this file is suppressed and carries a reason that the engine
- * must surface (see the suppressions array in --json).
- * Virtual path: src/mem/fixture.cc.
+ * Fixture: reasoned lint:allow — every violation in this file is
+ * suppressed and carries a reason that the engine must surface (see
+ * the suppressions array in --json). Virtual path: src/mem/fixture.cc.
  */
 
 namespace fixture {
 
-void
-probe(MemBackend *b)
+int
+probe()
 {
-    // lint:allow(ras-status-flow: warm-up probe, result intentionally unused)
-    ras::Status st = b->accessEx(1);
+    // lint:allow(det-banned-call: warm-up probe, value never reaches output)
+    return rand();
 }
 
 void

@@ -20,7 +20,7 @@ lineAbove()
 int
 wrongRule()
 {
-    // lint:allow(ras-plain-call) — does not cover this rule
+    // lint:allow(det-static-local) — does not cover this rule
     return rand();  // VIOLATION line 24: still fires
 }
 

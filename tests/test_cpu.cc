@@ -1486,13 +1486,13 @@ class JitterGridBackend : public mem::MemoryBackend
   public:
     static constexpr Tick kGrid = 50'000;
 
-    mem::AccessResult
-    accessEx(Addr addr, mem::ReqType type, Tick now) override
+    Tick
+    access(Addr addr, mem::ReqType type, Tick now) override
     {
         note(type);
         issues.emplace_back(now, addr >> 32);
         const Tick steps = 1 + (addr / kCacheLineBytes) % 4;
-        return {(now / kGrid + steps) * kGrid, ras::Status::kOk};
+        return (now / kGrid + steps) * kGrid;
     }
 
     const std::string &name() const override { return name_; }

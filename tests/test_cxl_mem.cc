@@ -25,10 +25,8 @@
 #include "mem/numa_backend.hh"
 #include "mem/region_router.hh"
 #include "mem/tiering_backend.hh"
-#include "ras/fault_plan.hh"
-#include "ras/ras.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "stats/json.hh"
 
 using namespace cxlsim;
 using namespace cxlsim::mem;
@@ -54,20 +52,20 @@ idleLatencyNs(MemoryBackend *b, int n = 4000,
 }
 
 /** A backend whose every access completes a fixed delay after its
- *  issue with a fixed status, recording what it was asked for. */
+ *  issue, recording what it was asked for. */
 class ScriptedBackend : public MemoryBackend
 {
   public:
-    ScriptedBackend(double latencyNs, ras::Status status)
-        : latency_(nsToTicks(latencyNs)), status_(status)
+    explicit ScriptedBackend(double latencyNs)
+        : latency_(nsToTicks(latencyNs))
     {}
 
-    AccessResult
-    accessEx(Addr addr, ReqType type, Tick now) override
+    Tick
+    access(Addr addr, ReqType type, Tick now) override
     {
         note(type);
         seen.emplace_back(addr, now);
-        return {now + latency_, status_};
+        return now + latency_;
     }
 
     const std::string &name() const override { return name_; }
@@ -77,16 +75,15 @@ class ScriptedBackend : public MemoryBackend
 
   private:
     Tick latency_;
-    ras::Status status_;
     std::string name_ = "scripted";
 };
 
 /** Make a ScriptedBackend, keeping a pointer to it for inspection
  *  after ownership moves into a composite backend. */
 BackendPtr
-scripted(double latencyNs, ras::Status status, ScriptedBackend **out)
+scripted(double latencyNs, ScriptedBackend **out)
 {
-    auto b = std::make_unique<ScriptedBackend>(latencyNs, status);
+    auto b = std::make_unique<ScriptedBackend>(latencyNs);
     *out = b.get();
     return b;
 }
@@ -268,7 +265,7 @@ TEST(CxlDevice, HiccupStatsAccumulate)
     Tick now = 0;
     for (int i = 0; i < 20000; ++i) {
         const Tick done =
-            dev.readEx(r.below(1 << 20) * kCacheLineBytes, now).done;
+            dev.read(r.below(1 << 20) * kCacheLineBytes, now);
         now = done + nsToTicks(5);
     }
     EXPECT_GT(dev.controllerStats().hiccups, 10u);
@@ -409,8 +406,7 @@ TEST(Pool, SingleHeadMatchesPlainDevice)
     const int n = 3000;
     for (int i = 0; i < n; ++i) {
         const Tick done =
-            pool.readEx(0, r.below(1 << 21) * kCacheLineBytes, now)
-                .done;
+            pool.read(0, r.below(1 << 21) * kCacheLineBytes, now);
         sum += ticksToNs(done - now);
         now = done + nsToTicks(2);
     }
@@ -431,12 +427,11 @@ TEST(Pool, CreditsThrottleOnlyUnderContention)
     // its own admission defers while head 0 stays unaffected.
     Tick now = usToTicks(100);
     for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(pool.readEx(1, static_cast<Addr>(i) * kCacheLineBytes,
-                              now)
-                      .status,
-                  ras::Status::kOk);
+        EXPECT_GT(pool.read(1, static_cast<Addr>(i) * kCacheLineBytes,
+                            now),
+                  now);
     // Mark head 0 active -> contended.
-    EXPECT_EQ(pool.readEx(0, 0, now).status, ras::Status::kOk);
+    EXPECT_GT(pool.read(0, 0, now), now);
     EXPECT_GT(pool.earliestAdmission(1, now + 1), now + 1);
     EXPECT_EQ(pool.earliestAdmission(0, now + 1), now + 1);
 }
@@ -450,12 +445,9 @@ TEST(Pool, WeightedSharesFavorHeavierHead)
     Tick now = usToTicks(10);
     // Both heads active and loaded.
     for (int i = 0; i < 64; ++i) {
-        EXPECT_EQ(pool.readEx(0, static_cast<Addr>(i) * 64, now).status,
-                  ras::Status::kOk);
-        EXPECT_EQ(
-            pool.readEx(1, static_cast<Addr>(i) * 64 + (1 << 20), now)
-                .status,
-            ras::Status::kOk);
+        EXPECT_GT(pool.read(0, static_cast<Addr>(i) * 64, now), now);
+        EXPECT_GT(pool.read(1, static_cast<Addr>(i) * 64 + (1 << 20), now),
+                  now);
     }
     // Head 0 (weight 3) has more credits: its admission defers
     // less than head 1's.
@@ -468,9 +460,9 @@ TEST(Pool, StatsAccumulatePerHead)
 {
     cxl::PooledCxlDevice pool(cxl::cxlA(), 2,
                               cxl::PoolArbitration::kNone, 3);
-    EXPECT_EQ(pool.readEx(0, 0, 0).status, ras::Status::kOk);
-    EXPECT_EQ(pool.writeEx(1, 64, 0).status, ras::Status::kOk);
-    EXPECT_EQ(pool.writeEx(1, 128, 0).status, ras::Status::kOk);
+    EXPECT_GT(pool.read(0, 0, 0), 0u);
+    EXPECT_GT(pool.write(1, 64, 0), 0u);
+    EXPECT_GT(pool.write(1, 128, 0), 0u);
     EXPECT_EQ(pool.headStats(0).reads, 1u);
     EXPECT_EQ(pool.headStats(0).writes, 0u);
     EXPECT_EQ(pool.headStats(1).writes, 2u);
@@ -482,8 +474,8 @@ TEST(Pool, HeadOutOfRangeDies)
     // head == heads would index past every per-head vector.
     cxl::PooledCxlDevice pool(cxl::cxlA(), 2,
                               cxl::PoolArbitration::kRoundRobin, 3);
-    EXPECT_DEATH((void)pool.readEx(2, 0, 0), "head out of range");
-    EXPECT_DEATH((void)pool.writeEx(2, 0, 0), "head out of range");
+    EXPECT_DEATH((void)pool.read(2, 0, 0), "head out of range");
+    EXPECT_DEATH((void)pool.write(2, 0, 0), "head out of range");
     EXPECT_DEATH(pool.earliestAdmission(2, 0), "head out of range");
 }
 
@@ -493,7 +485,7 @@ TEST(CxlDevice, PostedWritesOverlapCommandAndData)
     // completion is bounded below by both paths but far less than
     // their sum.
     cxl::CxlDevice dev(cxl::cxlA(), 41);
-    const Tick done = dev.writeEx(4096, 0).done;
+    const Tick done = dev.write(4096, 0);
     const double ns = ticksToNs(done);
     EXPECT_GT(ns, 100.0);  // controller + DRAM + links
     EXPECT_LT(ns, 400.0);  // no serial double-charge
@@ -507,10 +499,10 @@ TEST(CxlDevice, WriteThroughputMatchesReadOrder)
     Tick lastR = 0, lastW = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
-        lastR = dev.readEx(static_cast<Addr>(i) * 64, 0).done;
+        lastR = dev.read(static_cast<Addr>(i) * 64, 0);
     cxl::CxlDevice dev2(cxl::cxlA(), 43);
     for (int i = 0; i < n; ++i)
-        lastW = dev2.writeEx(static_cast<Addr>(i) * 64, 0).done;
+        lastW = dev2.write(static_cast<Addr>(i) * 64, 0);
     const double rBw = n * 64.0 / ticksToNs(lastR);
     const double wBw = n * 64.0 / ticksToNs(lastW);
     EXPECT_NEAR(wBw, rBw, rBw * 0.5);
@@ -520,8 +512,8 @@ TEST(CxlDevice, SwitchesForwardInBothDirections)
 {
     cxl::CxlDevice direct(cxl::cxlA(), 47, 0);
     cxl::CxlDevice switched(cxl::cxlA(), 47, 1);
-    const Tick d0 = direct.readEx(0, 0).done;
-    const Tick d1 = switched.readEx(0, 0).done;
+    const Tick d0 = direct.read(0, 0);
+    const Tick d1 = switched.read(0, 0);
     // Two switch traversals (request + response).
     EXPECT_NEAR(ticksToNs(d1 - d0), 2 * 150.0, 40.0);
 }
@@ -530,9 +522,9 @@ TEST(Backends, WritebacksCountAsWrites)
 {
     melody::Platform lp("EMR2S", "CXL-A");
     auto be = lp.makeBackend(53);
-    be->access(0, ReqType::kWriteback, 0);
-    be->access(64, ReqType::kWriteback, 0);
-    be->access(128, ReqType::kDemandLoad, 0);
+    EXPECT_GT(be->access(0, ReqType::kWriteback, 0), 0u);
+    EXPECT_GT(be->access(64, ReqType::kWriteback, 0), 0u);
+    EXPECT_GT(be->access(128, ReqType::kDemandLoad, 0), 0u);
     EXPECT_EQ(be->stats().writes, 2u);
     EXPECT_EQ(be->stats().reads, 1u);
     EXPECT_NEAR(be->stats().totalGB(), 3 * 64.0 / 1e9, 1e-12);
@@ -540,105 +532,70 @@ TEST(Backends, WritebacksCountAsWrites)
 
 TEST(Backends, AccessIsAccessExDone)
 {
-    // access() is a forwarder over the one entry point a backend
-    // implements: on every setup the Platform builds, with faults
-    // armed, the status-less path must see the same completions and
-    // leave the same RAS counters as accessEx().
+    // accessEx() survives only as a forwarder over access() for the
+    // benchmark's TimingBackend: on every setup the Platform builds,
+    // it must see the same completions and counts as access().
     const char *const setups[] = {
         "Local", "NUMA",         "CXL-A",   "CXL-B",     "CXL-C",
         "CXL-D", "CXL-A+Switch", "CXL-Dx2", "CXL-A+NUMA"};
-    // Rates high enough that a few thousand requests see CRC
-    // replays and lost flits, corrected and poisoned lines, and a
-    // device that goes offline and comes back; the second plan
-    // adds the failover router.
-    const char *const plans[] = {
-        "crc=2e-2,maxreplay=1,ce=1e-2,ue=5e-3,scrub=20us,"
-        "offline@100us:dev0,recover@200us:dev0",
-        "crc=2e-2,maxreplay=1,ce=1e-2,ue=5e-3,scrub=20us,"
-        "offline@100us:dev0,recover@200us:dev0,failover"};
     const ReqType types[] = {ReqType::kDemandLoad, ReqType::kL1Prefetch,
                              ReqType::kL2Prefetch, ReqType::kRfo,
                              ReqType::kWriteback};
-    for (const char *spec : plans) {
-        for (const char *setup : setups) {
-            SCOPED_TRACE(std::string(setup) + " / " + spec);
-            melody::Platform plat("EMR2S", setup);
-            plat.setFaultPlan(ras::parseFaultPlan(spec));
-            auto plain = plat.makeBackend(61);
-            auto ex = plat.makeBackend(61);
+    for (const char *setup : setups) {
+        SCOPED_TRACE(setup);
+        melody::Platform plat("EMR2S", setup);
+        auto plain = plat.makeBackend(61);
+        auto ex = plat.makeBackend(61);
 
-            Rng r(67);
-            Tick now = 0;
-            std::uint64_t faulted = 0;
-            for (int i = 0; i < 3000; ++i) {
-                const Addr a = r.below(1 << 22) * kCacheLineBytes;
-                const ReqType t = types[r.below(5)];
-                const Tick done = plain->access(a, t, now);
-                const AccessResult res = ex->accessEx(a, t, now);
-                ASSERT_EQ(done, res.done) << "request " << i;
-                faulted += res.status != ras::Status::kOk;
-                now += nsToTicks(40.0 + static_cast<double>(r.below(80)));
-            }
-
-            std::vector<ras::RasReportEntry> rp, rx;
-            plain->rasReport(&rp);
-            ex->rasReport(&rx);
-            ASSERT_EQ(rp.size(), rx.size());
-            for (std::size_t i = 0; i < rp.size(); ++i) {
-                // Every counter, via the report's JSON form; the
-                // one double is compared exactly on its own.
-                EXPECT_EQ(rp[i].name, rx[i].name);
-                stats::JsonWriter wp, wx;
-                rp[i].stats.writeJson(&wp);
-                rx[i].stats.writeJson(&wx);
-                EXPECT_EQ(wp.str(), wx.str()) << rp[i].name;
-                EXPECT_EQ(rp[i].stats.failoverExtraNs,
-                          rx[i].stats.failoverExtraNs);
-            }
-            // The plan must reach every CXL device, or this test
-            // proves nothing about the fault paths.
-            if (std::string(setup).rfind("CXL", 0) == 0) {
-                ras::RasStats total;
-                for (const auto &e : rx)
-                    total += e.stats;
-                EXPECT_GT(total.injected(), 0u);
-                EXPECT_GT(total.offlineEntries, 0u);
-                EXPECT_GT(faulted + total.failovers, 0u);
-            }
+        Rng r(67);
+        Tick now = 0;
+        for (int i = 0; i < 3000; ++i) {
+            const Addr a = r.below(1 << 22) * kCacheLineBytes;
+            const ReqType t = types[r.below(5)];
+            const Tick done = plain->access(a, t, now);
+            ASSERT_EQ(done, ex->accessEx(a, t, now).done)
+                << "request " << i;
+            now += nsToTicks(40.0 + static_cast<double>(r.below(80)));
         }
+        EXPECT_EQ(plain->stats().reads, ex->stats().reads);
+        EXPECT_EQ(plain->stats().writes, ex->stats().writes);
+
+        std::vector<ras::RasReportEntry> report;
+        ex->rasReport(&report);
+        EXPECT_TRUE(report.empty());
     }
 }
 
-TEST(Backends, AccessExIsTheOneEntryPoint)
+TEST(Backends, AccessIsTheOneEntryPoint)
 {
-    // Besides name(), accessEx() is the one pure virtual: a backend
-    // without it cannot be instantiated, and with it access() comes
-    // for free as its forwarder.
+    // Besides name(), access() is the one pure virtual: a backend
+    // without it cannot be instantiated, and one with only access()
+    // and name() is concrete.
     struct NameOnly : MemoryBackend
     {
         const std::string &name() const override { return name_; }
         std::string name_;
     };
-    struct WithAccessEx : MemoryBackend
+    struct WithAccess : MemoryBackend
     {
-        AccessResult
-        accessEx(Addr, ReqType, Tick now) override
+        Tick
+        access(Addr, ReqType, Tick now) override
         {
-            return {now + 7, ras::Status::kPoisoned};
+            return now + 7;
         }
         const std::string &name() const override { return name_; }
         std::string name_;
     };
     static_assert(std::is_abstract_v<NameOnly>);
-    static_assert(!std::is_abstract_v<WithAccessEx>);
-    WithAccessEx b;
+    static_assert(!std::is_abstract_v<WithAccess>);
+    WithAccess b;
     EXPECT_EQ(b.access(0, ReqType::kDemandLoad, 5), 12u);
 }
 
 TEST(Backends, CxlBackendIsHostOverheadPlusDevice)
 {
-    // Without a fault plan, CxlBackend adds the root-port overhead
-    // to the issue tick and returns the device's result unchanged.
+    // CxlBackend adds the root-port overhead to the issue tick and
+    // returns the device's completion unchanged.
     CxlBackendConfig cfg;
     cfg.profile = cxl::cxlB();
     cfg.seed = 71;
@@ -651,35 +608,31 @@ TEST(Backends, CxlBackendIsHostOverheadPlusDevice)
     for (int i = 0; i < 2000; ++i) {
         const Addr a = r.below(1 << 22) * kCacheLineBytes;
         const bool read = r.chance(0.7);
-        const AccessResult got = be.accessEx(
+        const Tick got = be.access(
             a, read ? ReqType::kDemandLoad : ReqType::kWriteback, now);
-        const AccessResult want = read ? twin.readEx(a, now + overhead)
-                                       : twin.writeEx(a, now + overhead);
-        ASSERT_EQ(got.done, want.done) << "request " << i;
-        ASSERT_EQ(got.status, want.status) << "request " << i;
+        const Tick want = read ? twin.read(a, now + overhead)
+                               : twin.write(a, now + overhead);
+        ASSERT_EQ(got, want) << "request " << i;
         now += nsToTicks(30.0 + static_cast<double>(r.below(60)));
     }
     EXPECT_EQ(be.stats().requests(), 2000u);
 }
 
-TEST(Backends, InterleavedForwardsTargetStatus)
+TEST(Backends, InterleavedForwardsTargetCompletion)
 {
     // Each line goes to one target at its device-local address, and
-    // that target's completion and status come back as they are.
+    // that target's completion comes back as it is.
     ScriptedBackend *t0 = nullptr, *t1 = nullptr;
     std::vector<BackendPtr> targets;
-    targets.push_back(scripted(100.0, ras::Status::kOk, &t0));
-    targets.push_back(scripted(200.0, ras::Status::kPoisoned, &t1));
+    targets.push_back(scripted(100.0, &t0));
+    targets.push_back(scripted(200.0, &t1));
     InterleavedBackend be("x2", std::move(targets));
 
     const Tick now = nsToTicks(1000);
     for (Addr line = 0; line < 4; ++line) {
-        const AccessResult res = be.accessEx(line * kCacheLineBytes,
-                                             ReqType::kDemandLoad, now);
-        const bool odd = line % 2;
-        EXPECT_EQ(res.done, now + nsToTicks(odd ? 200.0 : 100.0));
-        EXPECT_EQ(res.status,
-                  odd ? ras::Status::kPoisoned : ras::Status::kOk);
+        const Tick done = be.access(line * kCacheLineBytes,
+                                    ReqType::kDemandLoad, now);
+        EXPECT_EQ(done, now + nsToTicks(line % 2 ? 200.0 : 100.0));
     }
     using Seen = std::vector<std::pair<Addr, Tick>>;
     EXPECT_EQ(t0->seen, (Seen{{0, now}, {kCacheLineBytes, now}}));
@@ -687,97 +640,70 @@ TEST(Backends, InterleavedForwardsTargetStatus)
     EXPECT_EQ(be.stats().reads, 4u);
 }
 
-TEST(RegionRouter, AccessExForwardsEachSidesStatus)
+TEST(RegionRouter, AccessForwardsEachSidesCompletion)
 {
-    // Pinned lines carry the fast side's result, the rest the slow
-    // side's; without failover nothing is re-routed, not even a
-    // timeout.
+    // Pinned lines carry the fast side's completion, the rest the
+    // slow side's.
     ScriptedBackend *fast = nullptr, *slow = nullptr;
-    RegionRouter router(
-        "pin", scripted(100.0, ras::Status::kPoisoned, &fast),
-        scripted(300.0, ras::Status::kTimeout, &slow));
+    RegionRouter router("pin", scripted(100.0, &fast),
+                        scripted(300.0, &slow));
     router.pinRegion(0, 4096);
 
-    const AccessResult p =
-        router.accessEx(64, ReqType::kDemandLoad, nsToTicks(10));
-    EXPECT_EQ(p.done, nsToTicks(110));
-    EXPECT_EQ(p.status, ras::Status::kPoisoned);
-    const AccessResult u =
-        router.accessEx(8192, ReqType::kRfo, nsToTicks(10));
-    EXPECT_EQ(u.done, nsToTicks(310));
-    EXPECT_EQ(u.status, ras::Status::kTimeout);
-
-    EXPECT_EQ(fast->seen.size(), 1u);
-    EXPECT_EQ(slow->seen.size(), 1u);
-    std::vector<ras::RasReportEntry> rep;
-    router.rasReport(&rep);
-    EXPECT_TRUE(rep.empty());
-}
-
-TEST(RegionRouter, FailoverReissuesTimeoutsOnFast)
-{
-    // A slow-side timeout is re-issued on the fast side at the tick
-    // the wait ended; the wasted wait is the failover's extra time.
-    ScriptedBackend *fast = nullptr, *slow = nullptr;
-    RegionRouter router("pin", scripted(100.0, ras::Status::kOk, &fast),
-                        scripted(500.0, ras::Status::kTimeout, &slow));
-    router.enableFailover();
-
-    const AccessResult res =
-        router.accessEx(8192, ReqType::kDemandLoad, 0);
-    EXPECT_EQ(res.done, nsToTicks(600));
-    EXPECT_EQ(res.status, ras::Status::kOk);
+    EXPECT_EQ(router.access(64, ReqType::kDemandLoad, nsToTicks(10)),
+              nsToTicks(110));
+    EXPECT_EQ(router.access(8192, ReqType::kRfo, nsToTicks(10)),
+              nsToTicks(310));
     using Seen = std::vector<std::pair<Addr, Tick>>;
-    EXPECT_EQ(slow->seen, (Seen{{8192, 0}}));
-    EXPECT_EQ(fast->seen, (Seen{{8192, nsToTicks(500)}}));
-
-    std::vector<ras::RasReportEntry> rep;
-    router.rasReport(&rep);
-    ASSERT_EQ(rep.size(), 1u);
-    EXPECT_EQ(rep[0].name, "pin/failover");
-    EXPECT_EQ(rep[0].stats.failovers, 1u);
-    EXPECT_DOUBLE_EQ(rep[0].stats.failoverExtraNs, 500.0);
+    EXPECT_EQ(fast->seen, (Seen{{64, nsToTicks(10)}}));
+    EXPECT_EQ(slow->seen, (Seen{{8192, nsToTicks(10)}}));
+    EXPECT_DOUBLE_EQ(router.fastFraction(), 0.5);
 }
 
-TEST(Tiering, AccessExForwardsTierStatusAndFailsOver)
+TEST(Tiering, AccessForwardsTierCompletion)
 {
     // One fast page: the first page touched lands there, the next
-    // one on the slow tier, whose timeout surfaces as is until
-    // failover serves it from the fast tier.
+    // one on the slow tier, and each access returns its tier's
+    // completion.
     ScriptedBackend *fast = nullptr, *slow = nullptr;
     TieringBackend::Config cfg;
     cfg.policy = TieringPolicy::kStatic;
     cfg.pageBytes = 1 << 20;
     cfg.fastCapacityBytes = 1 << 20;
-    TieringBackend be("t", scripted(100.0, ras::Status::kPoisoned, &fast),
-                      scripted(400.0, ras::Status::kTimeout, &slow),
-                      cfg);
+    TieringBackend be("t", scripted(100.0, &fast),
+                      scripted(400.0, &slow), cfg);
 
-    const AccessResult f = be.accessEx(0, ReqType::kDemandLoad, 0);
-    EXPECT_EQ(f.done, nsToTicks(100));
-    EXPECT_EQ(f.status, ras::Status::kPoisoned);
-    const AccessResult s =
-        be.accessEx(1 << 20, ReqType::kDemandLoad, nsToTicks(200));
-    EXPECT_EQ(s.done, nsToTicks(600));
-    EXPECT_EQ(s.status, ras::Status::kTimeout);
+    EXPECT_EQ(be.access(0, ReqType::kDemandLoad, 0), nsToTicks(100));
+    EXPECT_EQ(be.access(1 << 20, ReqType::kDemandLoad, nsToTicks(200)),
+              nsToTicks(600));
+    EXPECT_EQ(be.access(64, ReqType::kRfo, nsToTicks(1000)),
+              nsToTicks(1100));
+    EXPECT_EQ(fast->seen.size(), 2u);
+    EXPECT_EQ(slow->seen.size(), 1u);
+    EXPECT_EQ(be.tieringStats().fastAccesses, 2u);
+    EXPECT_EQ(be.tieringStats().slowAccesses, 1u);
+}
 
-    be.enableFailover();
-    const AccessResult fo =
-        be.accessEx(1 << 20, ReqType::kDemandLoad, nsToTicks(1000));
-    EXPECT_EQ(fo.done, nsToTicks(1500));
-    EXPECT_EQ(fo.status, ras::Status::kPoisoned);
-    EXPECT_EQ(fast->seen.back(),
-              (std::pair<Addr, Tick>{1 << 20, nsToTicks(1400)}));
-    EXPECT_EQ(slow->seen.size(), 2u);
+TEST(Validation, DeviceProfileBoundsAreChecked)
+{
+    cxl::DeviceProfile p = cxl::cxlA();
+    EXPECT_NO_THROW(p.validate());
 
-    EXPECT_EQ(be.tieringStats().fastAccesses, 1u);
-    EXPECT_EQ(be.tieringStats().slowAccesses, 2u);
-    std::vector<ras::RasReportEntry> rep;
-    be.rasReport(&rep);
-    ASSERT_EQ(rep.size(), 1u);
-    EXPECT_EQ(rep[0].name, "t/failover");
-    EXPECT_EQ(rep[0].stats.failovers, 1u);
-    EXPECT_DOUBLE_EQ(rep[0].stats.failoverExtraNs, 400.0);
+    p.hiccups.baseProb = 1.5;
+    EXPECT_THROW(p.validate(), ConfigError);
+
+    p = cxl::cxlB();
+    p.dramChannels = 0;
+    EXPECT_THROW(p.validate(), ConfigError);
+
+    p = cxl::cxlC();
+    p.thermal.throttleProb = -0.25;
+    EXPECT_THROW(p.validate(), ConfigError);
+
+    // A bad profile must fail loudly at backend construction.
+    mem::CxlBackendConfig cfg;
+    cfg.profile = cxl::cxlD();
+    cfg.profile.queueCapacity = 0;
+    EXPECT_THROW(mem::CxlBackend be(cfg), ConfigError);
 }
 
 TEST(RegionRouter, MultipleRegions)

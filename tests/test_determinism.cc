@@ -21,7 +21,6 @@
 
 #include "core/platform.hh"
 #include "core/slowdown.hh"
-#include "ras/fault_plan.hh"
 #include "sim/invariants.hh"
 #include "sim/parallel.hh"
 #include "workloads/suite.hh"
@@ -70,33 +69,8 @@ expectSameResult(const cpu::RunResult &a, const cpu::RunResult &b,
     EXPECT_EQ(a.counters.l2pfL3Hit, b.counters.l2pfL3Hit);
     EXPECT_EQ(a.counters.l2pfL3Miss, b.counters.l2pfL3Miss);
     EXPECT_EQ(a.counters.demandL3Miss, b.counters.demandL3Miss);
-    EXPECT_EQ(a.counters.machineChecks, b.counters.machineChecks);
-    EXPECT_EQ(a.counters.demandTimeouts, b.counters.demandTimeouts);
-    EXPECT_EQ(a.counters.prefetchDrops, b.counters.prefetchDrops);
     EXPECT_EQ(a.backendStats.reads, b.backendStats.reads);
     EXPECT_EQ(a.backendStats.writes, b.backendStats.writes);
-
-    // RAS reports must agree node-by-node, counter-by-counter.
-    ASSERT_EQ(a.ras.size(), b.ras.size());
-    for (std::size_t i = 0; i < a.ras.size(); ++i) {
-        EXPECT_EQ(a.ras[i].name, b.ras[i].name);
-        const ras::RasStats &x = a.ras[i].stats;
-        const ras::RasStats &y = b.ras[i].stats;
-        EXPECT_EQ(x.crcErrors, y.crcErrors);
-        EXPECT_EQ(x.linkReplays, y.linkReplays);
-        EXPECT_EQ(x.linkDownEvents, y.linkDownEvents);
-        EXPECT_EQ(x.corrected, y.corrected);
-        EXPECT_EQ(x.uncorrected, y.uncorrected);
-        EXPECT_EQ(x.poisonedReturns, y.poisonedReturns);
-        EXPECT_EQ(x.patrolScrubs, y.patrolScrubs);
-        EXPECT_EQ(x.refusedRequests, y.refusedRequests);
-        EXPECT_EQ(x.hostRetries, y.hostRetries);
-        EXPECT_EQ(x.hostTimeouts, y.hostTimeouts);
-        EXPECT_EQ(x.failovers, y.failovers);
-        EXPECT_EQ(x.failoverExtraNs, y.failoverExtraNs);
-        EXPECT_EQ(x.degradedEntries, y.degradedEntries);
-        EXPECT_EQ(x.offlineEntries, y.offlineEntries);
-    }
 }
 
 }  // namespace
@@ -122,44 +96,6 @@ TEST(Determinism, ParallelForThreadCountMatchesSerial)
         for (std::size_t i = 0; i < ws.size(); ++i)
             expectSameResult(ref[i], out[i],
                              ws[i].name + " @" +
-                                 std::to_string(threads) +
-                                 " threads");
-    }
-}
-
-TEST(Determinism, FaultPlanStableAcrossThreadCounts)
-{
-    // The determinism contract extends to fault injection: every
-    // fault process draws from its own seeded stream, so a fixed
-    // FaultPlan yields identical results (counters AND RasStats) no
-    // matter how many parallelFor workers schedule the runs.
-    const auto ws = smallSuite();
-    melody::Platform plat("EMR2S", "CXL-B");
-    plat.setFaultPlan(ras::parseFaultPlan(
-        "crc=3e-4,ce=2e-4,ue=5e-5,scrub=50us,failover"));
-
-    std::vector<cpu::RunResult> ref(ws.size());
-    for (std::size_t i = 0; i < ws.size(); ++i)
-        ref[i] = melody::runWorkload(ws[i], plat, /*seed=*/3);
-
-    // The plan must actually perturb the runs, or this test proves
-    // nothing.
-    ras::RasStats injected;
-    for (const auto &r : ref)
-        injected += r.rasTotal();
-    EXPECT_GT(injected.injected(), 0u);
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-        std::vector<cpu::RunResult> out(ws.size());
-        parallelFor(
-            ws.size(),
-            [&](std::size_t i) {
-                out[i] = melody::runWorkload(ws[i], plat, /*seed=*/3);
-            },
-            threads);
-        for (std::size_t i = 0; i < ws.size(); ++i)
-            expectSameResult(ref[i], out[i],
-                             ws[i].name + " faulted @" +
                                  std::to_string(threads) +
                                  " threads");
     }
@@ -317,28 +253,6 @@ TEST(Determinism, SerialRunsRecordNoInvariantViolations)
         for (const auto &w : smallSuite())
             (void)melody::runWorkload(w, plat, /*seed=*/1);
     }
-    EXPECT_FALSE(inv.failed());
-    for (const auto &v : inv.violations())
-        ADD_FAILURE() << v.invariant << " at " << v.where << ": "
-                      << v.values;
-}
-
-TEST(Determinism, FaultedSerialRunsRecordNoInvariantViolations)
-{
-    // Retries, poison and failover reorder backend completions;
-    // the counter and event-queue invariants must still hold.
-    melody::Platform plat("EMR2S", "CXL-B");
-    plat.setFaultPlan(ras::parseFaultPlan(
-        "crc=3e-4,ce=2e-4,ue=5e-5,scrub=50us,failover"));
-    sim::Invariants inv;
-    ras::RasStats injected;
-    {
-        sim::InvariantScope scope(&inv);
-        for (const auto &w : smallSuite())
-            injected +=
-                melody::runWorkload(w, plat, /*seed=*/3).rasTotal();
-    }
-    EXPECT_GT(injected.injected(), 0u);
     EXPECT_FALSE(inv.failed());
     for (const auto &v : inv.violations())
         ADD_FAILURE() << v.invariant << " at " << v.where << ": "

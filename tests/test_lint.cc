@@ -190,117 +190,6 @@ INSTANTIATE_TEST_SUITE_P(
                     ScopeCase{"src/cpu/multicore.cc", false}),
     scopeCaseName);
 
-/** Diagnostics of @p rule only: the flow fixtures are linted under
- *  real paths where other rules may also have something to say. */
-Expected
-onlyRule(const std::vector<Diagnostic> &diags, const std::string &rule)
-{
-    Expected out;
-    for (const auto &d : diags)
-        if (d.rule == rule)
-            out.emplace_back(d.rule, d.line);
-    return out;
-}
-
-class RasStatusFlowScope : public testing::TestWithParam<ScopeCase>
-{};
-
-TEST_P(RasStatusFlowScope, FiresOnlyInRasLayers)
-{
-    const auto diags = lintSource(GetParam().path,
-                                  fixture("ras_status_flow.cc"));
-    if (GetParam().scoped)
-        EXPECT_EQ(onlyRule(diags, "ras-status-flow"),
-                  (Expected{{"ras-status-flow", 14},
-                            {"ras-status-flow", 22}}));
-    else
-        EXPECT_TRUE(onlyRule(diags, "ras-status-flow").empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RealFiles, RasStatusFlowScope,
-    testing::Values(ScopeCase{"src/mem/cxl_backend.cc", true},
-                    ScopeCase{"src/mem/tiering_backend.cc", true},
-                    ScopeCase{"src/cxl/controller.cc", true},
-                    ScopeCase{"src/ras/ras.cc", true},
-                    ScopeCase{"src/sim/sweep.cc", false},
-                    ScopeCase{"src/cpu/multicore.cc", false},
-                    ScopeCase{"src/core/mlc.cc", false},
-                    ScopeCase{"tools/melody_cli.cc", false}),
-    scopeCaseName);
-
-// ---------------------------------------------------------------
-// Family 2: RAS-status hygiene.
-// ---------------------------------------------------------------
-
-TEST(LintRas, IgnoredStatusFiresOnDropAndVoidCast)
-{
-    const auto diags = lintSource("src/mem/fixture.cc",
-                                  fixture("ras_ignored_status.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"ras-ignored-status", 19},
-                        {"ras-ignored-status", 20}}));
-}
-
-TEST(LintRas, IgnoredStatusQuietOutsideRasLayers)
-{
-    const auto diags = lintSource("src/cpu/fixture.cc",
-                                  fixture("ras_ignored_status.cc"));
-    EXPECT_TRUE(diags.empty());
-}
-
-TEST(LintRas, PlainCallFiresOnPointerReceiver)
-{
-    const auto diags = lintSource("src/cxl/fixture.cc",
-                                  fixture("ras_plain_call.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"ras-plain-call", 19}}));
-}
-
-TEST(LintRas, PlainCallQuietInHeadersAndOtherLayers)
-{
-    // Headers define the status-less wrappers themselves (the
-    // header-hygiene rules still inspect the virtual .hh path, so
-    // only assert this rule's silence).
-    for (const auto &d : lintSource("src/cxl/fixture.hh",
-                                    fixture("ras_plain_call.cc")))
-        EXPECT_NE(d.rule, "ras-plain-call");
-    EXPECT_TRUE(lintSource("src/dram/fixture.cc",
-                           fixture("ras_plain_call.cc"))
-                    .empty());
-}
-
-// ---------------------------------------------------------------
-// Flow family: ras-status-flow (structural front end).
-// ---------------------------------------------------------------
-
-TEST(LintRasFlow, BoundStatusNeverReadFires)
-{
-    const auto diags = lintSource("src/mem/fixture.cc",
-                                  fixture("ras_status_flow.cc"));
-    EXPECT_EQ(ruleLines(diags),
-              (Expected{{"ras-status-flow", 14},
-                        {"ras-status-flow", 22}}));
-}
-
-TEST(LintRasFlow, OldCallSiteRuleMissesTheBoundDrop)
-{
-    // The acceptance case: binding the status satisfies the
-    // call-site rule (ras-ignored-status); only dataflow sees it
-    // was never read.
-    const auto diags = lintSource("src/mem/fixture.cc",
-                                  fixture("ras_status_flow.cc"));
-    for (const auto &d : diags)
-        EXPECT_NE(d.rule, "ras-ignored-status");
-}
-
-TEST(LintRasFlow, QuietOutsideRasLayers)
-{
-    const auto diags = lintSource("src/cpu/fixture.cc",
-                                  fixture("ras_status_flow.cc"));
-    EXPECT_TRUE(diags.empty());
-}
-
 // ---------------------------------------------------------------
 // Flow family: sig-async-safety.
 // ---------------------------------------------------------------
@@ -323,6 +212,20 @@ TEST(LintSigSafety, AppliesAcrossAllOfSrc)
     const auto diags = lintSource("src/mem/fixture.cc",
                                   fixture("sig_async_safety.cc"));
     EXPECT_EQ(diags.size(), 2u);
+}
+
+TEST(LintSigSafety, ClosureEntersEveryDefinitionShape)
+{
+    // The handler reaches a constructor whose member-initializer
+    // list ends in a brace initializer, a function with a trailing
+    // return type and an out-of-line const noexcept member; the
+    // deleted and defaulted members have no body to follow.
+    const auto diags = lintSource("src/sim/fixture.cc",
+                                  fixture("sig_async_safety_defs.cc"));
+    EXPECT_EQ(ruleLines(diags),
+              (Expected{{"sig-async-safety", 15},
+                        {"sig-async-safety", 30},
+                        {"sig-async-safety", 36}}));
 }
 
 // ---------------------------------------------------------------
@@ -392,7 +295,7 @@ TEST(LintArch, IncludeCycleDetectedOnceInFixtureTree)
 TEST(LintError, FatalOnUserInputPathFires)
 {
     const auto diags =
-        lintSource("src/ras/fault_plan_util.cc",
+        lintSource("src/cxl/device_profile_util.cc",
                    fixture("err_fatal_user_input.cc"));
     EXPECT_EQ(ruleLines(diags),
               (Expected{{"err-fatal-user-input", 11}}));
@@ -426,7 +329,7 @@ TEST(LintError, StrayStreamFineInToolsAndLogging)
 }
 
 // ---------------------------------------------------------------
-// Family 4: header hygiene.
+// Family 3: header hygiene.
 // ---------------------------------------------------------------
 
 TEST(LintHeader, GuardMismatchFires)
@@ -499,7 +402,7 @@ TEST(LintSuppression, AllowCoversSameLineAndLineAbove)
 
 TEST(LintSuppression, ReasonSyntaxIsRecordedPerRule)
 {
-    // src/mem/ is in scope for both flow rules.
+    // src/mem/ is in scope for both rules.
     const std::string path = "src/mem/fixture.cc";
     int suppressed = 0;
     std::vector<SuppressionNote> notes;
@@ -513,12 +416,12 @@ TEST(LintSuppression, ReasonSyntaxIsRecordedPerRule)
         EXPECT_FALSE(n.reason.empty())
             << n.rule << " note lost its reason";
         rules.push_back(n.rule);
-        if (n.rule == "ras-status-flow") {
+        if (n.rule == "det-banned-call") {
             EXPECT_EQ(n.reason,
-                      "warm-up probe, result intentionally unused");
+                      "warm-up probe, value never reaches output");
         }
     }
-    EXPECT_EQ(rules, (std::vector<std::string>{"ras-status-flow",
+    EXPECT_EQ(rules, (std::vector<std::string>{"det-banned-call",
                                                "sig-async-safety"}));
 }
 
@@ -572,7 +475,7 @@ TEST(LintReport, JsonHasStableKeysAndCounts)
     report.diags.push_back({"src/a.cc", 7, "det-banned-call",
                             melodylint::Severity::kError,
                             "msg with \"quotes\""});
-    report.suppressions.push_back({"src/b.cc", 9, "ras-status-flow",
+    report.suppressions.push_back({"src/b.cc", 9, "sig-async-safety",
                                    "probe result unused on purpose"});
     std::ostringstream os;
     melodylint::writeJsonReport(report, os);

@@ -36,17 +36,34 @@ TEST(Platform, NamesAndCpuMapping)
 
 TEST(Platform, AllSetupsConstructBackends)
 {
-    const char *mems[] = {"Local",        "NUMA",
-                          "CXL-A",        "CXL-B",
-                          "CXL-C",        "CXL-D",
-                          "CXL-A+NUMA",   "CXL-A+Switch",
-                          "CXL-B+Switch2", "CXL-Dx2"};
+    // Every name of melody's usage line, expanded.
+    const char *mems[] = {
+        "Local",        "NUMA",          "NUMA-140ns",    "NUMA-190ns",
+        "NUMA-410ns",   "CXL-A",         "CXL-B",         "CXL-C",
+        "CXL-D",        "CXL-A+NUMA",    "CXL-B+NUMA",    "CXL-C+NUMA",
+        "CXL-D+NUMA",   "CXL-A+Switch",  "CXL-B+Switch",  "CXL-C+Switch",
+        "CXL-D+Switch", "CXL-A+Switch2", "CXL-B+Switch2", "CXL-C+Switch2",
+        "CXL-D+Switch2", "CXL-Dx2"};
     for (const char *m : mems) {
         Platform p("EMR2S", m);
         auto be = p.makeBackend(1);
         ASSERT_NE(be, nullptr) << m;
         const Tick done = be->access(0, mem::ReqType::kDemandLoad, 0);
         EXPECT_GT(done, 0u) << m;
+        EXPECT_GT(melody::paperPeakGBps("EMR2S", m), 0.0) << m;
+    }
+}
+
+TEST(Platform, UnlistedMemoryNamesAreRejected)
+{
+    // A name that merely starts like a listed one is no setup.
+    for (const char *bad :
+         {"CXL-", "CXL-E", "CXL-Z", "CXL-A+", "CXL-A+Switch3",
+          "CXL-Dx2junk", "CXL-Dx2+NUMA", "NUMA-", "NUMA-abc", "NUMAx",
+          "Localx", "", "cxl-a"}) {
+        EXPECT_THROW(Platform("EMR2S", bad), ConfigError) << bad;
+        EXPECT_THROW(melody::paperPeakGBps("EMR2S", bad), ConfigError)
+            << bad;
     }
 }
 
@@ -265,12 +282,12 @@ class GridBackend : public mem::MemoryBackend
         : grid_(grid), regionBytes_(regionBytes)
     {}
 
-    mem::AccessResult
-    accessEx(Addr addr, mem::ReqType type, Tick now) override
+    Tick
+    access(Addr addr, mem::ReqType type, Tick now) override
     {
         note(type);
         issues.emplace_back(now, addr / regionBytes_);
-        return {completion(now), ras::Status::kOk};
+        return completion(now);
     }
 
     Tick completion(Tick now) const { return (now / grid_ + 2) * grid_; }
@@ -459,8 +476,7 @@ TEST(PlatformDeath, UnknownServerThrows)
 
 TEST(PlatformDeath, UnknownMemoryThrows)
 {
-    Platform p("EMR2S", "DDR9");
-    EXPECT_THROW(p.makeBackend(1), cxlsim::ConfigError);
+    EXPECT_THROW(Platform("EMR2S", "DDR9"), cxlsim::ConfigError);
 }
 
 TEST(SuiteDeath, UnknownWorkloadThrows)

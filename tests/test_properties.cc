@@ -119,13 +119,12 @@ TEST(LinkProperties, ByteAccountingExact)
     Rng rng(7);
     for (int i = 0; i < 1000; ++i) {
         const unsigned bytes = 8 + rng.below(120);
+        const Tick at = static_cast<Tick>(i) * 100;
         if (rng.chance(0.5)) {
-            EXPECT_FALSE(
-                l.sendEx(bytes, link::Dir::kToDevice, i * 100).lost);
+            EXPECT_GT(l.send(bytes, link::Dir::kToDevice, at), at);
             to += bytes;
         } else {
-            EXPECT_FALSE(
-                l.sendEx(bytes, link::Dir::kFromDevice, i * 100).lost);
+            EXPECT_GT(l.send(bytes, link::Dir::kFromDevice, at), at);
             from += bytes;
         }
     }

@@ -1,9 +1,8 @@
 /**
  * @file
  * Flow-aware melody-lint rules built on the structural front end
- * (structure.hh): RAS status dataflow and signal-handler
- * async-signal-safety. See DESIGN.md §13 for the
- * catalog and the rationale behind each family's scope.
+ * (structure.hh): signal-handler async-signal-safety. See DESIGN.md
+ * §13 for the catalog and the rationale behind each family's scope.
  */
 
 #include <cstddef>
@@ -41,129 +40,6 @@ isPlainCall(const Tokens &t, std::size_t i)
     if (kCallLikeKeywords.count(t[i].text))
         return false;
     return true;
-}
-
-// ---------------------------------------------------------------
-// ras-status-flow
-// ---------------------------------------------------------------
-
-/** Status-carrying types whose locals must be consumed. */
-bool
-isStatusType(const std::string &name)
-{
-    return name == "Status" || name == "AccessResult";
-}
-
-/** True when the identifier occurrence at @p i is a *read* of the
- *  variable: not member access on another object, and not the
- *  left-hand side of a plain reassignment. */
-bool
-occurrenceIsRead(const Tokens &t, std::size_t i)
-{
-    if (i > 0 && (isPunct(t, i - 1, ".") || isPunct(t, i - 1, "->") ||
-                  isPunct(t, i - 1, "::")))
-        return false;  // someone else's member of the same name
-    // `st = expr;` at statement start overwrites without reading.
-    if (isPunct(t, i + 1, "=") &&
-        (i == 0 || isPunct(t, i - 1, ";") || isPunct(t, i - 1, "{") ||
-         isPunct(t, i - 1, "}")))
-        return false;
-    return true;
-}
-
-/**
- * ras-status-flow — a ras::Status / AccessResult bound to a local
- * that is never read, branched on, passed or returned before its
- * scope exits is a dropped status: the fault it
- * may carry (poison, timeout, uncorrectable) vanishes exactly like
- * the call-site drops ras-ignored-status catches — one binding
- * later. Reassigning the variable does not count as a read.
- */
-void
-ruleRasStatusFlowImpl(const std::string &path, const Tokens &t,
-                      const FileStructure &fs, Sink *sink)
-{
-    if (!underDir(path, "src/mem/") && !underDir(path, "src/cxl/") &&
-        !underDir(path, "src/ras/"))
-        return;
-
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        // Declaration head: a status type name, or `auto` whose
-        // initializer is an *Ex call.
-        std::string var;
-        std::size_t nameIdx = 0;
-        if (t[i].kind == TokKind::kIdent && isStatusType(t[i].text)) {
-            // Qualified type (`ras::Status`) is fine; member access
-            // through a value (`x.Status`) is not a declaration.
-            if (i > 0 &&
-                (isPunct(t, i - 1, ".") || isPunct(t, i - 1, "->")))
-                continue;
-            std::size_t j = i + 1;
-            while (isPunct(t, j, "&") || isPunct(t, j, "*") ||
-                   isIdent(t, j, "const"))
-                ++j;
-            if (j >= t.size() || t[j].kind != TokKind::kIdent)
-                continue;
-            // Require declaration shape: `Type name =`, `Type
-            // name{`, `Type name(`, or `Type name;`.
-            if (!isPunct(t, j + 1, "=") && !isPunct(t, j + 1, "{") &&
-                !isPunct(t, j + 1, "(") && !isPunct(t, j + 1, ";"))
-                continue;
-            var = t[j].text;
-            nameIdx = j;
-        } else if (isIdent(t, i, "auto") &&
-                   i + 2 < t.size() &&
-                   t[i + 1].kind == TokKind::kIdent &&
-                   isPunct(t, i + 2, "=")) {
-            // `auto st = ...accessEx(...)` — only the *Ex initializer
-            // forms are known to yield a status.
-            bool exInit = false;
-            for (std::size_t k = i + 3;
-                 k < t.size() && !isPunct(t, k, ";"); ++k) {
-                if (t[k].kind == TokKind::kIdent &&
-                    (t[k].is("accessEx") || t[k].is("readEx") ||
-                     t[k].is("writeEx") || t[k].is("serviceEx")) &&
-                    isPunct(t, k + 1, "(")) {
-                    exInit = true;
-                    break;
-                }
-            }
-            if (!exInit)
-                continue;
-            var = t[i + 1].text;
-            nameIdx = i + 1;
-        } else {
-            continue;
-        }
-
-        // Locals only: the declaration must sit inside a block.
-        const std::size_t scopeEnd = fs.enclosingBlockEnd(nameIdx);
-        if (scopeEnd == std::string::npos)
-            continue;
-
-        // Skip past the declaration statement itself.
-        std::size_t stmtEnd = nameIdx;
-        while (stmtEnd < scopeEnd && !isPunct(t, stmtEnd, ";"))
-            ++stmtEnd;
-
-        bool read = false;
-        for (std::size_t k = stmtEnd + 1; k < scopeEnd; ++k) {
-            if (t[k].kind != TokKind::kIdent || t[k].text != var)
-                continue;
-            if (occurrenceIsRead(t, k)) {
-                read = true;
-                break;
-            }
-        }
-        if (!read)
-            sink->emit(t[nameIdx].line, "ras-status-flow",
-                       Severity::kError,
-                       "status bound to '" + var +
-                           "' is never read before scope exit; a "
-                           "poisoned/timed-out access would vanish "
-                           "silently — branch on it, return it, or "
-                           "fold it into the caller's status");
-    }
 }
 
 // ---------------------------------------------------------------
@@ -291,13 +167,6 @@ ruleSigAsyncSafetyImpl(const std::string &path, const Tokens &t,
 }
 
 }  // namespace
-
-void
-ruleRasStatusFlow(const std::string &path, const Tokens &t,
-                  const FileStructure &fs, Sink *sink)
-{
-    ruleRasStatusFlowImpl(path, t, fs, sink);
-}
 
 void
 ruleSigAsyncSafety(const std::string &path, const Tokens &t,

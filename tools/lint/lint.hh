@@ -9,12 +9,6 @@
  *    cxlsim::Rng; iteration order of output-producing code must not
  *    depend on hash-table layout; no hidden mutable state reachable
  *    from parallelFor workers;
- *  - RAS-status hygiene: fault-capable layers must consume the
- *    ras::Status a request returns — dropping one silently converts
- *    a poisoned/timed-out access into a clean one; flow-aware
- *    analysis extends this from call sites to whole scopes (a
- *    status bound to a local that is never read before scope exit
- *    is just as dropped);
  *  - signal hygiene: `melody sweep` installs a ^C handler, and
  *    handler code may only call the async-signal-safe allowlist;
  *  - architecture layering: the DESIGN.md §13 layer order is what

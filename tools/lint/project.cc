@@ -29,20 +29,19 @@ namespace {
  */
 const std::map<std::string, int> kLayerOfDir = {
     {"sim", 0},       {"stats", 0},
-    {"ras", 1},
-    {"dram", 2},      {"link", 2},
-    {"cxl", 3},
-    {"mem", 4},
-    {"cpu", 5},
-    {"workloads", 6},
-    {"core", 7},
-    {"spa", 8},
-    {"bench", 9},     {"tools", 9},
-    {"examples", 9},  {"tests", 9},
+    {"dram", 1},      {"link", 1},
+    {"cxl", 2},
+    {"mem", 3},
+    {"cpu", 4},
+    {"workloads", 5},
+    {"core", 6},
+    {"spa", 7},
+    {"bench", 8},     {"tools", 8},
+    {"examples", 8},  {"tests", 8},
 };
 
 const char *const kLayerNames[] = {
-    "engine (sim/stats)", "ras",  "media (dram/link)",
+    "engine (sim/stats)", "media (dram/link)",
     "cxl",                "mem",  "cpu",
     "workloads",          "core", "spa",
     "frontend (bench/tools)",

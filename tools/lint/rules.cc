@@ -325,121 +325,20 @@ ruleDetStaticLocal(const std::string &path, const Tokens &t,
 }
 
 // ---------------------------------------------------------------
-// Family 2: RAS-status hygiene.
-// ---------------------------------------------------------------
-
-const std::set<std::string> kExCalls = {"accessEx", "readEx",
-                                        "writeEx", "serviceEx"};
-
-/**
- * ras-ignored-status — dropping the result of an *Ex call silently
- * converts a poisoned or timed-out access into a clean one; every
- * call site must consume the ras::Status ([[nodiscard]] catches the
- * plain-discard case at compile time; this also rejects the (void)
- * escape hatch).
- */
-void
-ruleRasIgnoredStatus(const std::string &path, const Tokens &t,
-                     Sink *sink)
-{
-    if (!underDir(path, "src/mem/") && !underDir(path, "src/cxl/"))
-        return;
-
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].kind != TokKind::kIdent ||
-            !kExCalls.count(t[i].text) || !isPunct(t, i + 1, "("))
-            continue;
-
-        // A declaration, not a call: the name is preceded by its
-        // return type (`AccessResult readEx(...)`) or a
-        // declarator (`*`, `&`).
-        if (i > 0 && (t[i - 1].kind == TokKind::kIdent ||
-                      isPunct(t, i - 1, "*") ||
-                      isPunct(t, i - 1, "&")))
-            continue;
-
-        // Result must be consumed: the call's ')' followed by ';'
-        // means the full expression ends here...
-        const std::size_t close = matchParen(t, i + 1);
-        if (close == std::string::npos ||
-            !isPunct(t, close + 1, ";"))
-            continue;
-
-        // ...and the receiver chain starting a statement (or being
-        // (void)-cast) means nothing upstream captures it either.
-        std::size_t k = i;
-        while (k > 0 &&
-               (isPunct(t, k - 1, ".") || isPunct(t, k - 1, "->") ||
-                isPunct(t, k - 1, "::") ||
-                (t[k - 1].kind == TokKind::kIdent &&
-                 !t[k - 1].is("return") && !t[k - 1].is("throw") &&
-                 !t[k - 1].is("co_return"))))
-            --k;
-        const bool stmtStart =
-            k == 0 || isPunct(t, k - 1, ";") ||
-            isPunct(t, k - 1, "{") || isPunct(t, k - 1, "}");
-        const bool voidCast =
-            k >= 3 && isPunct(t, k - 3, "(") &&
-            isIdent(t, k - 2, "void") && isPunct(t, k - 1, ")");
-        if (stmtStart || voidCast)
-            sink->emit(t[i].line, "ras-ignored-status",
-                       Severity::kError,
-                       "result of '" + t[i].text +
-                           "()' discarded; the ras::Status must be "
-                           "consumed (poison/timeout would vanish "
-                           "silently)");
-    }
-}
-
-/**
- * ras-plain-call — the RAS-aware layers must not call the
- * status-less MemoryBackend::access() forwarder: it exists for
- * fire-and-forget callers (LLC writebacks, MLC/Mio), and using it
- * inside src/mem//src/cxl reintroduces status-dropping one level
- * down.
- */
-void
-ruleRasPlainCall(const std::string &path, const Tokens &t,
-                 Sink *sink)
-{
-    if (!underDir(path, "src/mem/") && !underDir(path, "src/cxl/"))
-        return;
-    if (isHeaderPath(path))
-        return;  // headers define the wrappers themselves
-
-    static const std::set<std::string> kPlain = {"access", "read",
-                                                 "write", "service"};
-    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-        if (!isPunct(t, i, "->"))
-            continue;
-        if (t[i + 1].kind == TokKind::kIdent &&
-            kPlain.count(t[i + 1].text) && isPunct(t, i + 2, "(")) {
-            sink->emit(t[i + 1].line, "ras-plain-call",
-                       Severity::kError,
-                       "status-less '" + t[i + 1].text +
-                           "()' in a RAS-aware layer; call '" +
-                           t[i + 1].text +
-                           "Ex()' and consume the ras::Status");
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// Family 3: error discipline.
+// Family 2: error discipline.
 // ---------------------------------------------------------------
 
 /**
  * err-fatal-user-input — user-supplied configuration (CLI flags,
- * profile/fault-plan specs) must throw ConfigError so front ends
- * print usage and exit(2); SIM_FATAL aborts the process and is
- * reserved for internal invariants.
+ * device profiles) must throw ConfigError so front ends print usage
+ * and exit(2); SIM_FATAL aborts the process and is reserved for
+ * internal invariants.
  */
 void
 ruleErrFatalUserInput(const std::string &path, const Tokens &t,
                       Sink *sink)
 {
-    const bool userInput = pathHas(path, "fault_plan") ||
-                           pathHas(path, "device_profile") ||
+    const bool userInput = pathHas(path, "device_profile") ||
                            pathHas(path, "_cli") ||
                            underDir(path, "tools/");
     if (!userInput)
@@ -486,7 +385,7 @@ ruleErrStrayStream(const std::string &path, const Tokens &t,
 }
 
 // ---------------------------------------------------------------
-// Family 4: header hygiene.
+// Family 3: header hygiene.
 // ---------------------------------------------------------------
 
 /**
@@ -665,8 +564,6 @@ lintSource(const std::string &path, const std::string &content,
     ruleDetBannedCall(path, lexed.tokens, &sink);
     ruleDetUnorderedIter(path, lexed.tokens, &sink);
     ruleDetStaticLocal(path, lexed.tokens, &sink);
-    ruleRasIgnoredStatus(path, lexed.tokens, &sink);
-    ruleRasPlainCall(path, lexed.tokens, &sink);
     ruleErrFatalUserInput(path, lexed.tokens, &sink);
     ruleErrStrayStream(path, lexed.tokens, &sink);
     ruleHdrGuard(path, lexed.tokens, &sink);
@@ -674,7 +571,6 @@ lintSource(const std::string &path, const std::string &content,
 
     // Flow- and project-aware rules on the structural front end.
     const FileStructure fs = analyzeStructure(lexed.tokens);
-    ruleRasStatusFlow(path, lexed.tokens, fs, &sink);
     ruleSigAsyncSafety(path, lexed.tokens, fs, &sink);
     ruleArchLayering(path, lexed.tokens, fs, &sink);
     if (includesOut)

@@ -86,8 +86,6 @@ class Sink
 // structural front end.
 // ---------------------------------------------------------------
 
-void ruleRasStatusFlow(const std::string &path, const Tokens &t,
-                       const FileStructure &fs, Sink *sink);
 void ruleSigAsyncSafety(const std::string &path, const Tokens &t,
                         const FileStructure &fs, Sink *sink);
 

@@ -143,6 +143,8 @@ analyzeStructure(const std::vector<Token> &t)
                                            : j + 1;
             } else if (isPunct(t, j, ":")) {
                 // Member-initializer list: name(args), name{args}...
+                // A '{' right after a name (or a template's '>') is
+                // a brace initializer; any other '{' is the body.
                 ++j;
                 while (j < t.size() && !isPunct(t, j, ";")) {
                     if (isPunct(t, j, "(")) {
@@ -151,28 +153,15 @@ analyzeStructure(const std::vector<Token> &t)
                             break;
                         j = c + 1;
                     } else if (isPunct(t, j, "{")) {
-                        // Either an init-brace or the body: the
-                        // body is preceded by ')' or '}' of an
-                        // initializer — treat a '{' right after a
-                        // ')'/'}' or at list end as the body.
-                        break;
-                    } else {
-                        ++j;
-                    }
-                    if (j < t.size() && isPunct(t, j, "{")) {
-                        // brace-init of a member: skip it unless it
-                        // is the body (heuristic: body follows the
-                        // LAST initializer — we detect it when no
-                        // ',' follows the matching '}').
-                        auto it = fs.braces.find(j);
+                        if (t[j - 1].kind != TokKind::kIdent &&
+                            !isPunct(t, j - 1, ">"))
+                            break;  // the function body
+                        const auto it = fs.braces.find(j);
                         if (it == fs.braces.end())
                             break;
-                        const std::size_t c = it->second.close;
-                        if (isPunct(t, c + 1, ",")) {
-                            j = c + 2;  // another initializer follows
-                            continue;
-                        }
-                        break;  // '{' here is the function body
+                        j = it->second.close + 1;
+                    } else {
+                        ++j;
                     }
                 }
             } else if (isPunct(t, j, "=")) {

@@ -15,7 +15,6 @@
  *   melody period <wl> <mem> [N]        period-based breakdown
  *   melody advise <wl> <mem>            §5.7 tiering advice
  *   melody batch <srv> <mem> [stride]   whole-suite slowdowns, CSV
- *   melody ras <wl> <srv> <mem> [plan]  fault-injection run, JSON
  */
 
 #include <unistd.h>
@@ -38,14 +37,12 @@
 #include "core/mlc.hh"
 #include "core/platform.hh"
 #include "core/slowdown.hh"
-#include "ras/fault_plan.hh"
 #include "sim/logging.hh"
 #include "sim/run_cache.hh"
 #include "sim/sweep.hh"
 #include "spa/advisor.hh"
 #include "spa/breakdown.hh"
 #include "spa/period.hh"
-#include "stats/json.hh"
 #include "stats/table.hh"
 #include "workloads/suite.hh"
 
@@ -72,12 +69,9 @@ usage()
         "  melody period <workload> <memory> [periods]\n"
         "  melody advise <workload> <memory>\n"
         "  melody batch <server> <memory> [stride]\n"
-        "  melody ras <workload> <server> <memory> [faultplan]\n"
         "servers: SPR2S EMR2S EMR2S' SKX2S SKX8S\n"
         "memory:  Local NUMA NUMA-140ns NUMA-190ns NUMA-410ns "
         "CXL-A..D CXL-X+NUMA CXL-X+Switch[2] CXL-Dx2\n"
-        "faultplan: crc=<p>,ce=<p>,ue=<p>,scrub=<dur>,"
-        "offline@<t>[:devN],failover,... (see src/ras/fault_plan.hh)\n"
         "sweep --progress draws a done/ETA status line on\n"
         "        stderr; stdout bytes are unchanged.\n");
     return 2;
@@ -86,6 +80,11 @@ usage()
 int
 cmdList(const std::string &family)
 {
+    if (!family.empty()) {
+        const auto names = workloads::familyNames();
+        if (std::find(names.begin(), names.end(), family) == names.end())
+            throw ConfigError("unknown family: " + family);
+    }
     for (const auto &w : workloads::suite()) {
         if (!family.empty() && w.family != family)
             continue;
@@ -469,48 +468,6 @@ cmdAdvise(const std::string &wl, const std::string &mem)
 }
 
 int
-cmdRas(const std::string &wl, const std::string &srv,
-       const std::string &mem, const std::string &planSpec)
-{
-    const auto &w = workloads::byName(wl);
-    melody::Platform plat(srv, mem);
-    ras::FaultPlan plan;
-    if (!planSpec.empty())
-        plan = ras::parseFaultPlan(planSpec);
-    plat.setFaultPlan(plan);
-
-    const auto r = melody::runWorkload(w, plat, 1);
-    const ras::RasStats total = r.rasTotal();
-
-    stats::JsonWriter j;
-    j.beginObject();
-    j.field("workload", wl);
-    j.field("server", srv);
-    j.field("memory", mem);
-    j.field("fault_plan", planSpec);
-    j.field("wall_ms", r.seconds() * 1e3);
-    j.field("backend_gbps", r.backendGBps());
-    j.field("machine_checks", r.counters.machineChecks);
-    j.field("demand_timeouts", r.counters.demandTimeouts);
-    j.field("prefetch_drops", r.counters.prefetchDrops);
-    j.key("ras_total");
-    total.writeJson(&j);
-    j.key("nodes");
-    j.beginArray();
-    for (const auto &e : r.ras) {
-        j.beginObject();
-        j.field("name", e.name);
-        j.key("stats");
-        e.stats.writeJson(&j);
-        j.endObject();
-    }
-    j.endArray();
-    j.endObject();
-    std::printf("%s\n", j.str().c_str());
-    return 0;
-}
-
-int
 dispatch(int argc, char **argv)
 {
     if (argc < 2)
@@ -544,9 +501,6 @@ dispatch(int argc, char **argv)
                         argc > 4 ? parseUnsigned(argv[4],
                                                  "stride")
                                  : 1);
-    if (cmd == "ras" && (argc == 5 || argc == 6))
-        return cmdRas(argv[2], argv[3], argv[4],
-                      argc == 6 ? argv[5] : "");
     return usage();
 }
 
