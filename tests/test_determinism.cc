@@ -259,6 +259,26 @@ TEST(Determinism, SerialRunsRecordNoInvariantViolations)
                       << v.values;
 }
 
+TEST(Determinism, EveryBackendShapeRecordsNoInvariantViolations)
+{
+    // Interleaving, a NUMA hop in front of a device, a two-switch
+    // path and an emulated NUMA point each put a different backend
+    // chain under the hierarchy; none may break an invariant.
+    sim::Invariants inv;
+    {
+        sim::InvariantScope scope(&inv);
+        for (const char *m :
+             {"CXL-Dx2", "CXL-B+NUMA", "CXL-C+Switch2", "NUMA-410ns"})
+            for (const auto &w : smallSuite())
+                (void)melody::runWorkload(
+                    w, melody::Platform("SKX8S", m), /*seed=*/3);
+    }
+    EXPECT_FALSE(inv.failed());
+    for (const auto &v : inv.violations())
+        ADD_FAILURE() << v.invariant << " at " << v.where << ": "
+                      << v.values;
+}
+
 // ---------------------------------------------------------------
 // parallelFor edge cases: it is the one dispatch path for sweep
 // points and suite runs.

@@ -328,6 +328,60 @@ TEST(LintError, StrayStreamFineInToolsAndLogging)
                     .empty());
 }
 
+// Both error rules decide by path alone: pin which real files each
+// one covers, so a scope edit shows up here.
+
+class FatalUserInputScope : public testing::TestWithParam<ScopeCase>
+{};
+
+TEST_P(FatalUserInputScope, FiresOnlyOnUserInputPaths)
+{
+    const auto diags = lintSource(GetParam().path,
+                                  fixture("err_fatal_user_input.cc"));
+    if (GetParam().scoped)
+        EXPECT_EQ(ruleLines(diags),
+                  (Expected{{"err-fatal-user-input", 11}}));
+    else
+        EXPECT_TRUE(diags.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RealFiles, FatalUserInputScope,
+    testing::Values(ScopeCase{"tools/melody_cli.cc", true},
+                    ScopeCase{"tools/lint/main.cc", true},
+                    ScopeCase{"src/cxl/device_profile.cc", true},
+                    ScopeCase{"src/core/platform.cc", false},
+                    ScopeCase{"src/cxl/controller.cc", false},
+                    ScopeCase{"src/mem/cxl_backend.cc", false},
+                    ScopeCase{"src/sim/sweep.cc", false}),
+    scopeCaseName);
+
+class StrayStreamScope : public testing::TestWithParam<ScopeCase>
+{};
+
+TEST_P(StrayStreamScope, FiresOnlyInLibraryCode)
+{
+    const auto diags = lintSource(GetParam().path,
+                                  fixture("err_stray_stream.cc"));
+    if (GetParam().scoped)
+        EXPECT_EQ(ruleLines(diags),
+                  (Expected{{"err-stray-stream", 11},
+                            {"err-stray-stream", 12}}));
+    else
+        EXPECT_TRUE(diags.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RealFiles, StrayStreamScope,
+    testing::Values(ScopeCase{"src/core/platform.cc", true},
+                    ScopeCase{"src/cxl/controller.cc", true},
+                    ScopeCase{"src/link/link.cc", true},
+                    ScopeCase{"src/mem/cxl_backend.cc", true},
+                    ScopeCase{"src/sim/logging.cc", false},
+                    ScopeCase{"tools/melody_cli.cc", false},
+                    ScopeCase{"bench/figures.cc", false}),
+    scopeCaseName);
+
 // ---------------------------------------------------------------
 // Family 3: header hygiene.
 // ---------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "core/slowdown.hh"
 #include "mem/backend.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "workloads/suite.hh"
 
 using namespace cxlsim;
@@ -64,6 +65,112 @@ TEST(Platform, UnlistedMemoryNamesAreRejected)
         EXPECT_THROW(Platform("EMR2S", bad), ConfigError) << bad;
         EXPECT_THROW(melody::paperPeakGBps("EMR2S", bad), ConfigError)
             << bad;
+    }
+}
+
+TEST(Platform, UnknownMemoryErrorNamesTheSetup)
+{
+    // The CLI prints what() before its usage text; both entry
+    // points must say which name was refused.
+    for (const char *bad : {"CXL-Q", "NUMA-99ns", "CXL-B+Switch9"}) {
+        const std::string want = std::string("unknown memory setup: ") +
+                                 bad;
+        try {
+            Platform p("EMR2S", bad);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(std::string(e.what()), want);
+        }
+        try {
+            (void)melody::paperPeakGBps("EMR2S", bad);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(std::string(e.what()), want);
+        }
+    }
+}
+
+namespace {
+
+/** Mean latency of dependent, widely spaced demand loads on a
+ *  fresh backend of @p server / @p memory. */
+double
+meanIdleNs(const char *server, const std::string &memory)
+{
+    const Platform p(server, memory);
+    auto be = p.makeBackend(7);
+    Rng r(3);
+    Tick now = 0;
+    double sum = 0;
+    const int n = 4000;
+    for (int i = 0; i < n; ++i) {
+        const Addr a = r.below(1 << 22) * kCacheLineBytes;
+        const Tick done = be->access(a, mem::ReqType::kDemandLoad, now);
+        sum += ticksToNs(done - now);
+        now = done + nsToTicks(2);
+    }
+    return sum / n;
+}
+
+}  // namespace
+
+TEST(Platform, NumaEmulationPointsAscendOnOneServer)
+{
+    // The three SKX emulated points differ only in UPI propagation;
+    // each lands on its own latency, in order, above Local.
+    const double local = meanIdleNs("SKX2S", "Local");
+    const double n140 = meanIdleNs("SKX2S", "NUMA-140ns");
+    const double n190 = meanIdleNs("SKX2S", "NUMA-190ns");
+    const double n410 = meanIdleNs("SKX2S", "NUMA-410ns");
+    EXPECT_LT(local, n140);
+    EXPECT_NEAR(n140, 140, 140 * 0.12);
+    EXPECT_NEAR(n190, 190, 190 * 0.12);
+    EXPECT_GT(n190, n140 + 25);
+    EXPECT_GT(n410, n190 + 150);
+}
+
+/** Every suffix of a CXL device name builds on that device. */
+class MemorySuffix : public testing::TestWithParam<const char *>
+{};
+
+TEST_P(MemorySuffix, ResolvesToTheBaseDevice)
+{
+    const std::string dev = GetParam();
+    const double peak = melody::paperPeakGBps("EMR2S", dev);
+    for (const char *suffix : {"+NUMA", "+Switch", "+Switch2"})
+        EXPECT_EQ(melody::paperPeakGBps("EMR2S", dev + suffix), peak)
+            << dev << suffix;
+
+    const double direct = meanIdleNs("EMR2S", dev);
+    const double numa = meanIdleNs("EMR2S", dev + "+NUMA");
+    const double sw1 = meanIdleNs("EMR2S", dev + "+Switch");
+    const double sw2 = meanIdleNs("EMR2S", dev + "+Switch2");
+    EXPECT_GT(numa, direct + 50) << dev;
+    EXPECT_GT(sw1, direct + 50) << dev;
+    EXPECT_GT(sw2, sw1 + 50) << dev;
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, MemorySuffix,
+                         testing::Values("CXL-A", "CXL-B", "CXL-C",
+                                         "CXL-D"),
+                         [](const testing::TestParamInfo<const char *> &i) {
+                             return std::string(i.param).substr(4);
+                         });
+
+TEST(Platform, RunsReportNoMachineChecksTimeoutsOrDrops)
+{
+    // With no fault model these fields only exist for the frozen
+    // perfbench driver, which hashes them: they must stay zero.
+    workloads::WorkloadProfile w = workloads::byName("519.lbm_r");
+    w.blocksPerCore = 800;
+    for (const char *m : {"CXL-B", "CXL-Dx2", "CXL-A+NUMA",
+                          "CXL-C+Switch2"}) {
+        const auto r = melody::runWorkload(w, Platform("EMR2S", m), 5);
+        EXPECT_GT(r.backendStats.reads, 0u) << m;
+        EXPECT_EQ(r.counters.machineChecks, 0u) << m;
+        EXPECT_EQ(r.counters.demandTimeouts, 0u) << m;
+        EXPECT_EQ(r.counters.prefetchDrops, 0u) << m;
+        EXPECT_TRUE(r.ras.empty()) << m;
     }
 }
 
