@@ -272,6 +272,39 @@ BM_CxlDeviceRead(benchmark::State &state)
 }
 BENCHMARK(BM_CxlDeviceRead);
 
+// One random read or write (three in ten) per iteration, issued as
+// the previous one completes.
+static void
+backendAccessLoop(benchmark::State &state, const char *memory)
+{
+    mem::BackendPtr be = melody::Platform("EMR2S", memory).makeBackend(5);
+    Rng rng(6);
+    Tick now = 0;
+    for (auto _ : state) {
+        const mem::ReqType type = rng.chance(0.3)
+                                      ? mem::ReqType::kWriteback
+                                      : mem::ReqType::kDemandLoad;
+        const Tick done = be->access(rng.below(1 << 22) * 64, type, now);
+        now = done + nsToTicks(5);
+        benchmark::DoNotOptimize(done);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+static void
+BM_LocalBackendAccess(benchmark::State &state)
+{
+    backendAccessLoop(state, "Local");
+}
+BENCHMARK(BM_LocalBackendAccess);
+
+static void
+BM_NumaBackendAccess(benchmark::State &state)
+{
+    backendAccessLoop(state, "NUMA");
+}
+BENCHMARK(BM_NumaBackendAccess);
+
 static void
 BM_MlcPoint(benchmark::State &state)
 {

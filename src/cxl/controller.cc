@@ -8,11 +8,26 @@
 
 namespace cxlsim::cxl {
 
+namespace {
+
+/** @p p, checked before any member is computed from it. */
+const DeviceProfile &
+validated(const DeviceProfile &p)
+{
+    p.validate();
+    return p;
+}
+
+}  // namespace
+
 CxlController::CxlController(const DeviceProfile &profile,
                              std::uint64_t seed)
-    : profile_(profile), rng_(seed)
+    : profile_(validated(profile)),
+      perReqTicks_(nsToTicks(profile.schedulerPerReqNs)),
+      controllerTicks_(nsToTicks(profile.controllerNs)),
+      thermalPauseTicks_(nsToTicks(profile.thermal.pauseNs)),
+      channelSplit_(profile.dramChannels), rng_(seed)
 {
-    profile_.validate();
     for (unsigned c = 0; c < profile_.dramChannels; ++c) {
         dram::ChannelConfig cc;
         cc.timing = profile_.dramTiming;
@@ -20,6 +35,7 @@ CxlController::CxlController(const DeviceProfile &profile,
         cc.seed = seed * 7919 + c;
         channels_.push_back(std::make_unique<dram::Channel>(cc));
     }
+    hiccupProb_ = hiccupProbability();
 }
 
 double
@@ -53,10 +69,10 @@ CxlController::updateUtilization(Tick now)
         ewmaGBps_ = a * gbps + (1.0 - a) * ewmaGBps_;
         util_ = std::clamp(ewmaGBps_ / profile_.schedPeakGBps(),
                            0.0, 1.0);
+        hiccupProb_ = hiccupProbability();
         windowStart_ = now;
         windowBytes_ = 0;
     }
-    lastArrival_ = now;
 }
 
 Tick
@@ -70,7 +86,6 @@ CxlController::service(Addr addr, bool is_write, Tick arrival)
     // order. A request arriving before the current schedule tail
     // can be served in an idle gap the scheduler provably had,
     // instead of queueing behind slots scheduled for the future.
-    const Tick perReq = nsToTicks(profile_.schedulerPerReqNs);
     Tick start;
     bool backfilled = false;
     if (arrival >= schedFreeAt_) {
@@ -78,8 +93,8 @@ CxlController::service(Addr addr, bool is_write, Tick arrival)
             idleCreditTicks_ + (arrival - schedFreeAt_),
             kTicksPerUs);
         start = arrival;
-    } else if (idleCreditTicks_ >= perReq) {
-        idleCreditTicks_ -= perReq;
+    } else if (idleCreditTicks_ >= perReqTicks_) {
+        idleCreditTicks_ -= perReqTicks_;
         start = arrival;
         backfilled = true;
     } else {
@@ -93,7 +108,7 @@ CxlController::service(Addr addr, bool is_write, Tick arrival)
     // devices reach their rated bandwidth despite their tails
     // (Table 1 vs Figure 3).
     Tick hiccupDelay = 0;
-    if (rng_.chance(hiccupProbability())) {
+    if (rng_.chance(hiccupProb_)) {
         const auto &h = profile_.hiccups;
         const double pauseNs =
             rng_.boundedPareto(h.minNs, h.maxNs, h.alpha);
@@ -107,27 +122,25 @@ CxlController::service(Addr addr, bool is_write, Tick arrival)
     const auto &th = profile_.thermal;
     if (ewmaGBps_ > th.bwThresholdGBps &&
         rng_.chance(th.throttleProb)) {
-        start += nsToTicks(th.pauseNs);
+        start += thermalPauseTicks_;
         ++stats_.thermalPauses;
     }
 
     // Scheduler occupancy caps the total request rate (a
     // backfilled request consumed a past idle slot instead).
     if (!backfilled)
-        schedFreeAt_ = start + perReq;
+        schedFreeAt_ = start + perReqTicks_;
 
     // Line-interleave across DDR channels (channel-local address
     // so one channel's stream covers all of its banks).
     const Addr line = addr / kCacheLineBytes;
-    const std::size_t n = channels_.size();
-    auto &chan = *channels_[line % n];
-    const Addr local = (line / n) * kCacheLineBytes;
+    auto &chan = *channels_[channelSplit_.rem(line)];
+    const Addr local = channelSplit_.quot(line) * kCacheLineBytes;
     const Tick dramDone = chan.access(local, is_write, start);
 
     // Fixed pipeline latency for flit parse, queue traversal and
     // response packing, plus any hiccup delay.
-    const Tick done =
-        dramDone + nsToTicks(profile_.controllerNs) + hiccupDelay;
+    const Tick done = dramDone + controllerTicks_ + hiccupDelay;
 
     // Service contracts (DESIGN.md §10): a completion can never
     // precede its arrival, and the bandwidth-utilization EWMA is

@@ -21,6 +21,7 @@
 
 #include "cxl/device_profile.hh"
 #include "dram/channel.hh"
+#include "sim/fixed_divisor.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -63,12 +64,19 @@ class CxlController
     void updateUtilization(Tick now);
 
     DeviceProfile profile_;
+    // profile_'s latencies in ticks, computed once: the profile
+    // never changes after construction.
+    Tick perReqTicks_;
+    Tick controllerTicks_;
+    Tick thermalPauseTicks_;
     std::vector<std::unique_ptr<dram::Channel>> channels_;
+    FixedDivisor channelSplit_;
     Rng rng_;
 
     Tick schedFreeAt_ = 0;
-    Tick lastArrival_ = 0;
     double util_ = 0.0;
+    /** hiccupProbability() at util_; refreshed whenever util_ moves. */
+    double hiccupProb_;
     /** EWMA of achieved GB/s for the thermal model. */
     double ewmaGBps_ = 0.0;
     /** Measurement window for the bandwidth estimate. */

@@ -20,7 +20,10 @@ switchLinkConfig()
 
 CxlDevice::CxlDevice(const DeviceProfile &profile, std::uint64_t seed,
                      unsigned switch_hops)
-    : profile_(profile), ctrl_(profile, seed ^ 0xc3a5c85c97cb3127ULL)
+    : profile_(profile),
+      cmdPropTicks_(nsToTicks(profile.linkCfg.propagationNs *
+                              static_cast<double>(1 + switch_hops))),
+      ctrl_(profile, seed ^ 0xc3a5c85c97cb3127ULL)
 {
     if (profile_.halfDuplexLink)
         halfDuplex_ =
@@ -84,10 +87,7 @@ CxlDevice::write(Addr addr, Tick host_issue)
     const Tick dataArrive = sendLink(
         kDataBytes, link::Dir::kToDevice,
         throughSwitches(kDataBytes, link::Dir::kToDevice, host_issue));
-    const Tick cmdArrive =
-        host_issue +
-        nsToTicks(profile_.linkCfg.propagationNs *
-                  static_cast<double>(1 + switches_.size()));
+    const Tick cmdArrive = host_issue + cmdPropTicks_;
     const Tick stored =
         ctrl_.service(addr, /*is_write=*/true, cmdArrive);
 

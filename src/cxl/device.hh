@@ -70,6 +70,8 @@ class CxlDevice
     std::unique_ptr<link::HalfDuplexLink> halfDuplex_;
     /** Store-and-forward switch stages (host-side first). */
     std::vector<std::unique_ptr<link::DuplexLink>> switches_;
+    /** A posted write's command path to the controller, in ticks. */
+    Tick cmdPropTicks_;
     CxlController ctrl_;
 };
 

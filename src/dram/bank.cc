@@ -4,38 +4,39 @@
 
 namespace cxlsim::dram {
 
-Tick
-Bank::access(std::uint64_t row, Tick earliest, const DramTiming &t,
-             RowResult *result)
+RowTickTable
+rowTickTable(const DramTiming &t)
 {
-    const Tick start = std::max(earliest, freeAt_);
     // Latency is what the requester waits for; occupancy is how
     // long the bank blocks further commands. Column accesses to an
     // open row pipeline at the burst rate, so a row hit occupies
     // the bank far shorter than its tCL latency.
-    double lat_ns;
-    double occ_ns;
-    RowResult r;
-    if (open_ && row_ == row) {
-        r = RowResult::kHit;
-        lat_ns = t.tCL;
-        occ_ns = t.burst;
-    } else if (open_) {
-        r = RowResult::kMiss;
-        lat_ns = t.tRP + t.tRCD + t.tCL;
-        occ_ns = t.tRP + t.tRCD + t.burst;
-    } else {
-        r = RowResult::kCold;
-        lat_ns = t.tRCD + t.tCL;
-        occ_ns = t.tRCD + t.burst;
-    }
+    RowTickTable table;
+    table[static_cast<unsigned>(RowResult::kHit)] = {
+        nsToTicks(t.tCL), nsToTicks(t.burst)};
+    table[static_cast<unsigned>(RowResult::kMiss)] = {
+        nsToTicks(t.tRP + t.tRCD + t.tCL),
+        nsToTicks(t.tRP + t.tRCD + t.burst)};
+    table[static_cast<unsigned>(RowResult::kCold)] = {
+        nsToTicks(t.tRCD + t.tCL), nsToTicks(t.tRCD + t.burst)};
+    return table;
+}
+
+Tick
+Bank::access(std::uint64_t row, Tick earliest,
+             const RowTickTable &ticks, RowResult *result)
+{
+    const Tick start = std::max(earliest, freeAt_);
+    const RowResult r = !open_        ? RowResult::kCold
+                        : row_ == row ? RowResult::kHit
+                                      : RowResult::kMiss;
     open_ = true;
     row_ = row;
-    const Tick dataReady = start + nsToTicks(lat_ns);
-    freeAt_ = start + nsToTicks(occ_ns);
+    const RowTicks &cost = ticks[static_cast<unsigned>(r)];
+    freeAt_ = start + cost.occupancy;
     if (result)
         *result = r;
-    return dataReady;
+    return start + cost.latency;
 }
 
 void

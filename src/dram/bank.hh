@@ -13,6 +13,7 @@
 #ifndef CXLSIM_DRAM_BANK_HH
 #define CXLSIM_DRAM_BANK_HH
 
+#include <array>
 #include <cstdint>
 
 #include "dram/timing.hh"
@@ -22,6 +23,25 @@ namespace cxlsim::dram {
 
 /** Outcome classification of a bank access. */
 enum class RowResult : std::uint8_t { kHit, kMiss, kCold };
+
+/** What one access outcome costs, in ticks. */
+struct RowTicks
+{
+    /** Until the requested column's data is ready. */
+    Tick latency;
+    /** Until the bank takes its next command. */
+    Tick occupancy;
+};
+
+/** RowTicks for each RowResult, indexed by it. */
+using RowTickTable = std::array<RowTicks, 3>;
+
+/**
+ * Convert @p t's row timings to ticks. Each sum of nanoseconds is
+ * rounded once, exactly as a per-access conversion would round it,
+ * so a table built at construction prices every access the same.
+ */
+RowTickTable rowTickTable(const DramTiming &t);
 
 /** One DRAM bank with an open-row register. */
 class Bank
@@ -34,12 +54,12 @@ class Bank
      *
      * @param row      Row index being accessed.
      * @param earliest Earliest start tick (arrival / scheduler time).
-     * @param t        Channel timing parameters.
+     * @param ticks    The channel's rowTickTable().
      * @param result   Out: row hit/miss/cold classification.
      * @return Tick at which column data is available for the bus.
      */
-    Tick access(std::uint64_t row, Tick earliest, const DramTiming &t,
-                RowResult *result);
+    Tick access(std::uint64_t row, Tick earliest,
+                const RowTickTable &ticks, RowResult *result);
 
     /** True if some row is open. */
     bool open() const { return open_; }

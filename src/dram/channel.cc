@@ -5,35 +5,37 @@
 namespace cxlsim::dram {
 
 Channel::Channel(const ChannelConfig &cfg)
-    : cfg_(cfg), banks_(cfg.timing.banks), rng_(cfg.seed),
+    : cfg_(cfg), rowTicks_(rowTickTable(cfg.timing)),
+      refi_(nsToTicks(cfg.timing.tREFI)),
+      rfc_(nsToTicks(cfg.timing.tRFC)),
+      burst_(nsToTicks(cfg.timing.burst)),
+      turnaround_(nsToTicks(cfg.timing.turnaround)),
+      rowSplit_(cfg.timing.rowBytes), bankSplit_(cfg.timing.banks),
+      banks_(cfg.timing.banks), rng_(cfg.seed),
       nextRefresh_(cfg.timing.banks)
 {
     // Stagger per-bank refresh windows across the refresh interval
     // so they do not all fire at once.
-    const Tick refi = nsToTicks(cfg_.timing.tREFI);
     for (unsigned b = 0; b < banks_.size(); ++b)
-        nextRefresh_[b] = refi * (b + 1) / banks_.size();
+        nextRefresh_[b] = refi_ * (b + 1) / banks_.size();
 }
 
-Tick
+void
 Channel::applyRefresh(unsigned bank, Tick start)
 {
-    const Tick refi = nsToTicks(cfg_.timing.tREFI);
-    const Tick rfc = nsToTicks(cfg_.timing.tRFC);
     // Catch the refresh schedule up to 'start'. Hidden refreshes
     // were absorbed into idle gaps; visible ones block the bank.
-    while (nextRefresh_[bank] + rfc <= start)
-        nextRefresh_[bank] += refi;
+    while (nextRefresh_[bank] + rfc_ <= start)
+        nextRefresh_[bank] += refi_;
     if (nextRefresh_[bank] <= start) {
         // A refresh window covers 'start'.
         if (!rng_.chance(cfg_.refreshHiding)) {
-            banks_[bank].block(nextRefresh_[bank] + rfc);
+            banks_[bank].block(nextRefresh_[bank] + rfc_);
             banks_[bank].close();
             ++stats_.refreshStalls;
         }
-        nextRefresh_[bank] += refi;
+        nextRefresh_[bank] += refi_;
     }
-    return start;
 }
 
 Tick
@@ -44,16 +46,14 @@ Channel::access(Addr addr, bool is_write, Tick now)
     // pseudo-randomly over banks so independent streams do not
     // convoy on one bank even when their regions are bank-aligned
     // (real controllers hash bank bits for the same reason).
-    const std::uint64_t rowGlobal = addr / cfg_.timing.rowBytes;
+    const std::uint64_t row = rowSplit_.quot(addr);
     const unsigned bank = static_cast<unsigned>(
-        ((rowGlobal * 0x9e3779b97f4a7c15ULL) >> 32) % banks_.size());
-    const std::uint64_t row = rowGlobal;
+        bankSplit_.rem((row * 0x9e3779b97f4a7c15ULL) >> 32));
 
     applyRefresh(bank, now);
 
     RowResult rr;
-    const Tick colReady =
-        banks_[bank].access(row, now, cfg_.timing, &rr);
+    const Tick colReady = banks_[bank].access(row, now, rowTicks_, &rr);
     switch (rr) {
       case RowResult::kHit:
         ++stats_.rowHits;
@@ -69,11 +69,11 @@ Channel::access(Addr addr, bool is_write, Tick now)
     // Serialize the 64B burst on the shared data bus.
     Tick busStart = std::max(colReady, busFreeAt_);
     if (is_write != lastWasWrite_) {
-        busStart += nsToTicks(cfg_.timing.turnaround);
+        busStart += turnaround_;
         ++stats_.turnarounds;
         lastWasWrite_ = is_write;
     }
-    const Tick done = busStart + nsToTicks(cfg_.timing.burst);
+    const Tick done = busStart + burst_;
     busFreeAt_ = done;
 
     if (is_write) {

@@ -19,6 +19,7 @@
 
 #include "dram/bank.hh"
 #include "dram/timing.hh"
+#include "sim/fixed_divisor.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -87,9 +88,19 @@ class Channel
 
   private:
     /** Apply refresh blocking that overlaps [start, ...). */
-    Tick applyRefresh(unsigned bank, Tick start);
+    void applyRefresh(unsigned bank, Tick start);
 
     ChannelConfig cfg_;
+    // cfg_.timing in ticks and as divisors, computed once: the
+    // config never changes after construction.
+    RowTickTable rowTicks_;
+    Tick refi_;
+    Tick rfc_;
+    Tick burst_;
+    Tick turnaround_;
+    FixedDivisor rowSplit_;
+    FixedDivisor bankSplit_;
+
     std::vector<Bank> banks_;
     Rng rng_;
     Tick busFreeAt_ = 0;

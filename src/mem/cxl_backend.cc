@@ -6,7 +6,8 @@ CxlBackend::CxlBackend(const CxlBackendConfig &cfg)
     : name_(cfg.switchHops
                 ? cfg.profile.name + "+Switch"
                 : cfg.profile.name),
-      cfg_(cfg), device_(cfg.profile, cfg.seed, cfg.switchHops)
+      cfg_(cfg), hostOverheadTicks_(nsToTicks(cfg.hostOverheadNs)),
+      device_(cfg.profile, cfg.seed, cfg.switchHops)
 {
 }
 
@@ -14,7 +15,7 @@ Tick
 CxlBackend::access(Addr addr, ReqType type, Tick now)
 {
     note(type);
-    const Tick issue = now + nsToTicks(cfg_.hostOverheadNs);
+    const Tick issue = now + hostOverheadTicks_;
     return isRead(type) ? device_.read(addr, issue)
                         : device_.write(addr, issue);
 }

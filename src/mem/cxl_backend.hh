@@ -41,6 +41,8 @@ class CxlBackend : public MemoryBackend
   private:
     std::string name_;
     CxlBackendConfig cfg_;
+    /** cfg_.hostOverheadNs in ticks; the config never changes. */
+    Tick hostOverheadTicks_;
     cxl::CxlDevice device_;
 };
 

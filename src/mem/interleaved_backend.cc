@@ -1,14 +1,12 @@
 #include "interleaved_backend.hh"
 
-#include "sim/logging.hh"
-
 namespace cxlsim::mem {
 
 InterleavedBackend::InterleavedBackend(std::string name,
                                        std::vector<BackendPtr> targets)
-    : name_(std::move(name)), targets_(std::move(targets))
+    : name_(std::move(name)), targets_(std::move(targets)),
+      targetSplit_(targets_.size())  // asserts >= 1 target
 {
-    SIM_ASSERT(!targets_.empty(), "interleaving needs >= 1 target");
 }
 
 Tick
@@ -16,12 +14,11 @@ InterleavedBackend::access(Addr addr, ReqType type, Tick now)
 {
     note(type);
     const Addr line = addr / kCacheLineBytes;
-    const std::size_t n = targets_.size();
     // Device-local line address: without the rescale, each device
     // would only ever see lines congruent to one residue and alias
     // onto a single one of its internal DDR channels.
-    const Addr local = (line / n) * kCacheLineBytes;
-    return targets_[line % n]->access(local, type, now);
+    const Addr local = targetSplit_.quot(line) * kCacheLineBytes;
+    return targets_[targetSplit_.rem(line)]->access(local, type, now);
 }
 
 }  // namespace cxlsim::mem

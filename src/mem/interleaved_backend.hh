@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mem/backend.hh"
+#include "sim/fixed_divisor.hh"
 
 namespace cxlsim::mem {
 
@@ -31,6 +32,7 @@ class InterleavedBackend : public MemoryBackend
   private:
     std::string name_;
     std::vector<BackendPtr> targets_;
+    FixedDivisor targetSplit_;
 };
 
 }  // namespace cxlsim::mem

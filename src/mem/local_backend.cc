@@ -3,7 +3,8 @@
 namespace cxlsim::mem {
 
 LocalDramBackend::LocalDramBackend(const LocalDramConfig &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), baseTicks_(nsToTicks(cfg.baseNs)),
+      channelSplit_(cfg.channels)
 {
     for (unsigned c = 0; c < cfg_.channels; ++c) {
         dram::ChannelConfig cc;
@@ -19,13 +20,12 @@ LocalDramBackend::access(Addr addr, ReqType type, Tick now)
 {
     note(type);
     const Addr line = addr / kCacheLineBytes;
-    const std::size_t n = channels_.size();
-    auto &chan = *channels_[line % n];
+    auto &chan = *channels_[channelSplit_.rem(line)];
     // Channel-local address: consecutive lines on one channel
     // spread across all its banks.
-    const Addr local = (line / n) * kCacheLineBytes;
+    const Addr local = channelSplit_.quot(line) * kCacheLineBytes;
     const Tick done = chan.access(local, !isRead(type), now);
-    return done + nsToTicks(cfg_.baseNs);
+    return done + baseTicks_;
 }
 
 double

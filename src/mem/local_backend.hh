@@ -14,6 +14,7 @@
 
 #include "dram/channel.hh"
 #include "mem/backend.hh"
+#include "sim/fixed_divisor.hh"
 
 namespace cxlsim::mem {
 
@@ -46,7 +47,10 @@ class LocalDramBackend : public MemoryBackend
 
   private:
     LocalDramConfig cfg_;
+    /** cfg_.baseNs in ticks; the config never changes. */
+    Tick baseTicks_;
     std::vector<std::unique_ptr<dram::Channel>> channels_;
+    FixedDivisor channelSplit_;
 };
 
 }  // namespace cxlsim::mem

@@ -11,7 +11,7 @@ constexpr unsigned kAckBytes = 8;
 NumaBackend::NumaBackend(std::string name, BackendPtr target,
                          const NumaHopConfig &cfg)
     : name_(std::move(name)), target_(std::move(target)), cfg_(cfg),
-      upi_(cfg.upi), jitter_(cfg.jitter, cfg.seed ^ 0x9d2c5680ULL)
+      extraTicks_(nsToTicks(cfg.extraNs)), upi_(cfg.upi), jitter_(cfg.jitter, cfg.seed ^ 0x9d2c5680ULL)
 {
 }
 
@@ -29,7 +29,7 @@ NumaBackend::access(Addr addr, ReqType type, Tick now)
     // Inbound: data for reads, an ack for writes.
     t = upi_.send(read ? kDataBytes : kAckBytes, link::Dir::kFromDevice,
                   t);
-    return t + nsToTicks(cfg_.extraNs);
+    return t + extraTicks_;
 }
 
 }  // namespace cxlsim::mem

@@ -49,6 +49,8 @@ class NumaBackend : public MemoryBackend
     std::string name_;
     BackendPtr target_;
     NumaHopConfig cfg_;
+    /** cfg_.extraNs in ticks; the config never changes. */
+    Tick extraTicks_;
     link::DuplexLink upi_;
     JitterProcess jitter_;
 };

@@ -23,20 +23,41 @@ TEST(DramTiming, PresetPeaks)
     EXPECT_GT(ddr5_4800().tREFI, 1000.0);
 }
 
+TEST(Bank, TickTableMatchesPerAccessConversion)
+{
+    // The table rounds each nanosecond sum once, as converting it on
+    // every access did, so every outcome costs the same ticks.
+    for (const DramTiming &t : {ddr4_2933(), ddr5_4800()}) {
+        const RowTickTable table = rowTickTable(t);
+        const auto &hit = table[static_cast<unsigned>(RowResult::kHit)];
+        EXPECT_EQ(hit.latency, nsToTicks(t.tCL)) << t.name;
+        EXPECT_EQ(hit.occupancy, nsToTicks(t.burst)) << t.name;
+        const auto &miss = table[static_cast<unsigned>(RowResult::kMiss)];
+        EXPECT_EQ(miss.latency, nsToTicks(t.tRP + t.tRCD + t.tCL))
+            << t.name;
+        EXPECT_EQ(miss.occupancy, nsToTicks(t.tRP + t.tRCD + t.burst))
+            << t.name;
+        const auto &cold = table[static_cast<unsigned>(RowResult::kCold)];
+        EXPECT_EQ(cold.latency, nsToTicks(t.tRCD + t.tCL)) << t.name;
+        EXPECT_EQ(cold.occupancy, nsToTicks(t.tRCD + t.burst)) << t.name;
+    }
+}
+
 TEST(Bank, RowHitFasterThanMiss)
 {
     const DramTiming t = ddr5_4800();
+    const RowTickTable ticks = rowTickTable(t);
     Bank b;
     RowResult r;
-    const Tick firstDone = b.access(5, 0, t, &r);
+    const Tick firstDone = b.access(5, 0, ticks, &r);
     EXPECT_EQ(r, RowResult::kCold);
 
     Bank hitBank = b;
-    const Tick hitDone = hitBank.access(5, firstDone, t, &r);
+    const Tick hitDone = hitBank.access(5, firstDone, ticks, &r);
     EXPECT_EQ(r, RowResult::kHit);
 
     Bank missBank = b;
-    const Tick missDone = missBank.access(9, firstDone, t, &r);
+    const Tick missDone = missBank.access(9, firstDone, ticks, &r);
     EXPECT_EQ(r, RowResult::kMiss);
 
     EXPECT_LT(hitDone, missDone);
@@ -48,11 +69,12 @@ TEST(Bank, RowHitFasterThanMiss)
 TEST(Bank, RowHitsPipelineAtBurstRate)
 {
     const DramTiming t = ddr5_4800();
+    const RowTickTable ticks = rowTickTable(t);
     Bank b;
     RowResult r;
-    b.access(1, 0, t, &r);
+    b.access(1, 0, ticks, &r);
     const Tick free1 = b.freeAt();
-    b.access(1, free1, t, &r);
+    b.access(1, free1, ticks, &r);
     EXPECT_EQ(r, RowResult::kHit);
     // Occupancy per row hit is the burst time, far below tCL.
     EXPECT_NEAR(ticksToNs(b.freeAt() - free1), t.burst, 0.01);
@@ -60,11 +82,10 @@ TEST(Bank, RowHitsPipelineAtBurstRate)
 
 TEST(Bank, BlockDelaysNextAccess)
 {
-    const DramTiming t = ddr4_2933();
     Bank b;
     b.block(nsToTicks(1000));
     RowResult r;
-    const Tick done = b.access(0, 0, t, &r);
+    const Tick done = b.access(0, 0, rowTickTable(ddr4_2933()), &r);
     EXPECT_GE(done, nsToTicks(1000));
 }
 

@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <queue>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "sim/fixed_divisor.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/tournament_tree.hh"
@@ -35,6 +37,18 @@ TEST(Types, LineAlign)
     EXPECT_EQ(lineAlign(63), 0u);
     EXPECT_EQ(lineAlign(64), 64u);
     EXPECT_EQ(lineAlign(130), 128u);
+}
+
+TEST(FixedDivisor, MatchesDivisionAndRemainder)
+{
+    using U = std::uint64_t;
+    for (const U n : {U{1}, U{2}, U{6}, U{8}, U{16}, U{32}, U{8192}}) {
+        const FixedDivisor d(n);
+        for (const U x : {U{0}, n - 1, n, (U{1} << 58) - 1, ~U{0}}) {
+            EXPECT_EQ(d.quot(x), x / n) << x << " / " << n;
+            EXPECT_EQ(d.rem(x), x % n) << x << " % " << n;
+        }
+    }
 }
 
 TEST(TournamentTree, MatchesPriorityQueueReference)

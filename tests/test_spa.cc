@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "core/platform.hh"
 #include "core/slowdown.hh"
@@ -29,7 +32,7 @@ struct RunPair
 };
 
 RunPair
-runPair(const std::string &name, const char *memory,
+runPair(const std::string &name, const std::string &memory,
         std::uint64_t blocks = 40000, Tick sampling = 0)
 {
     workloads::WorkloadProfile w = workloads::byName(name);
@@ -66,9 +69,25 @@ TEST(Breakdown, ComponentsPlusOtherEqualActual)
  *  actual slowdown within a few percent, across workloads and
  *  setups. */
 class SpaAccuracy : public ::testing::TestWithParam<
-                        std::tuple<const char *, const char *>>
+                        std::tuple<std::string, std::string>>
 {
 };
+
+namespace {
+
+/** "605.mcf_s" on "CXL-A" -> "605_mcf_s_CXL_A": a stable test name. */
+std::string
+spaCaseName(const ::testing::TestParamInfo<SpaAccuracy::ParamType> &info)
+{
+    std::string s =
+        std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    for (char &c : s)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return s;
+}
+
+}  // namespace
 
 TEST_P(SpaAccuracy, EstimatorsTrackActualSlowdown)
 {
@@ -89,10 +108,14 @@ TEST_P(SpaAccuracy, EstimatorsTrackActualSlowdown)
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsAndSetups, SpaAccuracy,
     ::testing::Combine(
-        ::testing::Values("605.mcf_s", "redis/ycsb-c",
-                          "ubench-chase-4096m-i17", "bfs-web",
-                          "519.lbm_r"),
-        ::testing::Values("NUMA", "CXL-A", "CXL-B")));
+        ::testing::Values(std::string("605.mcf_s"),
+                          std::string("redis/ycsb-c"),
+                          std::string("ubench-chase-4096m-i17"),
+                          std::string("bfs-web"),
+                          std::string("519.lbm_r")),
+        ::testing::Values(std::string("NUMA"), std::string("CXL-A"),
+                          std::string("CXL-B"))),
+    spaCaseName);
 
 TEST(Breakdown, DramDominatedForChase)
 {
